@@ -2,17 +2,23 @@
 
     python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-Run from the root of a source checkout.  Each round writes the
-workload's inputs from the seed, times a fresh interpreter's
-`import textforage` (together: one set-up sample), runs the pipeline
-as one child process, and checks every output.  Rounds repeat until
-`--seconds` is spent.  A first, untimed reference round runs with the
-other thread count; every later output must match it byte for byte.
+Run from the root of a source checkout.  A first, untimed reference
+round runs the pipeline with the other thread count and applies every
+output check to its artifacts.  Timed rounds follow until `--seconds`
+is spent.  The first three write the workload's inputs from the seed
+and time a fresh interpreter's `import textforage` (together: one
+set-up sample, as before the reference round); later rounds reuse the
+inputs.  Each round runs the pipeline as one child process, timed
+between two timed runs of the fixed reference task in `calibrate.py`,
+and checks that its artifacts match the reference byte for byte, so
+they pass every check too.
 
 With `--trace 0` the last stdout line reports the end-to-end metrics,
-medians over the rounds.  With `--trace 1` each round runs the pipeline
-twice, plainly and under `bench/tracer.py`, and the line reports the
-per-layer metrics plus the tracing overhead.  Progress goes to stderr.
+medians over the rounds; `wall_s` is scaled by the host's speed as
+`calibrate.py` gauges it (see README.md).  With `--trace 1` each round
+runs the pipeline twice, plainly and under `bench/tracer.py`, and the
+line reports the per-layer metrics plus the tracing overhead.  Progress
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ WORK = ROOT / ".bench_work"
 KS = (4, 6)  # every k a workload trains; each gets an lda.tokens_per_s.k<K>
 MIN_ROUNDS = 3
 PIPELINE_TIMEOUT_S = 150
+# median time of `calibrate.py` on the machine in README.md; `wall_s` is
+# the pipeline's median wall time in seconds of a host at that speed
+CALIBRATION_REF_S = 0.80
 
 
 def run_pipeline(w, out: Path, env: dict, threads: int | None = None,
@@ -63,6 +72,14 @@ def run_pipeline(w, out: Path, env: dict, threads: int | None = None,
     if proc.returncode != 0:
         print(f"pipeline exited {proc.returncode}:\n{log.read_text()[-2000:]}", file=sys.stderr)
     return {"rc": proc.returncode, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+
+
+def calibrate(env: dict) -> float:
+    """Wall time of one run of the fixed reference task."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, str(BENCH / "calibrate.py")], env=env, check=True,
+                   timeout=PIPELINE_TIMEOUT_S)
+    return time.perf_counter() - start
 
 
 class Tally:
@@ -108,7 +125,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool, work: Path) -> di
         return w, env, time.perf_counter() - start
 
     tally = Tally()
-    setups, walls, rss, sizes, layer_runs, overheads = [], [], [], [], [], []
+    setups, cals, walls, rss, sizes, layer_runs, overheads = [], [], [], [], [], [], []
     deadline = time.perf_counter() + seconds
 
     w, env, took = setup(0)
@@ -125,12 +142,17 @@ def measure(name: str, seed: int, seconds: float, trace: bool, work: Path) -> di
     while i < MIN_ROUNDS or time.perf_counter() + statistics.median(durations) < deadline:
         i += 1
         started = time.perf_counter()
-        w, env, took = setup(i)
-        setups.append(took)
+        if i <= MIN_ROUNDS:  # later rounds reuse the same inputs
+            w, env, took = setup(i)
+            setups.append(took)
+        if not trace:  # bracket the timed pipeline with the reference task
+            cals.append(calibrate(env))
         out = work / f"round{i}"
         plain = run_pipeline(w, out, env)
+        if not trace:
+            cals.append(calibrate(env))
         tally.stages(w, plain)
-        tally.checks(checks.run_all(out, w, reference))
+        tally.checks({"identical": checks.check_identical(out, reference)})
         walls.append(plain["wall_s"])
         rss.append(plain["peak_rss_mb"])
         sizes.append(sum(p.stat().st_size for p in out.iterdir()))
@@ -138,7 +160,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool, work: Path) -> di
             traced_out, spans = work / f"traced{i}", work / f"spans{i}.json"
             traced = run_pipeline(w, traced_out, env, spans=spans)
             tally.stages(w, traced)
-            tally.checks(checks.run_all(traced_out, w, reference))
+            tally.checks({"identical": checks.check_identical(traced_out, reference)})
             layers = tracer.summarize(json.loads(spans.read_text()), list(KS))
             layers["corpus.bytes"] = (traced_out / "corpus.json").stat().st_size
             layers["lda.model_bytes"] = sum(p.stat().st_size
@@ -146,16 +168,19 @@ def measure(name: str, seed: int, seconds: float, trace: bool, work: Path) -> di
             layer_runs.append(layers)
             overheads.append(traced["wall_s"] - plain["wall_s"])
         durations.append(time.perf_counter() - started)
-        print(f"round {i}: wall {plain['wall_s']:.3f} s, set-up {took:.3f} s",
-              file=sys.stderr)
+        print(f"round {i}: wall {plain['wall_s']:.3f} s, set-up {setups[-1]:.3f} s, "
+              f"calibration {cals[-2:]}", file=sys.stderr)
 
     if trace:
         metrics = {key: (statistics.median(r[key] for r in layer_runs), unit(key))
                    for key in layer_runs[0]}
         metrics["trace.overhead_s"] = (statistics.median(overheads), "s")
     else:
+        scale = CALIBRATION_REF_S / statistics.median(cals)
+        print(f"median wall {statistics.median(walls):.3f} s over {len(walls)} rounds, "
+              f"host speed scale {scale:.3f}", file=sys.stderr)
         metrics = {
-            "wall_s": (statistics.median(walls), "s"),
+            "wall_s": (statistics.median(walls) * scale, "s"),
             "setup_s": (statistics.median(setups), "s"),
             "peak_rss_mb": (statistics.median(rss), "MB"),
             "artifact_bytes": (statistics.median(sizes), "bytes"),
