@@ -19,7 +19,7 @@ from textforage import (
     null_ensemble,
     rank_distribution,
 )
-from textforage.nullmodels import _t2t_values
+from textforage.measures import surprise_values
 
 rng = np.random.default_rng(3)
 n = 60
@@ -59,7 +59,7 @@ print("(a steadily negative slope is sustained exploitation)")
 
 # --- how close to surprise-minimal is this reader? --------------------------
 path = greedy_shortest_path(dists, start=0, objective="t2t")
-greedy_mean = _t2t_values(dists[path]).mean()
+greedy_mean = surprise_values(dists[path], "t2t").mean()
 print(f"\ngreedy nearest-neighbor path: {greedy_mean:.3f} bits/step "
       f"(actual {comparison.actual_mean['t2t']:.3f})")
 

@@ -59,7 +59,7 @@ print(f"merged vocabulary: {len(merged_terms)} terms "
 
 # --- alignment ---------------------------------------------------------------
 for strategy in ("naive", "basic", "adversarial"):
-    result = align_topics(merged_a, merged_b, strategy=strategy, seed=3)
+    result = align_topics(merged_a, merged_b, strategy=strategy)
     mean, total = model_distance(result)
     pairs = " ".join(f"{a}->{b}" for a, b, _ in result.pairs)
     print(f"{strategy:<12} {pairs:<24} mean {mean:.3f}  total {total:.3f}"

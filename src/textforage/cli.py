@@ -21,6 +21,7 @@ are byte-identical.  Exit codes: 0 success, 1 configuration error,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -40,7 +41,7 @@ from .corpus import (
     tokenize,
 )
 from .errors import ConfigError, MissingArtifactError, NumericalDegeneracyError
-from .measures import surprise_series
+from .measures import surprise_series, surprise_values
 from .nullmodels import ReadingOrder
 from .seeds import derive_seed
 from .synthetic import make_fixture
@@ -322,15 +323,9 @@ def stage_measure(run: _Run) -> None:
 
 
 def _read_series_csv(path: Path) -> np.ndarray:
-    values = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#") or line.startswith("position,"):
-                continue
-            parts = line.strip().split(",")
-            if parts and parts[0]:
-                values.append(float(parts[3]))
-    return np.asarray(values)
+    with open(path, newline="") as fh:
+        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+        return np.asarray([float(row["bits"]) for row in rows])
 
 
 def stage_null(run: _Run) -> None:
@@ -343,7 +338,7 @@ def stage_null(run: _Run) -> None:
         for mode in cfg["measure"]["modes"]:
             run.artifact(f"series_k{k}_{mode}.csv", "measure")
         model = _load_model(run, k, corpus)
-        theta, _ = lda.estimate_distributions(model, smoothing=True)
+        theta, _ = lda.estimate_distributions(model, smoothing=cfg["measure"]["smoothing"])
         comparison = nullmodels.null_ensemble(
             order, theta, n=n, seed=derive_seed(run.seed, k, "null"),
             modes=tuple(cfg["measure"]["modes"]),
@@ -359,7 +354,7 @@ def stage_null(run: _Run) -> None:
         summary = comparison.summary_payload()
         for objective in cfg["measure"]["modes"]:
             path = nullmodels.greedy_shortest_path(theta, start=0, objective=objective)
-            values = nullmodels._SERIES_FN[objective](theta[path])
+            values = surprise_values(theta[path], objective)
             summary[objective]["greedy_mean_bits"] = float(values.mean())
         run.write_json(f"null_k{k}_summary.json", {"modes": summary})
         ranks = nullmodels.rank_distribution(
@@ -462,9 +457,7 @@ def stage_compare(run: _Run) -> None:
             phi_a, terms, phi_b, terms, strategy=cfg["compare"]["merge"]
         )
         alignment = modelcompare.align_topics(
-            merged_a, merged_b,
-            strategy=cfg["compare"]["strategy"],
-            seed=derive_seed(run.seed, k_a * 100003 + k_b, "compare"),
+            merged_a, merged_b, strategy=cfg["compare"]["strategy"]
         )
         mean, total = modelcompare.model_distance(alignment)
         modelcompare.alignment_to_csv(

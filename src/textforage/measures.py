@@ -29,6 +29,7 @@ __all__ = [
     "encloses",
     "SurpriseSeries",
     "surprise_series",
+    "surprise_values",
 ]
 
 #: Tolerated deviation of a probability vector's sum from 1.
@@ -62,22 +63,6 @@ def entropy(p) -> float:
     return max(float(-(nz * np.log2(nz)).sum()), 0.0)
 
 
-def _kl_bits(q: np.ndarray, p: np.ndarray) -> float:
-    """KL divergence of validated vectors, in bits.
-
-    Terms with q_i = 0 contribute nothing; q_i > 0 against p_i = 0 is an
-    infinite divergence and raises rather than clamping, because any
-    upstream smoothing should have prevented it.
-    """
-    support = q > 0
-    if np.any(p[support] <= 0):
-        raise NumericalDegeneracyError(
-            "infinite divergence: q has mass where p has none"
-        )
-    qs = q[support]
-    return float((qs * np.log2(qs / p[support])).sum())
-
-
 def kl_divergence(q, p) -> float:
     """D_KL(q | p) = sum_i q_i log2(q_i / p_i), in bits.
 
@@ -88,15 +73,17 @@ def kl_divergence(q, p) -> float:
     p = as_distribution(p)
     if q.shape != p.shape:
         raise ValueError("distributions differ in length")
-    return max(_kl_bits(q, p), 0.0)
+    return float(kl_divergence_rows(q, p)[0])
 
 
 def kl_divergence_rows(q_rows: np.ndarray, p_rows: np.ndarray) -> np.ndarray:
     """Row-wise KL divergence between two stacks of distributions.
 
     `p_rows` may be a single vector, broadcast against every row of
-    `q_rows`.  Rows are assumed already validated; zero handling matches
-    :func:`kl_divergence`.
+    `q_rows`.  Rows are assumed already validated.  Terms with q_i = 0
+    contribute nothing; q_i > 0 against p_i = 0 is an infinite
+    divergence and raises rather than clamping, because any upstream
+    smoothing should have prevented it.
     """
     q = np.atleast_2d(np.asarray(q_rows, dtype=np.float64))
     p = np.atleast_2d(np.asarray(p_rows, dtype=np.float64))
@@ -121,8 +108,7 @@ def js_divergence(p, q) -> float:
     q = as_distribution(q)
     if p.shape != q.shape:
         raise ValueError("distributions differ in length")
-    m = 0.5 * (p + q)
-    return max(0.5 * _kl_bits(p, m) + 0.5 * _kl_bits(q, m), 0.0)
+    return float(_js_divergence_one_to_many(p, q[None])[0])
 
 
 def js_distance(p, q) -> float:
@@ -183,30 +169,6 @@ def encloses(p, q, tol: float = 1e-12) -> Enclosure:
     return Enclosure.P_ENCLOSES_Q if forward < backward else Enclosure.Q_ENCLOSES_P
 
 
-class _CompensatedMean:
-    """Running vector mean with Kahan-compensated accumulation, so long
-    text-to-past series do not drift."""
-
-    def __init__(self, dim: int):
-        self._sum = np.zeros(dim)
-        self._comp = np.zeros(dim)
-        self._count = 0
-
-    def add(self, vec: np.ndarray) -> None:
-        y = vec - self._comp
-        t = self._sum + y
-        self._comp = (t - self._sum) - y
-        self._sum = t
-        self._count += 1
-
-    def mean(self) -> np.ndarray:
-        m = self._sum / self._count
-        total = m.sum()
-        if total <= 0:
-            raise ValueError("degenerate past mean")
-        return m / total
-
-
 @dataclass(frozen=True)
 class SurpriseSeries:
     """An ordered sequence of per-step surprises, in bits.
@@ -257,6 +219,38 @@ class SurpriseSeries:
                 writer.writerow([pos, item, self.mode_label(), repr(float(value))])
 
 
+def surprise_values(theta, mode: str = "t2t", window: int | None = None) -> np.ndarray:
+    """Per-step KL surprise of the rows of `theta`, in bits.
+
+    The one implementation behind every surprise series: `theta` is an
+    (n, k) stack of already validated distributions in reading order,
+    and entry j is the surprise of row j+1.  Past means are plain
+    cumulative means (one cumsum), renormalized to absorb accumulation
+    error; the t2n window sum is a difference of that cumsum.  See
+    :func:`surprise_series` for the modes.
+    """
+    if mode not in ("t2t", "t2p", "t2n"):
+        raise ValueError(f"unknown surprise mode {mode!r}")
+    if mode == "t2n":
+        if window is None or window < 1:
+            raise ValueError("t2n mode requires a window >= 1")
+    elif window is not None:
+        raise ValueError(f"window is only meaningful for t2n, not {mode!r}")
+    theta = np.asarray(theta, dtype=np.float64)
+    if mode == "t2t":
+        return kl_divergence_rows(theta[1:], theta[:-1])
+    cums = np.cumsum(theta, axis=0)
+    sums = cums[:-1]
+    counts = np.arange(1, theta.shape[0], dtype=np.float64)
+    if mode == "t2n":
+        sums = sums.copy()
+        sums[window:] -= cums[: -1 - window]
+        counts = np.minimum(counts, window)
+    past_means = sums / counts[:, None]
+    past_means = past_means / past_means.sum(axis=1, keepdims=True)
+    return kl_divergence_rows(theta[1:], past_means)
+
+
 def surprise_series(
     dists: Iterable,
     mode: str = "t2t",
@@ -283,31 +277,6 @@ def surprise_series(
     if any(r.size != dim for r in rows):
         raise ValueError("distributions differ in length")
     mode = mode.lower()
-    if mode == "t2n":
-        if window is None or window < 1:
-            raise ValueError("t2n mode requires a window >= 1")
-    elif window is not None:
-        raise ValueError(f"window is only meaningful for t2n, not {mode!r}")
-
-    values = np.empty(len(rows) - 1)
-    if mode == "t2t":
-        for i in range(1, len(rows)):
-            values[i - 1] = _kl_bits(rows[i], rows[i - 1])
-    elif mode == "t2p":
-        past = _CompensatedMean(dim)
-        past.add(rows[0])
-        for i in range(1, len(rows)):
-            values[i - 1] = _kl_bits(rows[i], past.mean())
-            past.add(rows[i])
-    elif mode == "t2n":
-        stacked = np.vstack(rows)
-        for i in range(1, len(rows)):
-            lo = max(0, i - window)
-            m = stacked[lo:i].mean(axis=0)
-            values[i - 1] = _kl_bits(rows[i], m / m.sum())
-    else:
-        raise ValueError(f"unknown surprise mode {mode!r}")
-
-    values = np.maximum(values, 0.0)
+    values = surprise_values(np.vstack(rows), mode, window)
     ids = tuple(item_ids) if item_ids is not None else None
     return SurpriseSeries(mode=mode, values=values, window=window, item_ids=ids)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus, as_earliest, as_latest
-from .measures import kl_divergence_rows, _CompensatedMean
+from .measures import kl_divergence_rows, surprise_values
 from .seeds import derive_seed, rng_from
 
 __all__ = [
@@ -131,28 +131,6 @@ def constrained_permutation(order: ReadingOrder, seed_or_rng) -> np.ndarray:
     return perm
 
 
-# ---------------------------------------------------------------------------
-# Surprise helpers (validated once per call, vectorized per permutation)
-
-
-def _t2t_values(theta: np.ndarray) -> np.ndarray:
-    return kl_divergence_rows(theta[1:], theta[:-1])
-
-
-def _t2p_values(theta: np.ndarray) -> np.ndarray:
-    # plain cumsum (not the compensated accumulator used by
-    # measures.surprise_series): across a whole permutation ensemble the
-    # vectorized form is what makes 1000 draws affordable, and the
-    # renormalization below absorbs the accumulated rounding
-    cums = np.cumsum(theta, axis=0)
-    counts = np.arange(1, theta.shape[0], dtype=np.float64)[:, None]
-    past_means = cums[:-1] / counts
-    past_means = past_means / past_means.sum(axis=1, keepdims=True)
-    return kl_divergence_rows(theta[1:], past_means)
-
-_SERIES_FN = {"t2t": _t2t_values, "t2p": _t2p_values}
-
-
 @dataclass(frozen=True)
 class NullEnsemble:
     """Permutations plus their surprise statistics."""
@@ -214,13 +192,13 @@ def null_ensemble(
     if n < 1:
         raise ValueError("need at least one permutation")
     for mode in modes:
-        if mode not in _SERIES_FN:
+        if mode not in ("t2t", "t2p"):
             raise ValueError(f"unknown mode {mode!r}")
     theta = np.asarray(dists, dtype=np.float64)
     if theta.shape[0] != len(order):
         raise ValueError("dists and order are not aligned")
 
-    actual_series = {m: _SERIES_FN[m](theta) for m in modes}
+    actual_series = {m: surprise_values(theta, m) for m in modes}
     permutations = np.empty((n, len(order)), dtype=np.int64)
     per_perm_means = {m: np.empty(n) for m in modes}
     series_sums = {m: np.zeros(len(order) - 1) for m in modes}
@@ -229,7 +207,7 @@ def null_ensemble(
         permutations[draw] = perm
         theta_perm = theta[perm]
         for m in modes:
-            values = _SERIES_FN[m](theta_perm)
+            values = surprise_values(theta_perm, m)
             per_perm_means[m][draw] = values.mean()
             series_sums[m] += values
 
@@ -329,16 +307,19 @@ def greedy_shortest_path(
         raise ValueError(f"start {start} out of range")
     remaining = [i for i in range(n) if i != start]
     path = [start]
-    past = _CompensatedMean(theta.shape[1])
-    past.add(theta[start])
+    past_sum = theta[start].copy()
     current = start
     while remaining:
-        reference = theta[current] if objective == "t2t" else past.mean()
+        if objective == "t2t":
+            reference = theta[current]
+        else:
+            reference = past_sum / len(path)
+            reference = reference / reference.sum()
         costs = kl_divergence_rows(theta[remaining], reference)
         pick = int(np.argmin(costs))  # first minimum = lowest id, remaining is sorted
         current = remaining.pop(pick)
         path.append(current)
-        past.add(theta[current])
+        past_sum += theta[current]
     return np.asarray(path, dtype=np.int64)
 
 

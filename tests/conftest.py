@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from textforage.corpus import Corpus, DocumentSpec, EncodedDocument, Vocabulary
 from textforage import lda
@@ -45,3 +46,18 @@ def small_model():
 
 def random_distributions(rng, n, k, concentration=0.5):
     return rng.dirichlet(np.full(k, concentration), size=n)
+
+
+@st.composite
+def reading_rows(draw, max_n=12, max_k=6):
+    """An (n, k) stack of distributions from small integer weights.
+
+    The first row has full support, so past means always do; later rows
+    may hold zeros, which makes some t2t and t2n steps infinite.
+    """
+    k = draw(st.integers(2, max_k))
+    n = draw(st.integers(2, max_n))
+    row = st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any)
+    first = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    weights = np.array([first] + draw(st.lists(row, min_size=n - 1, max_size=n - 1)), float)
+    return weights / weights.sum(axis=1, keepdims=True)

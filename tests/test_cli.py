@@ -1,10 +1,15 @@
+import csv
 import filecmp
 import json
 
+import numpy as np
+import numpy.testing as npt
 import pytest
 import yaml
 
-from textforage import cli
+from textforage import cli, lda
+from textforage.corpus import Corpus
+from textforage.measures import surprise_series
 from textforage.synthetic import FixtureSpec, make_fixture
 
 
@@ -85,6 +90,65 @@ class TestPipeline:
         base = json.loads((fixture_dir / "out" / "null_k3_summary.json").read_text())
         other = json.loads((out / "null_k3_summary.json").read_text())
         assert base["metadata"]["config_sha256"] != other["metadata"]["config_sha256"]
+
+
+def small_pipeline(root, **sections):
+    """A 20-document fixture with one k and a short config under `root`."""
+    make_fixture(root, seed=5, spec=FixtureSpec(n_docs=20, n_topics=3, terms_per_topic=25))
+    config = {
+        "manifest": "manifest.jsonl",
+        "output_dir": "out",
+        "seed": 3,
+        "filter": {"min_count": 2},
+        "training": {"ks": [2], "iterations": 20},
+        "null_model": {"permutations": 20},
+        "epochs": {"max_epochs": 2, "min_len": 4},
+        **sections,
+    }
+    (root / "config.yaml").write_text(yaml.safe_dump(config))
+    return str(root / "config.yaml")
+
+
+def csv_column(path, name):
+    """One column of an artifact CSV, as the strings written."""
+    with open(path, newline="") as fh:
+        return [row[name] for row in csv.DictReader(l for l in fh if not l.startswith("#"))]
+
+
+class TestSeriesConsistency:
+    def test_comma_in_id_reaches_epochs(self, tmp_path):
+        config = small_pipeline(tmp_path)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(manifest.read_text().replace('"doc005"', '"doc,005"'))
+        assert run_cli("pipeline", "--config", config) == 0
+        out = tmp_path / "out"
+        corpus = Corpus.load(out / "corpus.json")
+        item_ids = [d.spec.id for d in corpus.in_reading_order()]
+        assert "doc,005" in item_ids
+        model = lda.TopicModel.load(out / "model_k2.json", corpus.vocabulary)
+        theta, _ = lda.estimate_distributions(model, smoothing=True)
+        for mode in ("t2t", "t2p"):
+            epochs_input = cli._read_series_csv(out / f"series_k2_{mode}.csv")
+            npt.assert_array_equal(epochs_input, surprise_series(theta, mode).values)
+
+    def test_null_honours_measure_smoothing(self, tmp_path):
+        # at k=2 the raw (unsmoothed) theta of this corpus has full support
+        config = small_pipeline(tmp_path, measure={"smoothing": False})
+        assert run_cli("pipeline", "--config", config) == 0
+        out = tmp_path / "out"
+        summary = json.loads((out / "null_k2_summary.json").read_text())
+        for mode in ("t2t", "t2p"):
+            series = cli._read_series_csv(out / f"series_k2_{mode}.csv")
+            assert summary["modes"][mode]["actual_mean_bits"] == float(np.mean(series))
+
+    def test_measured_series_is_the_null_actual_series(self, tmp_path):
+        config = small_pipeline(tmp_path)
+        assert run_cli("pipeline", "--config", config) == 0
+        out = tmp_path / "out"
+        for mode in ("t2t", "t2p"):
+            measured = csv_column(out / f"series_k2_{mode}.csv", "bits")
+            actual = csv_column(out / f"null_k2_cumrel_{mode}.csv", "actual_bits")
+            assert measured == actual
 
 
 class TestStageOrdering:

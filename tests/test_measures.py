@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textforage.errors import NumericalDegeneracyError
 from textforage.measures import (
@@ -14,9 +16,10 @@ from textforage.measures import (
     kl_divergence,
     kl_divergence_rows,
     surprise_series,
+    surprise_values,
 )
 
-from conftest import random_distributions
+from conftest import random_distributions, reading_rows
 
 
 class TestEntropy:
@@ -228,6 +231,29 @@ class TestSurpriseSeries:
         series = surprise_series(rows, mode="t2p")
         assert np.all(series.values >= 0)
         assert np.all(np.isfinite(series.values))
+
+
+def reference_series(theta, mode, window=None):
+    """Per-row surprise from scalar KL calls against explicit past means."""
+    window = {"t2t": 1, "t2p": len(theta)}.get(mode, window)
+    return [
+        kl_divergence(theta[i], np.mean(theta[max(0, i - window) : i], axis=0))
+        for i in range(1, len(theta))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=reading_rows(), data=st.data())
+def test_surprise_values_match_per_row_reference(theta, data):
+    mode = data.draw(st.sampled_from(["t2t", "t2p", "t2n"]))
+    window = data.draw(st.integers(1, len(theta))) if mode == "t2n" else None
+    try:
+        expected = reference_series(theta, mode, window)
+    except NumericalDegeneracyError:
+        with pytest.raises(NumericalDegeneracyError):
+            surprise_values(theta, mode, window)
+        return
+    npt.assert_allclose(surprise_values(theta, mode, window), expected, rtol=0, atol=1e-12)
 
 
 def test_as_distribution_roundtrip():

@@ -7,7 +7,6 @@ import pytest
 from textforage import modelcompare
 from textforage.measures import js_distance
 from textforage.modelcompare import (
-    AdversarialConfig,
     align_topics,
     merge_vocabulary,
     model_distance,
@@ -92,7 +91,7 @@ class TestAlignTopics:
     def test_self_alignment_is_identity_with_zero_distance(self, strategy):
         rng = np.random.default_rng(6)
         phi = random_phi(rng, 10, 4)
-        result = align_topics(phi, phi.copy(), strategy=strategy, seed=1)
+        result = align_topics(phi, phi.copy(), strategy=strategy)
         assert result.mapping == {t: t for t in range(4)}
         assert result.total_distance == pytest.approx(0.0, abs=1e-9)
 
@@ -102,7 +101,7 @@ class TestAlignTopics:
         phi = random_phi(rng, 12, 5)
         perm = [3, 0, 4, 1, 2]
         phi_b = phi[:, perm]  # B topic j is A topic perm[j]
-        result = align_topics(phi, phi_b, strategy=strategy, seed=2)
+        result = align_topics(phi, phi_b, strategy=strategy)
         expected = {perm[j]: j for j in range(5)}
         assert result.mapping == expected
         assert result.total_distance == pytest.approx(0.0, abs=1e-9)
@@ -150,7 +149,7 @@ class TestAlignTopics:
         rng = np.random.default_rng(10 + k_a + k_b)
         phi_a = random_phi(rng, 10, k_a)
         phi_b = random_phi(rng, 10, k_b)
-        result = align_topics(phi_a, phi_b, strategy="adversarial", seed=3)
+        result = align_topics(phi_a, phi_b, strategy="adversarial")
         dist = modelcompare._js_distance_columns(phi_a, phi_b)
         oracle_cost, _ = brute_force_alignment(dist)
         assert result.total_distance == pytest.approx(oracle_cost, abs=1e-10)
@@ -159,9 +158,8 @@ class TestAlignTopics:
         rng = np.random.default_rng(11)
         phi_a = random_phi(rng, 8, 4)
         phi_b = random_phi(rng, 8, 7)
-        config = AdversarialConfig(population=8, offspring=16, patience=10)
-        a = align_topics(phi_a, phi_b, strategy="adversarial", seed=5, adversarial=config)
-        b = align_topics(phi_a, phi_b, strategy="adversarial", seed=5, adversarial=config)
+        a = align_topics(phi_a, phi_b, strategy="adversarial")
+        b = align_topics(phi_a, phi_b, strategy="adversarial")
         assert a.pairs == b.pairs
 
     def test_basic_not_worse_than_naive_on_permuted_copy(self):

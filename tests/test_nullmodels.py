@@ -4,10 +4,12 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
 from scipy import stats
 
 from textforage import nullmodels
-from textforage.measures import kl_divergence
+from textforage.errors import NumericalDegeneracyError
+from textforage.measures import kl_divergence, surprise_series, surprise_values
 from textforage.nullmodels import (
     ReadingOrder,
     constrained_permutation,
@@ -17,7 +19,7 @@ from textforage.nullmodels import (
     step_ranks,
 )
 
-from conftest import random_distributions
+from conftest import random_distributions, reading_rows
 
 
 def order_from_days(pub_days, slot_days, base=datetime.date(1840, 1, 1)):
@@ -26,6 +28,24 @@ def order_from_days(pub_days, slot_days, base=datetime.date(1840, 1, 1)):
         slot_dates=tuple(base + datetime.timedelta(days=d) for d in slot_days),
         pub_dates=tuple(base + datetime.timedelta(days=d) for d in pub_days),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=reading_rows())
+def test_null_actual_series_is_the_measured_series(theta):
+    # every item is published on its own slot date, so each permutation
+    # is the identity and no draw can fail where the actual order does not
+    n = len(theta)
+    order = order_from_days(list(range(n)), list(range(n)))
+    for mode in ("t2t", "t2p"):
+        try:
+            measured = surprise_series(theta, mode).values
+        except NumericalDegeneracyError:
+            with pytest.raises(NumericalDegeneracyError):
+                null_ensemble(order, theta, n=2, seed=0, modes=(mode,))
+            continue
+        actual = null_ensemble(order, theta, n=2, seed=0, modes=(mode,)).actual_series[mode]
+        assert actual.tobytes() == measured.tobytes()
 
 
 class TestConstrainedPermutation:
@@ -128,7 +148,7 @@ class TestNullEnsemble:
         null_mean = comparison.ensemble.null_series_by_mode["t2t"]
         finals = []
         for perm in comparison.ensemble.permutations:
-            series = nullmodels._t2t_values(np.asarray(dists)[perm])
+            series = surprise_values(np.asarray(dists)[perm], "t2t")
             finals.append(np.sum(series - null_mean))
         assert np.mean(finals) == pytest.approx(0.0, abs=1e-9)
 
