@@ -15,7 +15,7 @@ Subcommands chain file artifacts through an output directory:
 Every artifact embeds the tool version, the SHA-256 of the resolved
 configuration, and the master seed, so identical (config, seed) runs
 are byte-identical.  Exit codes: 0 success, 1 configuration error,
-2 missing upstream artifact, 3 numerical degeneracy.
+2 missing, stale or corrupt upstream artifact, 3 numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ _DEFAULTS = {
     # paper-reported settings: symmetric priors 0.1/0.01, 500 sweeps,
     # coarse and fine topic counts, 1000 null permutations
     "training": {"ks": [80, 200], "alpha": 0.1, "beta": 0.01,
-                 "iterations": 500, "hogwild_shards": None},
+                 "iterations": 500},
     "measure": {"modes": ["t2t", "t2p"], "smoothing": True},
     "null_model": {"permutations": 1000},
     "epochs": {"max_epochs": 3, "min_len": 10, "variance_mode": "mle"},
@@ -191,6 +191,9 @@ def config_hash(cfg: dict) -> str:
     worker counts) still produce byte-identical artifacts.
     """
     semantic = {k: v for k, v in cfg.items() if k not in ("output_dir", "threads")}
+    # the removed field `training.hogwild_shards` stays in the hash at its
+    # only value a loadable config can have, so configs keep their hash
+    semantic["training"] = {**cfg["training"], "hogwild_shards": None}
     canon = json.dumps(semantic, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -277,12 +280,31 @@ def stage_prepare(run: _Run) -> None:
 
 
 def _load_corpus(run: _Run) -> Corpus:
-    return Corpus.load(run.artifact("corpus.json", "prepare"))
+    path = run.artifact("corpus.json", "prepare")
+    try:
+        return Corpus.load(path)
+    except (KeyError, ValueError) as exc:
+        raise MissingArtifactError(
+            f"{path.name} is stale or corrupt ({exc}): rerun `prepare`"
+        ) from exc
 
 
 def _load_model(run: _Run, k: int, corpus: Corpus) -> lda.TopicModel:
     path = run.artifact(f"model_k{k}.json", "train")
-    return lda.TopicModel.load(path, corpus.vocabulary)
+    try:
+        model = lda.TopicModel.load(path, corpus.vocabulary)
+    except (KeyError, ValueError) as exc:
+        raise MissingArtifactError(
+            f"{path.name} is stale or corrupt ({exc}): rerun `train`"
+        ) from exc
+    docs = corpus.in_reading_order()
+    if model.doc_ids != tuple(d.spec.id for d in docs) or not all(
+        np.array_equal(tokens, d.token_ids) for tokens, d in zip(model.doc_tokens(), docs)
+    ):
+        raise MissingArtifactError(
+            f"{path.name} was trained on a different corpus: rerun `train`"
+        )
+    return model
 
 
 def stage_train(run: _Run) -> None:
@@ -296,12 +318,7 @@ def stage_train(run: _Run) -> None:
             beta=cfg["training"]["beta"],
             iterations=cfg["training"]["iterations"],
         )
-        model = lda.train(
-            corpus,
-            config,
-            hogwild_shards=cfg["training"]["hogwild_shards"],
-            threads=cfg["threads"],
-        )
+        model = lda.train(corpus, config)
         model.check_invariants()
         model.save(run.out / f"model_k{k}.json", metadata=run.metadata_dict())
         print(f"trained k={k}: final log joint "
@@ -423,7 +440,13 @@ def stage_fit(run: _Run) -> None:
             ensemble, run.out / f"fit_{name}_k{k}_samples.csv",
             metadata=run.metadata_lines,
         )
-        report = querysample.cluster_ensemble(ensemble, k_range=range(lo, hi + 1))
+        try:
+            report = querysample.cluster_ensemble(ensemble, k_range=range(lo, hi + 1))
+        except ValueError as exc:
+            raise ConfigError(
+                f"fit.samples/fit.cluster_range: {exc} ({ensemble.n_samples} samples, "
+                f"cluster_range [{lo}, {hi}])"
+            ) from exc
         run.write_json(f"fit_{name}_k{k}_clusters.json", report.to_payload())
         run.write_json(
             f"fit_{name}_k{k}.json",
@@ -550,7 +573,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except MissingArtifactError as exc:
-        print(f"missing dependency: {exc}", file=sys.stderr)
+        print(f"upstream artifact: {exc}", file=sys.stderr)
         return 2
     except NumericalDegeneracyError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)

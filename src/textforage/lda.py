@@ -12,16 +12,16 @@ enter as smoothing factors; the factor depending only on the document
 is constant across topics and drops out of the normalization.
 
 Training is single-threaded and bit-reproducible from (corpus, config).
-An optional hogwild mode shards documents and sweeps the shards against
-a stale shared snapshot of the word-topic counts; it is faster on large
-corpora but excluded from the reproducibility guarantee.
+A model file stores only what cannot be derived: the documents' tokens,
+the assignments z and the likelihood trace.  Loading rebuilds every
+count matrix from z.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -46,7 +46,7 @@ __all__ = [
     "corpus_mass_order",
 ]
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,10 @@ except ImportError:  # pragma: no cover
 class TopicModel:
     """Topic assignments and count matrices for a trained corpus.
 
-    Count matrices: n_wt (V, k) word-topic, n_td (k, D) topic-document,
+    `doc_tokens` holds each document's term ids in reading order and
+    `z` one topic per token, documents concatenated; the flat `tokens`
+    and `doc_index` and every count matrix derive from them.  Count
+    matrices: n_wt (V, k) word-topic, n_td (k, D) topic-document,
     n_t (k,) per-topic totals, n_d (D,) document lengths.  The three sum
     identities (rows of n_td vs n_d, columns of n_wt vs n_t, rows of
     n_td vs n_t) hold after every sweep; `check_invariants` asserts
@@ -166,17 +169,29 @@ class TopicModel:
         config: TrainingConfig,
         vocabulary: Vocabulary,
         doc_ids: Sequence[str],
-        tokens: np.ndarray,
-        doc_index: np.ndarray,
+        doc_tokens: Sequence[np.ndarray],
         z: np.ndarray,
         rng: np.random.Generator,
     ):
+        if len(doc_tokens) != len(doc_ids):
+            raise ValueError(
+                f"tokens: {len(doc_tokens)} documents for {len(doc_ids)} doc_ids"
+            )
+        lengths = [len(doc) for doc in doc_tokens]
+        tokens = np.concatenate([np.zeros(0, np.int32), *doc_tokens])
+        z = np.asarray(z)
+        if z.size != tokens.size:
+            raise ValueError(f"z: {z.size} assignments for {tokens.size} tokens")
+        if tokens.size and not (0 <= tokens.min() and tokens.max() < len(vocabulary)):
+            raise ValueError(f"tokens: term id outside the vocabulary [0, {len(vocabulary)})")
+        if z.size and not (0 <= z.min() and z.max() < config.k):
+            raise ValueError(f"z: topic outside [0, {config.k})")
         self.config = config
         self.vocabulary = vocabulary
         self.doc_ids = tuple(doc_ids)
-        self.tokens = tokens
-        self.doc_index = doc_index
-        self.z = z
+        self.tokens = tokens.astype(np.int32)
+        self.doc_index = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+        self.z = z.astype(np.int32, copy=False)
         self._rng = rng
         self.n_docs = len(self.doc_ids)
         self.n_terms = len(vocabulary)
@@ -191,24 +206,22 @@ class TopicModel:
         if corpus.n_documents == 0:
             raise ValueError("empty corpus")
         docs = corpus.in_reading_order()
-        lengths = [d.token_ids.size for d in docs]
-        if min(lengths) == 0:
+        if min(d.token_ids.size for d in docs) == 0:
             raise ValueError("corpus contains an empty document")
-        tokens = np.concatenate([d.token_ids for d in docs]).astype(np.int32)
-        doc_index = np.repeat(
-            np.arange(len(docs), dtype=np.int32), lengths
-        )
         rng = rng_from(config.seed)
-        z = rng.integers(0, config.k, tokens.size, dtype=np.int32)
+        z = rng.integers(0, config.k, corpus.total_tokens(), dtype=np.int32)
         return cls(
             config=config,
             vocabulary=corpus.vocabulary,
             doc_ids=[d.spec.id for d in docs],
-            tokens=tokens,
-            doc_index=doc_index,
+            doc_tokens=[d.token_ids for d in docs],
             z=z,
             rng=rng,
         )
+
+    def doc_tokens(self) -> list[np.ndarray]:
+        """Each document's term ids, in reading order."""
+        return np.split(self.tokens, np.cumsum(self.n_d)[:-1])
 
     def _rebuild_counts(self) -> None:
         k = self.config.k
@@ -243,19 +256,30 @@ class TopicModel:
 
     # -- persistence
 
+    def assignments_sha256(self) -> str:
+        """SHA-256 over the document lengths, the tokens and z.
+
+        Each array enters as its size and then its values, every number
+        a little-endian int64, so the byte stream fixes all three arrays.
+        """
+        h = hashlib.sha256()
+        for values in (self.n_d, self.tokens, self.z):
+            h.update(values.size.to_bytes(8, "little"))
+            h.update(values.astype("<i8").tobytes())
+        return h.hexdigest()
+
     def save(self, path: str | Path, metadata: dict | None = None) -> None:
+        """Write the underivable state: tokens per document, z, trace."""
         payload = {
             "format_version": MODEL_FORMAT_VERSION,
             "kind": "topic_model",
             "metadata": metadata or {},
             "config": self.config.to_payload(),
             "vocabulary_sha256": self.vocabulary.sha256(),
+            "assignments_sha256": self.assignments_sha256(),
             "doc_ids": list(self.doc_ids),
-            "tokens": [int(t) for t in self.tokens],
-            "doc_index": [int(d) for d in self.doc_index],
-            "z": [int(t) for t in self.z],
-            "n_wt": [[int(c) for c in row] for row in self.n_wt],
-            "n_td": [[int(c) for c in row] for row in self.n_td],
+            "tokens": [doc.tolist() for doc in self.doc_tokens()],
+            "z": self.z.tolist(),
             "sweeps_done": self.sweeps_done,
             "log_likelihood_trace": [float(x) for x in self.log_likelihood_trace],
         }
@@ -263,6 +287,12 @@ class TopicModel:
 
     @classmethod
     def load(cls, path: str | Path, vocabulary: Vocabulary) -> "TopicModel":
+        """Read a model file and rebuild its counts from z.
+
+        Raises ValueError, naming the field, for a file of another kind
+        or format version, another vocabulary, a malformed field, or
+        tokens and z that do not hash to `assignments_sha256`.
+        """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if payload.get("kind") != "topic_model":
             raise ValueError(f"{path} is not a topic model file")
@@ -277,21 +307,14 @@ class TopicModel:
             config=config,
             vocabulary=vocabulary,
             doc_ids=payload["doc_ids"],
-            tokens=np.asarray(payload["tokens"], dtype=np.int32),
-            doc_index=np.asarray(payload["doc_index"], dtype=np.int32),
-            z=np.asarray(payload["z"], dtype=np.int32),
+            doc_tokens=[np.asarray(doc, dtype=np.int64) for doc in payload["tokens"]],
+            z=np.asarray(payload["z"], dtype=np.int64),
             rng=rng_from(derive_seed(config.seed, payload["sweeps_done"], "resume")),
         )
+        if payload["assignments_sha256"] != model.assignments_sha256():
+            raise ValueError(f"{path}: tokens or z do not match assignments_sha256")
         model.sweeps_done = payload["sweeps_done"]
         model.log_likelihood_trace = list(payload.get("log_likelihood_trace", ()))
-        # the stored count matrices must agree with the stored
-        # assignments; a mismatch means a corrupt or tampered file
-        stored_wt = np.asarray(payload["n_wt"], dtype=np.int64)
-        stored_td = np.asarray(payload["n_td"], dtype=np.int64)
-        if not (np.array_equal(stored_wt, model.n_wt)
-                and np.array_equal(stored_td, model.n_td)):
-            raise ValueError(f"{path}: count matrices inconsistent with assignments")
-        model.check_invariants()
         return model
 
 
@@ -325,74 +348,17 @@ def gibbs_sweep(model: TopicModel) -> TopicModel:
     return model
 
 
-def train(
-    corpus: Corpus,
-    config: TrainingConfig,
-    hogwild_shards: int | None = None,
-    threads: int | None = None,
-) -> TopicModel:
+def train(corpus: Corpus, config: TrainingConfig) -> TopicModel:
     """Train a topic model on `corpus`.
 
     Assignments are initialized uniformly at random from the seed and
     `config.iterations` full sweeps are applied.  Identical (corpus,
-    config) produce bit-identical models.  With `hogwild_shards` > 1
-    the documents are partitioned and swept against a stale word-topic
-    snapshot per sweep; that mode trades reproducibility for speed.
+    config) produce bit-identical models.
     """
     model = TopicModel.initialize(corpus, config)
-    if hogwild_shards is not None and hogwild_shards > 1:
-        _train_hogwild(model, hogwild_shards, threads)
-    else:
-        for _ in range(config.iterations):
-            gibbs_sweep(model)
-    return model
-
-
-def _train_hogwild(model: TopicModel, shards: int, threads: int | None) -> None:
-    config = model.config
-    shard_of_doc = np.arange(model.n_docs) % shards
-    shard_masks = [shard_of_doc[model.doc_index] == s for s in range(shards)]
-    shard_tokens = [model.tokens[m] for m in shard_masks]
-    shard_docs = [model.doc_index[m].astype(np.int32) for m in shard_masks]
-    rngs = [rng_from(derive_seed(config.seed, s, "hogwild")) for s in range(shards)]
-
-    def sweep_shard(s, wt_snapshot, t_snapshot, z_shard):
-        wt = wt_snapshot.copy()
-        t = t_snapshot.copy()
-        uniforms = rngs[s].random(shard_tokens[s].size)
-        probs = np.empty(config.k, dtype=np.float64)
-        _sweep_kernel(
-            shard_tokens[s], shard_docs[s], z_shard, wt, model.n_td, t,
-            config.alpha, config.beta, uniforms, probs,
-        )
-        return wt - wt_snapshot, z_shard
-
     for _ in range(config.iterations):
-        wt_snapshot = model.n_wt.copy()
-        t_snapshot = model.n_t.copy()
-        z_shards = [model.z[m].copy() for m in shard_masks]
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(
-                    pool.map(
-                        sweep_shard,
-                        range(shards),
-                        [wt_snapshot] * shards,
-                        [t_snapshot] * shards,
-                        z_shards,
-                    )
-                )
-        else:
-            results = [
-                sweep_shard(s, wt_snapshot, t_snapshot, z_shards[s])
-                for s in range(shards)
-            ]
-        for (delta, z_shard), mask in zip(results, shard_masks):
-            model.n_wt += delta
-            model.z[mask] = z_shard
-        model.n_t = model.n_wt.sum(axis=0)
-        model.sweeps_done += 1
-        model.log_likelihood_trace.append(model.log_joint())
+        gibbs_sweep(model)
+    return model
 
 
 def estimate_distributions(
@@ -459,7 +425,8 @@ def perplexity(
     theta, phi = estimate_distributions(model, smoothing=smoothing)
     if doc_indices is None:
         doc_indices = range(model.n_docs)
-    docs = [model.tokens[model.doc_index == d] for d in doc_indices]
+    doc_tokens = model.doc_tokens()
+    docs = [doc_tokens[d] for d in doc_indices]
     return perplexity_from_distributions(theta[list(doc_indices)], phi, docs)
 
 

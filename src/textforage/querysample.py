@@ -148,22 +148,14 @@ def _extend_model(
     base: lda.TopicModel, tokens: np.ndarray, z: np.ndarray, seed: int
 ) -> lda.TopicModel:
     """A joint model over the base documents plus the fitted one."""
-    joined_tokens = np.concatenate([base.tokens, tokens])
-    joined_docs = np.concatenate(
-        [base.doc_index, np.full(tokens.size, base.n_docs, dtype=np.int32)]
-    )
-    joined_z = np.concatenate([base.z, z])
-    model = lda.TopicModel(
+    return lda.TopicModel(
         config=base.config,
         vocabulary=base.vocabulary,
         doc_ids=list(base.doc_ids) + [f"query-{seed}"],
-        tokens=joined_tokens.astype(np.int32),
-        doc_index=joined_docs.astype(np.int32),
-        z=joined_z.astype(np.int32),
+        doc_tokens=base.doc_tokens() + [tokens],
+        z=np.concatenate([base.z, z]),
         rng=rng_from(derive_seed(seed, 0, "extended")),
     )
-    model.check_invariants()
-    return model
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Deterministic derivation of per-task seeds from a master seed.
 
 Every stochastic component of the package (training, query-sample
-ensembles, permutation nulls, hogwild shards) derives its substream
-seeds through :func:`derive_seed` so that a single master seed pins
-down the entire computation.  The derivation is a fixed function of
+ensembles, permutation nulls) derives its substream seeds through
+:func:`derive_seed` so that a single master seed pins down the entire
+computation.  The derivation is a fixed function of
 its inputs and will not change between versions:
 
     seed_i = little-endian uint64 from the first 8 bytes of

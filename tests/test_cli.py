@@ -168,6 +168,69 @@ class TestStageOrdering:
         assert "corpus.json" in err and "prepare" in err
 
 
+class TestStaleArtifacts:
+    @pytest.mark.parametrize("tamper", ["z", "token", "truncated-z", "format-1"])
+    def test_tampered_model_names_the_file(self, tmp_path, capsys, tamper):
+        config = small_pipeline(tmp_path)
+        assert run_cli("prepare", "--config", config) == 0
+        assert run_cli("train", "--config", config) == 0
+        path = tmp_path / "out" / "model_k2.json"
+        payload = json.loads(path.read_text())
+        if tamper == "z":
+            payload["z"][0] = 1 - payload["z"][0]
+        elif tamper == "token":
+            doc = payload["tokens"][0]
+            doc[0] = 1 if doc[0] == 0 else 0
+        elif tamper == "truncated-z":
+            payload["z"].pop()
+        else:
+            payload["format_version"] = 1
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("measure", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "model_k2.json" in err and "`train`" in err
+
+    def test_model_of_another_reading_order_is_stale(self, tmp_path, capsys):
+        config = small_pipeline(tmp_path)
+        assert run_cli("prepare", "--config", config) == 0
+        assert run_cli("train", "--config", config) == 0
+        manifest = tmp_path / "manifest.jsonl"
+        entries = [json.loads(line) for line in manifest.read_text().splitlines()]
+        a, b = (next(e for e in entries if e["id"] == i) for i in ("doc010", "doc011"))
+        for key in ("order_index", "read_date"):
+            a[key], b[key] = b[key], a[key]
+        manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        assert run_cli("prepare", "--config", config) == 0
+        capsys.readouterr()
+        assert run_cli("measure", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "model_k2.json" in err and "different corpus" in err and "`train`" in err
+
+    def test_corrupt_corpus_names_the_file(self, tmp_path, capsys):
+        config = small_pipeline(tmp_path)
+        assert run_cli("prepare", "--config", config) == 0
+        path = tmp_path / "out" / "corpus.json"
+        path.write_text(path.read_text()[:100])
+        capsys.readouterr()
+        assert run_cli("train", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "corpus.json" in err and "`prepare`" in err
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("fit, field", [
+        ({"samples": 2}, "fit.samples"),
+        ({"samples": 8, "cluster_range": [20, 30]}, "fit.cluster_range"),
+    ], ids=["samples", "cluster_range"])
+    def test_unclusterable_fit_is_a_config_error(self, tmp_path, capsys, fit, field):
+        config = small_pipeline(
+            tmp_path, fit={"documents": ["query_0.txt"], "iterations": 5, **fit}
+        )
+        assert run_cli("pipeline", "--config", config) == 1
+        assert field in capsys.readouterr().err
+
+
 class TestConfigValidation:
     def test_missing_config_file(self):
         assert run_cli("pipeline", "--config", "/nonexistent.yaml") == 1
@@ -195,6 +258,11 @@ class TestConfigValidation:
         path.write_text(yaml.safe_dump({"manifest": "m.jsonl", "output_dir": "o"}))
         assert run_cli("pipeline", "--config", str(path)) == 1
         assert "seed" in capsys.readouterr().err
+
+    def test_hogwild_shards_is_not_a_field(self, tmp_path, capsys):
+        config = small_pipeline(tmp_path, training={"ks": [2], "hogwild_shards": 2})
+        assert run_cli("train", "--config", config) == 1
+        assert "training.hogwild_shards" in capsys.readouterr().err
 
     def test_config_required_for_stages(self):
         assert run_cli("pipeline") == 1

@@ -1,9 +1,12 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from textforage import lda
 from textforage.corpus import Vocabulary
@@ -262,32 +265,77 @@ class TestPersistence:
         with pytest.raises(ValueError, match="hash mismatch"):
             lda.TopicModel.load(path, other)
 
-    def test_tampered_counts_rejected(self, small_model, tmp_path):
-        import json as json_mod
+    # each edit of a saved file and the error message loading must give
+    TAMPERED = {
+        "z-in-range": "do not match assignments_sha256",
+        "token-in-range": "do not match assignments_sha256",
+        "z-truncated": r"^z: \d+ assignments for \d+ tokens",
+        "topic-out-of-range": r"^z: topic outside \[0, 3\)",
+        "token-out-of-vocabulary": r"^tokens: term id outside the vocabulary",
+        "doc-ids-short": r"^tokens: 6 documents for 5 doc_ids",
+        "format-1": "unsupported model format_version 1",
+    }
 
+    @pytest.mark.parametrize("tamper", TAMPERED)
+    def test_tampered_file_rejected(self, small_model, tmp_path, tamper):
         path = tmp_path / "model.json"
         small_model.save(path)
-        payload = json_mod.loads(path.read_text())
-        payload["n_wt"][0][0] += 1
-        path.write_text(json_mod.dumps(payload))
-        with pytest.raises(ValueError, match="inconsistent"):
+        payload = json.loads(path.read_text())
+        k, v = small_model.config.k, small_model.n_terms
+        z, first_doc = payload["z"], payload["tokens"][0]
+        if tamper == "z-in-range":
+            z[0] = (z[0] + 1) % k
+        elif tamper == "token-in-range":
+            first_doc[0] = (first_doc[0] + 1) % v
+        elif tamper == "z-truncated":
+            z.pop()
+        elif tamper == "topic-out-of-range":
+            z[0] = k
+        elif tamper == "token-out-of-vocabulary":
+            first_doc[0] = v
+        elif tamper == "doc-ids-short":
+            payload["doc_ids"].pop()
+        else:
+            payload["format_version"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=self.TAMPERED[tamper]):
             lda.TopicModel.load(path, small_model.vocabulary)
 
+    def test_file_holds_no_derived_counts(self, small_model, tmp_path):
+        path = tmp_path / "model.json"
+        small_model.save(path)
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 2
+        assert not {"doc_index", "n_wt", "n_td"} & set(payload)
+        assert [len(doc) for doc in payload["tokens"]] == small_model.n_d.tolist()
 
-class TestHogwild:
-    def test_runs_and_preserves_invariants(self):
-        rng = np.random.default_rng(0)
-        doc_tokens = [rng.integers(0, 10, size=20).tolist() for _ in range(8)]
-        corpus = build_corpus(doc_tokens, [f"w{i}" for i in range(10)])
-        config = lda.TrainingConfig(k=3, seed=4, iterations=15)
-        model = lda.train(corpus, config, hogwild_shards=3)
-        model.check_invariants()
-        assert model.sweeps_done == 15
 
-    def test_threaded_matches_module_contract(self):
-        rng = np.random.default_rng(1)
-        doc_tokens = [rng.integers(0, 10, size=20).tolist() for _ in range(8)]
-        corpus = build_corpus(doc_tokens, [f"w{i}" for i in range(10)])
-        config = lda.TrainingConfig(k=3, seed=4, iterations=5)
-        model = lda.train(corpus, config, hogwild_shards=2, threads=2)
-        model.check_invariants()
+@st.composite
+def trained_models(draw):
+    """A model trained on a random small corpus for a few sweeps."""
+    v = draw(st.integers(1, 6))
+    docs = draw(st.lists(st.lists(st.integers(0, v - 1), min_size=1, max_size=8),
+                         min_size=1, max_size=5))
+    config = lda.TrainingConfig(k=draw(st.integers(2, 4)), seed=draw(st.integers(0, 2**32)),
+                                iterations=draw(st.integers(0, 3)))
+    return lda.train(build_corpus(docs, [f"w{i}" for i in range(v)]), config)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=trained_models())
+def test_save_load_roundtrip_rebuilds_the_model(model, tmp_path):
+    path = tmp_path / "model.json"
+    model.save(path)
+    first = lda.TopicModel.load(path, model.vocabulary)
+    for name in ("z", "tokens", "doc_index", "n_wt", "n_td", "n_t", "n_d"):
+        npt.assert_array_equal(getattr(first, name), getattr(model, name), err_msg=name)
+    assert first.doc_ids == model.doc_ids
+    assert first.sweeps_done == model.sweeps_done
+    assert first.log_likelihood_trace == model.log_likelihood_trace
+    second = lda.TopicModel.load(path, model.vocabulary)
+    lda.gibbs_sweep(first)
+    lda.gibbs_sweep(second)
+    npt.assert_array_equal(first.z, second.z)
+    npt.assert_array_equal(first.n_wt, second.n_wt)
+    assert first.log_likelihood_trace == second.log_likelihood_trace
