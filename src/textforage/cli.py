@@ -160,7 +160,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
     for field, minimum in (
         ("training.iterations", 0), ("null_model.permutations", 1),
         ("epochs.max_epochs", 1), ("epochs.min_len", 2),
-        ("fit.iterations", 0), ("fit.samples", 1),
+        ("fit.iterations", 0), ("fit.samples", 3),
     ):
         if cfg[field.split(".")[0]][field.split(".")[1]] < minimum:
             raise ConfigError(f"{where}: field '{field}' must be >= {minimum}")
@@ -170,6 +170,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
             or not 2 <= span[0] <= span[1]):
         raise ConfigError(f"{where}: field 'fit.cluster_range' must be [lo, hi] "
                           "with 2 <= lo <= hi")
+    if span[0] >= cfg["fit"]["samples"]:
+        raise ConfigError(f"{where}: field 'fit.cluster_range' holds no cluster count "
+                          f"below fit.samples ({cfg['fit']['samples']})")
 
     base = path.parent
     cfg["manifest"] = str((base / cfg["manifest"]).resolve()
@@ -310,6 +313,7 @@ def _load_model(run: _Run, k: int, corpus: Corpus) -> lda.TopicModel:
 def stage_train(run: _Run) -> None:
     cfg = run.cfg
     corpus = _load_corpus(run)
+    print(f"train: Gibbs backend {lda.gibbs_backend()}", file=sys.stderr)
     for i, k in enumerate(cfg["training"]["ks"]):
         config = lda.TrainingConfig(
             k=k,
@@ -418,6 +422,7 @@ def stage_fit(run: _Run) -> None:
     corpus = _load_corpus(run)
     k = cfg["training"]["ks"][0]
     model = _load_model(run, k, corpus)
+    print(f"fit: Gibbs backend {lda.gibbs_backend()}", file=sys.stderr)
     tok_cfg = TokenizerConfig(**cfg["tokenizer"])
     lo, hi = cfg["fit"]["cluster_range"]
     for doc_path in cfg["fit"]["documents"]:
@@ -440,13 +445,7 @@ def stage_fit(run: _Run) -> None:
             ensemble, run.out / f"fit_{name}_k{k}_samples.csv",
             metadata=run.metadata_lines,
         )
-        try:
-            report = querysample.cluster_ensemble(ensemble, k_range=range(lo, hi + 1))
-        except ValueError as exc:
-            raise ConfigError(
-                f"fit.samples/fit.cluster_range: {exc} ({ensemble.n_samples} samples, "
-                f"cluster_range [{lo}, {hi}])"
-            ) from exc
+        report = querysample.cluster_ensemble(ensemble, k_range=range(lo, hi + 1))
         run.write_json(f"fit_{name}_k{k}_clusters.json", report.to_payload())
         run.write_json(
             f"fit_{name}_k{k}.json",

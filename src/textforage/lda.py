@@ -11,6 +11,11 @@ where the counts exclude the token being updated.  The Dirichlet priors
 enter as smoothing factors; the factor depending only on the document
 is constant across topics and drops out of the normalization.
 
+The sweep runs in a small C kernel (`_gibbs.c`), built with gcc on
+first use and cached outside the output directory; without a compiler
+the pure-Python kernels below run instead, with one warning, and give
+the same bits much more slowly.  `gibbs_backend` says which one runs.
+
 Training is single-threaded and bit-reproducible from (corpus, config).
 A model file stores only what cannot be derived: the documents' tokens,
 the assignments z and the likelihood trace.  Loading rebuilds every
@@ -29,6 +34,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
+from . import _gibbs
 from .corpus import Corpus, Vocabulary
 from .errors import NumericalDegeneracyError
 from .seeds import derive_seed, rng_from
@@ -38,6 +44,7 @@ __all__ = [
     "TopicModel",
     "train",
     "gibbs_sweep",
+    "gibbs_backend",
     "estimate_distributions",
     "perplexity",
     "perplexity_from_distributions",
@@ -78,37 +85,42 @@ class TrainingConfig:
 
 
 # ---------------------------------------------------------------------------
-# Sweep kernel (numba-accelerated when available)
+# Sweep kernels (compiled C in `_gibbs.c`, these pure-Python ones as the
+# oracle and the fallback)
+#
+# `uniforms` holds one row of draws per sweep, so a single call can run
+# several sweeps.
 
 
 def _sweep_kernel(tokens, docs, z, n_wt, n_td, n_t, alpha, beta, uniforms, probs):
     v = n_wt.shape[0]
     k = n_wt.shape[1]
     v_beta = v * beta
-    for i in range(tokens.shape[0]):
-        w = tokens[i]
-        d = docs[i]
-        t_old = z[i]
-        n_wt[w, t_old] -= 1
-        n_t[t_old] -= 1
-        n_td[t_old, d] -= 1
-        total = 0.0
-        for t in range(k):
-            p = (n_wt[w, t] + beta) / (n_t[t] + v_beta) * (n_td[t, d] + alpha)
-            probs[t] = p
-            total += p
-        r = uniforms[i] * total
-        acc = 0.0
-        t_new = k - 1
-        for t in range(k):
-            acc += probs[t]
-            if r < acc:
-                t_new = t
-                break
-        z[i] = t_new
-        n_wt[w, t_new] += 1
-        n_t[t_new] += 1
-        n_td[t_new, d] += 1
+    for row in uniforms:
+        for i in range(tokens.shape[0]):
+            w = tokens[i]
+            d = docs[i]
+            t_old = z[i]
+            n_wt[w, t_old] -= 1
+            n_t[t_old] -= 1
+            n_td[t_old, d] -= 1
+            total = 0.0
+            for t in range(k):
+                p = (n_wt[w, t] + beta) / (n_t[t] + v_beta) * (n_td[t, d] + alpha)
+                probs[t] = p
+                total += p
+            r = row[i] * total
+            acc = 0.0
+            t_new = k - 1
+            for t in range(k):
+                acc += probs[t]
+                if r < acc:
+                    t_new = t
+                    break
+            z[i] = t_new
+            n_wt[w, t_new] += 1
+            n_t[t_new] += 1
+            n_td[t_new, d] += 1
 
 
 def _sweep_kernel_locked(tokens, z, base_wt, base_t, td_col, alpha, beta, uniforms, probs):
@@ -117,34 +129,107 @@ def _sweep_kernel_locked(tokens, z, base_wt, base_t, td_col, alpha, beta, unifor
     v = base_wt.shape[0]
     k = base_wt.shape[1]
     v_beta = v * beta
-    for i in range(tokens.shape[0]):
-        w = tokens[i]
-        t_old = z[i]
-        td_col[t_old] -= 1
-        total = 0.0
-        for t in range(k):
-            p = (base_wt[w, t] + beta) / (base_t[t] + v_beta) * (td_col[t] + alpha)
-            probs[t] = p
-            total += p
-        r = uniforms[i] * total
-        acc = 0.0
-        t_new = k - 1
-        for t in range(k):
-            acc += probs[t]
-            if r < acc:
-                t_new = t
-                break
-        z[i] = t_new
-        td_col[t_new] += 1
+    for row in uniforms:
+        for i in range(tokens.shape[0]):
+            w = tokens[i]
+            t_old = z[i]
+            td_col[t_old] -= 1
+            total = 0.0
+            for t in range(k):
+                p = (base_wt[w, t] + beta) / (base_t[t] + v_beta) * (td_col[t] + alpha)
+                probs[t] = p
+                total += p
+            r = row[i] * total
+            acc = 0.0
+            t_new = k - 1
+            for t in range(k):
+                acc += probs[t]
+                if r < acc:
+                    t_new = t
+                    break
+            z[i] = t_new
+            td_col[t_new] += 1
 
 
-try:  # pragma: no cover - exercised implicitly wherever numba is present
-    from numba import njit
+def _checked(name: str, array, dtype, shape: tuple, writeable: bool = False) -> tuple:
+    """Reject an array the C kernels cannot take as is; -1 in `shape`
+    matches any length.  Returns the array's shape."""
+    if not isinstance(array, np.ndarray) or array.dtype != dtype:
+        raise ValueError(f"{name}: expected a {np.dtype(dtype)} array, "
+                         f"got {getattr(array, 'dtype', type(array).__name__)}")
+    if not array.flags.c_contiguous:
+        raise ValueError(f"{name}: array is not C-contiguous")
+    if writeable and not array.flags.writeable:
+        raise ValueError(f"{name}: array is read-only")
+    if len(array.shape) != len(shape) or any(
+        want not in (-1, got) for want, got in zip(shape, array.shape)
+    ):
+        raise ValueError(f"{name}: shape {array.shape}, expected "
+                         f"{tuple('*' if n == -1 else n for n in shape)}")
+    return array.shape
 
-    _sweep_kernel = njit(cache=True, nogil=True)(_sweep_kernel)
-    _sweep_kernel_locked = njit(cache=True, nogil=True)(_sweep_kernel_locked)
-except ImportError:  # pragma: no cover
-    pass
+
+def _in_range(name: str, array: np.ndarray, stop: int) -> None:
+    if array.size and not (0 <= array.min() and array.max() < stop):
+        raise ValueError(f"{name}: value outside [0, {stop})")
+
+
+def sweep(tokens, docs, z, n_wt, n_td, n_t, alpha: float, beta: float, uniforms) -> None:
+    """Run one full Gibbs sweep per row of `uniforms`, in place.
+
+    Tokens, document indices and z are int32 of one length n; n_wt is
+    (V, k), n_td (k, D) and n_t (k,), all int64; `uniforms` is float64
+    (n_sweeps, n).  Any other dtype, layout or shape, or an index out of
+    range, raises ValueError naming the array.
+    """
+    (n,) = _checked("tokens", tokens, np.int32, (-1,))
+    v, k = _checked("n_wt", n_wt, np.int64, (-1, -1), writeable=True)
+    _checked("docs", docs, np.int32, (n,))
+    _checked("z", z, np.int32, (n,), writeable=True)
+    _, n_docs = _checked("n_td", n_td, np.int64, (k, -1), writeable=True)
+    _checked("n_t", n_t, np.int64, (k,), writeable=True)
+    n_sweeps, _ = _checked("uniforms", uniforms, np.float64, (-1, n))
+    _in_range("tokens", tokens, v)
+    _in_range("docs", docs, n_docs)
+    _in_range("z", z, k)
+    probs = np.empty(k, dtype=np.float64)
+    lib, _ = _gibbs.load()
+    if lib is None:
+        _sweep_kernel(tokens, docs, z, n_wt, n_td, n_t, alpha, beta, uniforms, probs)
+        return
+    lib.sweep(n_sweeps, n, tokens.ctypes.data, docs.ctypes.data, z.ctypes.data,
+              n_wt.ctypes.data, n_td.ctypes.data, n_t.ctypes.data, v, k, n_docs,
+              alpha, beta, uniforms.ctypes.data, probs.ctypes.data)
+
+
+def sweep_locked(tokens, z, base_wt, base_t, td_col, alpha: float, beta: float,
+                 uniforms) -> None:
+    """`sweep` with the word-topic counts frozen: only `td_col` (k,)
+    and z change.  Same array rules, with base_wt (V, k) and base_t (k,)."""
+    (n,) = _checked("tokens", tokens, np.int32, (-1,))
+    v, k = _checked("base_wt", base_wt, np.int64, (-1, -1))
+    _checked("z", z, np.int32, (n,), writeable=True)
+    _checked("base_t", base_t, np.int64, (k,))
+    _checked("td_col", td_col, np.int64, (k,), writeable=True)
+    n_sweeps, _ = _checked("uniforms", uniforms, np.float64, (-1, n))
+    _in_range("tokens", tokens, v)
+    _in_range("z", z, k)
+    probs = np.empty(k, dtype=np.float64)
+    lib, _ = _gibbs.load()
+    if lib is None:
+        _sweep_kernel_locked(tokens, z, base_wt, base_t, td_col, alpha, beta, uniforms, probs)
+        return
+    lib.sweep_locked(n_sweeps, n, tokens.ctypes.data, z.ctypes.data, base_wt.ctypes.data,
+                     base_t.ctypes.data, td_col.ctypes.data, v, k, alpha, beta,
+                     uniforms.ctypes.data, probs.ctypes.data)
+
+
+def gibbs_backend() -> str:
+    """Which kernels `sweep` runs: "C (<library>)" or "pure Python (<reason>)".
+
+    Builds the compiled kernel on first use.
+    """
+    return _gibbs.load()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +414,7 @@ def gibbs_sweep(model: TopicModel) -> TopicModel:
     preserved exactly.  The sweep consumes one block of the model's
     random stream, so a fixed stream gives a reproducible sweep.
     """
-    uniforms = model._rng.random(model.tokens.size)
-    probs = np.empty(model.config.k, dtype=np.float64)
-    _sweep_kernel(
+    sweep(
         model.tokens,
         model.doc_index,
         model.z,
@@ -340,8 +423,7 @@ def gibbs_sweep(model: TopicModel) -> TopicModel:
         model.n_t,
         model.config.alpha,
         model.config.beta,
-        uniforms,
-        probs,
+        model._rng.random((1, model.tokens.size)),
     )
     model.sweeps_done += 1
     model.log_likelihood_trace.append(model.log_joint())

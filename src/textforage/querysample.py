@@ -100,15 +100,10 @@ def fit_document(
     rng = rng_from(seed)
     z = rng.integers(0, k, tokens.size, dtype=np.int32)
     td_col = np.bincount(z, minlength=k).astype(np.int64)
-    probs = np.empty(k, dtype=np.float64)
+    uniforms = rng.random((iterations, tokens.size))
 
     if phi_mode == "locked":
-        for _ in range(iterations):
-            uniforms = rng.random(tokens.size)
-            lda._sweep_kernel_locked(
-                tokens, z, model.n_wt, model.n_t, td_col,
-                alpha, beta, uniforms, probs,
-            )
+        lda.sweep_locked(tokens, z, model.n_wt, model.n_t, td_col, alpha, beta, uniforms)
         wt, t_totals = model.n_wt, model.n_t
         extra_counts = None
     else:
@@ -118,12 +113,7 @@ def fit_document(
         np.add.at(t_totals, z, 1)
         td = td_col.reshape(k, 1)
         docs0 = np.zeros(tokens.size, dtype=np.int32)
-        for _ in range(iterations):
-            uniforms = rng.random(tokens.size)
-            lda._sweep_kernel(
-                tokens, docs0, z, wt, td, t_totals,
-                alpha, beta, uniforms, probs,
-            )
+        lda.sweep(tokens, docs0, z, wt, td, t_totals, alpha, beta, uniforms)
         td_col = td[:, 0]
         extra_counts = wt
 

@@ -28,6 +28,16 @@ def build_corpus(doc_tokens, terms, dates=None):
     return Corpus(vocabulary=vocab, documents=tuple(docs))
 
 
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build the compiled Gibbs kernel into a session directory, not ~/.cache."""
+    patch = pytest.MonkeyPatch()
+    cache = tmp_path_factory.mktemp("cache")
+    patch.setenv("XDG_CACHE_HOME", str(cache))
+    yield cache
+    patch.undo()
+
+
 @pytest.fixture
 def tiny_corpus():
     """Two 3-token documents over a 3-term vocabulary."""

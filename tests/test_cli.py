@@ -1,13 +1,16 @@
 import csv
 import filecmp
 import json
+import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import yaml
 
-from textforage import cli, lda
+from textforage import _gibbs, cli, lda
 from textforage.corpus import Corpus
 from textforage.measures import surprise_series
 from textforage.synthetic import FixtureSpec, make_fixture
@@ -229,6 +232,36 @@ class TestFitConfig:
         )
         assert run_cli("pipeline", "--config", config) == 1
         assert field in capsys.readouterr().err
+        # rejected by load_config, before any sampling time is spent
+        assert not list((tmp_path / "out").glob("fit_*"))
+
+
+class TestGibbsBackend:
+    FIT = {"documents": ["query_0.txt"], "samples": 4, "iterations": 5, "cluster_range": [2, 3]}
+
+    def test_train_and_fit_name_the_backend(self, tmp_path, capsys):
+        config = small_pipeline(tmp_path, fit=self.FIT)
+        assert run_cli("pipeline", "--config", config) == 0
+        lines = [l for l in capsys.readouterr().err.splitlines() if "Gibbs backend" in l]
+        assert [l.split(":")[0] for l in lines] == ["train", "fit"]
+        if shutil.which("gcc"):
+            for line in lines:
+                library = Path(re.fullmatch(r"\w+: Gibbs backend C \((.+)\)", line).group(1))
+                assert library.is_file() and tmp_path not in library.parents
+
+    def test_fallback_names_the_reason(self, tmp_path, capsys, monkeypatch):
+        def no_compiler(src, target):
+            raise OSError("no compiler here")
+
+        monkeypatch.setattr(_gibbs, "_loaded", None)
+        monkeypatch.setattr(_gibbs, "_build", no_compiler)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        config = small_pipeline(tmp_path, training={"ks": [2], "iterations": 3}, fit=self.FIT)
+        assert run_cli("pipeline", "--config", config) == 0
+        err = capsys.readouterr().err
+        assert "train: Gibbs backend pure Python (no compiler here)" in err
+        assert "fit: Gibbs backend pure Python (no compiler here)" in err
+        assert err.count("warning") == 1
 
 
 class TestConfigValidation:
