@@ -13,6 +13,15 @@ Also here: empirical one-sided p-values with add-one smoothing,
 cumulative surprise relative to the per-position null mean, the greedy
 nearest-neighbor reading path, and log-binned rank distributions of
 reading choices.
+
+Reading-choice ranks come from one divergence matrix per model: entry
+``[c, r]`` is KL(theta_r || theta_c), each row filled by one
+`kl_divergence_rows` call, so an order's ranks are pure indexing and
+the observed order and every null permutation share the same bits.
+The matrix is O(n^2) in memory (2.9 MB of float64 at 600 items).  A
+pair where theta_r has mass where theta_c has none is stored as
+infinite, and only a rank that reads such an entry raises
+`NumericalDegeneracyError`.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus, as_earliest, as_latest
+from .errors import NumericalDegeneracyError
 from .measures import kl_divergence_rows, surprise_values
 from .seeds import derive_seed, rng_from
 
@@ -323,37 +333,52 @@ def greedy_shortest_path(
     return np.asarray(path, dtype=np.int64)
 
 
+def _kl_matrix(theta: np.ndarray) -> np.ndarray:
+    """``d[c, r] = KL(theta_r || theta_c)``; infinite where theta_r has
+    mass outside theta_c's support."""
+    d = np.full((theta.shape[0], theta.shape[0]), np.inf)
+    for c, reference in enumerate(theta):
+        finite = ~np.any((theta > 0) & (reference <= 0), axis=1)
+        d[c, finite] = kl_divergence_rows(theta[finite], reference)
+    return d
+
+
+def _ranks_from_matrix(d: np.ndarray, order: Sequence[int]) -> np.ndarray:
+    """Competition ranks of an order's choices, read off `_kl_matrix`.
+
+    Row i of `costs` is the surprise of every item against the item
+    read at step i; step i reads its columns j > i, the unread items.
+    """
+    order = np.asarray(order, dtype=np.int64)
+    if sorted(order.tolist()) != list(range(d.shape[0])):
+        raise ValueError("order must visit every item exactly once")
+    costs = d[np.ix_(order[:-1], order)]
+    unread = np.triu(np.ones(costs.shape, dtype=bool), 1)
+    if np.isinf(costs[unread]).any():
+        raise NumericalDegeneracyError(
+            "infinite divergence: q has mass where p has none"
+        )
+    chosen = np.diagonal(costs, 1)
+    return 1 + np.count_nonzero((costs < chosen[:, None]) & unread, axis=1)
+
+
 def step_ranks(dists: np.ndarray, order: Sequence[int]) -> np.ndarray:
     """Rank of each reading choice among the remaining candidates.
 
     At step i the candidates are the items not yet read; rank 1 means
     the chosen item was the nearest by text-to-text KL from the current
     item.  Ranks use competition ranking (1 + number of strictly nearer
-    candidates).
+    candidates).  Builds the O(n^2) divergence matrix of the module
+    docstring; raises `NumericalDegeneracyError` when a step's current
+    item has no mass where a remaining candidate has some.
     """
-    theta = np.asarray(dists, dtype=np.float64)
-    order = np.asarray(order, dtype=np.int64)
-    if sorted(order.tolist()) != list(range(theta.shape[0])):
-        raise ValueError("order must visit every item exactly once")
-    n = len(order)
-    ranks = np.empty(n - 1, dtype=np.int64)
-    for i in range(n - 1):
-        current = order[i]
-        candidates = order[i + 1 :]
-        costs = kl_divergence_rows(theta[candidates], theta[current])
-        ranks[i] = 1 + int(np.sum(costs < costs[0]))
-    return ranks
-
-
-def _log_bin_index(rank: int) -> int:
-    return int(rank).bit_length() - 1
+    return _ranks_from_matrix(_kl_matrix(np.asarray(dists, dtype=np.float64)), order)
 
 
 def _bin_masses(ranks: np.ndarray, n_bins: int) -> np.ndarray:
-    masses = np.zeros(n_bins)
-    for r in ranks:
-        masses[_log_bin_index(r)] += 1
-    return masses / len(ranks)
+    """Mass per power-of-two bin; rank r falls in bin r.bit_length() - 1."""
+    bit_lengths = np.frexp(ranks)[1]
+    return np.bincount(bit_lengths - 1, minlength=n_bins) / len(ranks)
 
 
 @dataclass(frozen=True)
@@ -394,11 +419,15 @@ def rank_distribution(
 
     With `null_permutations` (e.g. from a :class:`NullEnsemble`), the
     observed bin masses are compared against the permutations' mean
-    masses to give per-bin ratios with a 95% null band.
+    masses to give per-bin ratios with a 95% null band.  The divergence
+    matrix of the module docstring is built once, in O(n^2) memory, and
+    serves the observed order and every permutation; a rank that reads
+    an infinite divergence raises `NumericalDegeneracyError`.
     """
-    ranks = step_ranks(dists, order)
+    d = _kl_matrix(np.asarray(dists, dtype=np.float64))
+    ranks = _ranks_from_matrix(d, order)
     max_rank = len(order) - 1
-    n_bins = _log_bin_index(max_rank) + 1
+    n_bins = max_rank.bit_length()
     labels = tuple(
         f"{2 ** b}" if 2 ** b == min(2 ** (b + 1) - 1, max_rank)
         else f"{2 ** b}-{min(2 ** (b + 1) - 1, max_rank)}"
@@ -409,7 +438,7 @@ def rank_distribution(
         return RankDistribution(bin_labels=labels, observed_mass=observed)
 
     null_masses = np.vstack(
-        [_bin_masses(step_ranks(dists, perm), n_bins) for perm in null_permutations]
+        [_bin_masses(_ranks_from_matrix(d, perm), n_bins) for perm in null_permutations]
     )
     null_mean = null_masses.mean(axis=0)
     ci = np.percentile(null_masses, [2.5, 97.5], axis=0).T

@@ -118,8 +118,9 @@ def fit_document(
         extra_counts = wt
 
     theta = (td_col + alpha) / (tokens.size + k * alpha)
-    phi = (wt + beta) / (t_totals[None, :] + model.n_terms * beta)
-    perp = lda.perplexity_from_distributions(theta, phi, [tokens])
+    # smoothed phi for the query's own tokens only, row i for token i
+    phi_rows = (wt[tokens] + beta) / (t_totals + model.n_terms * beta)
+    perp = lda.perplexity_from_distributions(theta, phi_rows, [np.arange(tokens.size)])
 
     extended = None
     if phi_mode == "extended":

@@ -71,3 +71,47 @@ def reading_rows(draw, max_n=12, max_k=6):
     first = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
     weights = np.array([first] + draw(st.lists(row, min_size=n - 1, max_size=n - 1)), float)
     return weights / weights.sum(axis=1, keepdims=True)
+
+
+def reference_step_ranks(theta, order):
+    """Reading-choice ranks by one KL row block per step."""
+    from textforage.measures import kl_divergence_rows
+
+    ranks = []
+    for i in range(len(order) - 1):
+        costs = kl_divergence_rows(theta[order[i + 1 :]], theta[order[i]])
+        ranks.append(1 + int(np.sum(costs < costs[0])))
+    return np.asarray(ranks, dtype=np.int64)
+
+
+def reference_rank_payload(theta, order, permutations):
+    """`rank_distribution(...).to_payload()` from per-step ranks, binned
+    by `int.bit_length` one rank at a time."""
+    from textforage.nullmodels import RankDistribution
+
+    max_rank = len(order) - 1
+    n_bins = max_rank.bit_length()
+
+    def masses(ranks):
+        out = np.zeros(n_bins)
+        for r in ranks:
+            out[int(r).bit_length() - 1] += 1
+        return out / len(ranks)
+
+    labels = []
+    for b in range(n_bins):
+        top = min(2 ** (b + 1) - 1, max_rank)
+        labels.append(f"{2 ** b}" if 2 ** b == top else f"{2 ** b}-{top}")
+    observed = masses(reference_step_ranks(theta, order))
+    null = np.vstack([masses(reference_step_ranks(theta, p)) for p in permutations])
+    null_mean = null.mean(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(null_mean > 0, observed / null_mean, np.inf)
+        ratio = np.where((null_mean == 0) & (observed == 0), np.nan, ratio)
+    return RankDistribution(
+        bin_labels=tuple(labels),
+        observed_mass=observed,
+        null_mean_mass=null_mean,
+        null_ci=np.percentile(null, [2.5, 97.5], axis=0).T,
+        ratio=ratio,
+    ).to_payload()

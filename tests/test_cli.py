@@ -10,10 +10,13 @@ import numpy.testing as npt
 import pytest
 import yaml
 
-from textforage import _gibbs, cli, lda
+from textforage import _gibbs, cli, lda, nullmodels
 from textforage.corpus import Corpus
 from textforage.measures import surprise_series
+from textforage.seeds import derive_seed
 from textforage.synthetic import FixtureSpec, make_fixture
+
+from conftest import reference_rank_payload
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +155,22 @@ class TestSeriesConsistency:
             measured = csv_column(out / f"series_k2_{mode}.csv", "bits")
             actual = csv_column(out / f"null_k2_cumrel_{mode}.csv", "actual_bits")
             assert measured == actual
+
+    def test_ranks_file_is_the_per_step_reference(self, tmp_path):
+        config = small_pipeline(tmp_path, null_model={"permutations": 40})
+        assert run_cli("pipeline", "--config", config) == 0
+        out = tmp_path / "out"
+        corpus = Corpus.load(out / "corpus.json")
+        model = lda.TopicModel.load(out / "model_k2.json", corpus.vocabulary)
+        theta, _ = lda.estimate_distributions(model, smoothing=True)
+        order = nullmodels.ReadingOrder.from_corpus(corpus)
+        null = nullmodels.null_ensemble(order, theta, n=40, seed=derive_seed(3, 2, "null"))
+        written = (out / "null_k2_ranks.json").read_text()
+        payload = reference_rank_payload(
+            theta, np.arange(len(order)), null.ensemble.permutations
+        )
+        body = {"metadata": json.loads(written)["metadata"], **payload}
+        assert json.dumps(body, indent=2, sort_keys=True) + "\n" == written
 
 
 class TestStageOrdering:

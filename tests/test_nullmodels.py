@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from textforage import nullmodels
@@ -19,7 +20,12 @@ from textforage.nullmodels import (
     step_ranks,
 )
 
-from conftest import random_distributions, reading_rows
+from conftest import (
+    random_distributions,
+    reading_rows,
+    reference_rank_payload,
+    reference_step_ranks,
+)
 
 
 def order_from_days(pub_days, slot_days, base=datetime.date(1840, 1, 1)):
@@ -279,3 +285,68 @@ class TestRankDistribution:
         assert result.null_ci.shape == (len(result.bin_labels), 2)
         payload = result.to_payload()
         assert set(payload) >= {"bins", "observed_mass", "null_mean_mass", "ratio"}
+
+
+@st.composite
+def ranked_orders(draw):
+    """Distributions from integer weights, some rows with exact zeros and
+    some duplicated (so ties occur), with an order and permutations."""
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(2, 12))
+    full = st.lists(st.integers(1, 9), min_size=k, max_size=k)
+    sparse = st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any)
+    weights = draw(st.lists(st.one_of(full, full, sparse), min_size=n, max_size=n))
+    for target, source in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+        weights[target] = weights[source]
+    theta = np.array(weights, dtype=float)
+    theta /= theta.sum(axis=1, keepdims=True)
+    order = np.array(draw(st.permutations(range(n))))
+    perms = np.array(draw(st.lists(st.permutations(range(n)), min_size=1, max_size=8)))
+    return theta, order, perms
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NumericalDegeneracyError:
+        return NumericalDegeneracyError
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ranked_orders())
+def test_ranks_match_per_step_reference(case):
+    theta, order, perms = case
+    got = _outcome(step_ranks, theta, order)
+    want = _outcome(reference_step_ranks, theta, order)
+    if want is NumericalDegeneracyError:
+        assert got is NumericalDegeneracyError
+    else:
+        npt.assert_array_equal(got, want)
+        assert got.dtype == np.int64
+    got = _outcome(lambda: rank_distribution(theta, order, perms).to_payload())
+    assert got == _outcome(reference_rank_payload, theta, order, perms)
+
+
+def test_degenerate_pair_never_read_does_not_raise():
+    # item 2 has no mass on the last term, so KL(theta_0 || theta_2) and
+    # KL(theta_1 || theta_2) are infinite, but item 2 is read last in
+    # every order, so no rank compares against it
+    theta = np.array([[0.4, 0.3, 0.3], [0.3, 0.4, 0.3], [0.5, 0.5, 0.0]])
+    result = rank_distribution(theta, [0, 1, 2], np.array([[1, 0, 2]]))
+    assert result.to_payload() == reference_rank_payload(theta, [0, 1, 2], [[1, 0, 2]])
+    with pytest.raises(NumericalDegeneracyError, match="infinite divergence"):
+        step_ranks(theta, [2, 0, 1])
+    # an already-read item off the current item's support is not a candidate
+    theta = np.array([[0.4, 0.3, 0.3], [0.5, 0.5, 0.0], [0.3, 0.7, 0.0]])
+    npt.assert_array_equal(step_ranks(theta, [0, 1, 2]), reference_step_ranks(theta, [0, 1, 2]))
+
+
+def test_bin_masses_follow_bit_length():
+    ranks = np.arange(1, 2**10 + 1)
+    for r in ranks.tolist():
+        masses = nullmodels._bin_masses(np.array([r]), 11)
+        assert masses.tolist() == [float(b == r.bit_length() - 1) for b in range(11)]
+    counts = np.zeros(11)
+    for r in ranks.tolist():
+        counts[r.bit_length() - 1] += 1
+    npt.assert_array_equal(nullmodels._bin_masses(ranks, 11), counts / ranks.size)

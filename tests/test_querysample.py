@@ -71,6 +71,18 @@ class TestFitDocument:
         )
         npt.assert_array_equal(joint.z[: reading_model.z.size], reading_model.z)
 
+    @pytest.mark.parametrize("phi_mode", querysample.PHI_MODES)
+    def test_perplexity_is_the_full_phi_perplexity(self, reading_model, phi_mode):
+        doc = ["w0", "w4", "w4", "w9", "w2", "w4", "w7"]
+        fit = querysample.fit_document(
+            reading_model, doc, iterations=12, phi_mode=phi_mode, seed=6
+        )
+        counts = reading_model.n_wt if phi_mode == "locked" else fit.word_topic_counts
+        beta, n_terms = reading_model.config.beta, reading_model.n_terms
+        phi = (counts + beta) / (counts.sum(axis=0)[None, :] + n_terms * beta)
+        tokens = reading_model.vocabulary.encode(doc)
+        assert fit.perplexity == lda.perplexity_from_distributions(fit.theta, phi, [tokens])
+
     def test_refit_training_document_lands_near_training_row(self, reading_model):
         doc_tokens = reading_model.tokens[reading_model.doc_index == 0]
         theta, _ = lda.estimate_distributions(reading_model)
