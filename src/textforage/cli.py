@@ -292,6 +292,19 @@ def _load_corpus(run: _Run) -> Corpus:
         ) from exc
 
 
+def _training_config(run: _Run, k: int) -> lda.TrainingConfig:
+    """The sampler settings `train` uses for topic count `k` under the
+    current config."""
+    training = run.cfg["training"]
+    return lda.TrainingConfig(
+        k=k,
+        seed=derive_seed(run.seed, training["ks"].index(k), "train"),
+        alpha=training["alpha"],
+        beta=training["beta"],
+        iterations=training["iterations"],
+    )
+
+
 def _load_model(run: _Run, k: int, corpus: Corpus) -> lda.TopicModel:
     path = run.artifact(f"model_k{k}.json", "train")
     try:
@@ -307,27 +320,37 @@ def _load_model(run: _Run, k: int, corpus: Corpus) -> lda.TopicModel:
         raise MissingArtifactError(
             f"{path.name} was trained on a different corpus: rerun `train`"
         )
+    trained = model.config.to_payload()
+    for field, value in _training_config(run, k).to_payload().items():
+        if trained[field] != value:
+            raise MissingArtifactError(
+                f"{path.name} was trained with {field}={trained[field]!r}, the config "
+                f"now gives {value!r}: rerun `train`"
+            )
     return model
+
+
+def _convergence(trace: list[float]) -> str:
+    """First and last log joint, and the relative change over the last
+    tenth of the sweeps."""
+    n = len(trace)
+    window = min(max(n // 10, 1), n - 1)
+    base = trace[n - 1 - window]
+    change = (trace[-1] - base) / abs(base)
+    return (f"log joint {trace[0]:.2f} (sweep 1) -> {trace[-1]:.2f} (sweep {n}), "
+            f"relative change {change:+.2e} over the last {window} sweeps")
 
 
 def stage_train(run: _Run) -> None:
     cfg = run.cfg
     corpus = _load_corpus(run)
     print(f"train: Gibbs backend {lda.gibbs_backend()}", file=sys.stderr)
-    for i, k in enumerate(cfg["training"]["ks"]):
-        config = lda.TrainingConfig(
-            k=k,
-            seed=derive_seed(run.seed, i, "train"),
-            alpha=cfg["training"]["alpha"],
-            beta=cfg["training"]["beta"],
-            iterations=cfg["training"]["iterations"],
-        )
-        model = lda.train(corpus, config)
+    for k in cfg["training"]["ks"]:
+        model = lda.train(corpus, _training_config(run, k))
         model.check_invariants()
         model.save(run.out / f"model_k{k}.json", metadata=run.metadata_dict())
-        print(f"trained k={k}: final log joint "
-              f"{model.log_likelihood_trace[-1]:.2f}" if model.log_likelihood_trace
-              else f"trained k={k} (0 sweeps)")
+        print(f"trained k={k}: {_convergence(model.log_likelihood_trace)}"
+              if model.log_likelihood_trace else f"trained k={k} (0 sweeps)")
 
 
 def stage_measure(run: _Run) -> None:

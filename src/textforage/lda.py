@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import _gibbs
 from .corpus import Corpus, Vocabulary
@@ -232,6 +231,20 @@ def gibbs_backend() -> str:
     return _gibbs.load()[1]
 
 
+def _lgamma_sum(counts: np.ndarray, shift: float) -> float:
+    """Sum of lgamma(c + shift) over an integer count array.
+
+    Counts repeat heavily (most cells of n_wt are 0 or 1), so this takes
+    one `math.lgamma` per distinct count, weighted by how often it
+    occurs.  `np.unique` sorts rather than bins, so a count as large as
+    the corpus costs no memory.
+    """
+    values, freq = np.unique(counts, return_counts=True)
+    return math.fsum(
+        f * math.lgamma(c + shift) for c, f in zip(values.tolist(), freq.tolist())
+    )
+
+
 # ---------------------------------------------------------------------------
 # Model
 
@@ -333,11 +346,14 @@ class TopicModel:
         """Collapsed log p(w, z) in nats, used for the likelihood trace."""
         k, a, b = self.config.k, self.config.alpha, self.config.beta
         v = self.n_terms
-        ll = self.n_docs * (math.lgamma(k * a) - k * math.lgamma(a))
-        ll += float(gammaln(self.n_td + a).sum() - gammaln(self.n_d + k * a).sum())
-        ll += k * (math.lgamma(v * b) - v * math.lgamma(b))
-        ll += float(gammaln(self.n_wt + b).sum() - gammaln(self.n_t + v * b).sum())
-        return ll
+        return math.fsum((
+            self.n_docs * (math.lgamma(k * a) - k * math.lgamma(a)),
+            _lgamma_sum(self.n_td, a),
+            -_lgamma_sum(self.n_d, k * a),
+            k * (math.lgamma(v * b) - v * math.lgamma(b)),
+            _lgamma_sum(self.n_wt, b),
+            -_lgamma_sum(self.n_t, v * b),
+        ))
 
     # -- persistence
 

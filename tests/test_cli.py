@@ -1,8 +1,12 @@
 import csv
 import filecmp
+import itertools
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +14,8 @@ import numpy.testing as npt
 import pytest
 import yaml
 
-from textforage import _gibbs, cli, lda, nullmodels
+import textforage
+from textforage import _gibbs, cli, lda, modelcompare, nullmodels
 from textforage.corpus import Corpus
 from textforage.measures import surprise_series
 from textforage.seeds import derive_seed
@@ -229,6 +234,25 @@ class TestStaleArtifacts:
         err = capsys.readouterr().err
         assert "model_k2.json" in err and "different corpus" in err and "`train`" in err
 
+    @pytest.mark.parametrize("changes, field", [
+        ({"training": {"ks": [2], "iterations": 9, "alpha": 0.77}}, "alpha=0.1"),
+        ({"training": {"ks": [2], "iterations": 9}}, "iterations=20"),
+        ({"training": {"ks": [2], "iterations": 20, "beta": 0.5}}, "beta=0.01"),
+        ({"seed": 4}, "seed="),
+    ], ids=["alpha-and-iterations", "iterations", "beta", "seed"])
+    def test_model_of_another_training_config_is_stale(self, tmp_path, capsys,
+                                                       changes, field):
+        config = small_pipeline(tmp_path)
+        assert run_cli("prepare", "--config", config) == 0
+        assert run_cli("train", "--config", config) == 0
+        cfg = yaml.safe_load(Path(config).read_text())
+        Path(config).write_text(yaml.safe_dump({**cfg, **changes}))
+        capsys.readouterr()
+        assert run_cli("measure", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "model_k2.json" in err and field in err and "rerun `train`" in err
+        assert not (tmp_path / "out" / "series_k2_t2t.csv").exists()
+
     def test_corrupt_corpus_names_the_file(self, tmp_path, capsys):
         config = small_pipeline(tmp_path)
         assert run_cli("prepare", "--config", config) == 0
@@ -238,6 +262,72 @@ class TestStaleArtifacts:
         assert run_cli("train", "--config", config) == 2
         err = capsys.readouterr().err
         assert "corpus.json" in err and "`prepare`" in err
+
+
+class TestTrainReport:
+    def test_train_prints_the_convergence_of_the_log_joint(self, tmp_path, capsys):
+        config = small_pipeline(tmp_path)
+        assert run_cli("prepare", "--config", config) == 0
+        before = sorted(p.name for p in (tmp_path / "out").iterdir())
+        capsys.readouterr()
+        assert run_cli("train", "--config", config) == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == sorted(before + ["model_k2.json"])
+        trace = json.loads((out / "model_k2.json").read_text())["log_likelihood_trace"]
+        # 20 sweeps: the last tenth compares sweep 20 with sweep 18
+        change = (trace[19] - trace[17]) / abs(trace[17])
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"trained k=2: log joint {trace[0]:.2f} (sweep 1) -> {trace[19]:.2f} "
+            f"(sweep 20), relative change {change:+.2e} over the last 2 sweeps"
+        )
+
+
+SCIPY_MODULES = ("import json, sys\n"
+                 "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+
+
+def scipy_modules_after(script, *args):
+    """The `scipy` modules a fresh interpreter has loaded after `script`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(textforage.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", f"{script}\n{SCIPY_MODULES}", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestScipyImport:
+    """scipy adds about 0.24 s to start-up; only `adversarial` needs it."""
+
+    PIPELINE = ("import sys\nfrom textforage import cli\n"
+                "assert cli.main(['pipeline', '--config', sys.argv[1]]) == 0")
+
+    def test_import_loads_no_scipy(self):
+        assert scipy_modules_after("import textforage.cli") == []
+
+    def test_basic_pipeline_loads_no_scipy(self, tmp_path):
+        config = small_pipeline(tmp_path, training={"ks": [2, 3], "iterations": 20},
+                                compare={"strategy": "basic"})
+        assert scipy_modules_after(self.PIPELINE, config) == []
+        assert (tmp_path / "out" / "compare_k2_vs_k3.json").is_file()
+
+    def test_adversarial_pipeline_gives_the_exact_optimum(self, tmp_path):
+        config = small_pipeline(tmp_path, training={"ks": [2, 3], "iterations": 20},
+                                compare={"strategy": "adversarial"})
+        assert "scipy.optimize" in scipy_modules_after(self.PIPELINE, config)
+        out = tmp_path / "out"
+        corpus = Corpus.load(out / "corpus.json")
+        phi = [lda.estimate_distributions(
+            lda.TopicModel.load(out / f"model_k{k}.json", corpus.vocabulary))[1]
+            for k in (2, 3)]
+        terms = list(corpus.vocabulary.id_to_term)
+        merged_a, merged_b, _ = modelcompare.merge_vocabulary(
+            phi[0], terms, phi[1], terms, strategy="expand_epsilon")
+        dist = modelcompare._js_distance_columns(merged_a, merged_b)
+        optimum = min(sum(dist[a, b] for a, b in enumerate(injection))
+                      for injection in itertools.permutations(range(3), 2))
+        report = json.loads((out / "compare_k2_vs_k3.json").read_text())
+        assert report["strategy"] == "adversarial"
+        assert report["total_distance"] == pytest.approx(optimum, abs=1e-12)
 
 
 class TestFitConfig:

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from textforage import lda
 from textforage.corpus import Vocabulary
@@ -339,3 +340,25 @@ def test_save_load_roundtrip_rebuilds_the_model(model, tmp_path):
     npt.assert_array_equal(first.z, second.z)
     npt.assert_array_equal(first.n_wt, second.n_wt)
     assert first.log_likelihood_trace == second.log_likelihood_trace
+
+
+# zeros and small repeated counts, as in n_wt, and a few up to 10^6, as in n_t
+count_arrays = hnp.arrays(
+    np.int64,
+    hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+    elements=st.one_of(st.integers(0, 3), st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=count_arrays, shift=st.floats(1e-3, 10))
+def test_lgamma_sum_matches_per_cell_evaluation(counts, shift):
+    from scipy.special import gammaln
+
+    got = lda._lgamma_sum(counts, shift)
+    cells = [math.lgamma(c + shift) for c in counts.ravel().tolist()]
+    # both libraries get each term within about 1e-15 of max(|term|, 1):
+    # near lgamma's roots at 1 and 2 the error is absolute, not relative
+    tol = 1e-13 * math.fsum(max(abs(t), 1.0) for t in cells)
+    assert abs(got - math.fsum(cells)) <= tol
+    assert abs(got - math.fsum(gammaln(counts + shift).ravel().tolist())) <= tol
