@@ -372,10 +372,27 @@ def _read_series_csv(path: Path) -> np.ndarray:
         return np.asarray([float(row["bits"]) for row in rows])
 
 
+def _reading_order(run: _Run, corpus: Corpus) -> ReadingOrder:
+    """The corpus's reading order, checked for a feasible null."""
+    manifest = run.cfg["manifest"]
+    try:
+        order = ReadingOrder.from_corpus(corpus)
+    except ValueError as exc:
+        raise ConfigError(f"{manifest}: {exc}") from exc
+    try:
+        order.schedule  # raises on an order no permutation can satisfy
+    except ValueError as exc:
+        raise ConfigError(
+            f"{manifest}: {exc}: fewer documents have a pub_date on or "
+            "before that read_date than are read by it"
+        ) from exc
+    return order
+
+
 def stage_null(run: _Run) -> None:
     cfg = run.cfg
     corpus = _load_corpus(run)
-    order = ReadingOrder.from_corpus(corpus)
+    order = _reading_order(run, corpus)
     item_ids = list(order.item_ids)
     n = cfg["null_model"]["permutations"]
     for k in cfg["training"]["ks"]:

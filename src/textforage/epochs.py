@@ -182,25 +182,39 @@ def fit_epochs(
     (every segment at least `min_len` >= 2 positions); among equally
     likely placements the earliest boundaries win.
     """
+    return _fit_counts(values, [n_epochs], min_len, variance_mode, var_floor)[0]
+
+
+def _fit_counts(
+    values: Sequence[float],
+    counts: Sequence[int],
+    min_len: int,
+    variance_mode: str,
+    var_floor: float,
+) -> list[EpochModel]:
+    """`fit_epochs` for each epoch count in `counts`, from one cost
+    matrix and one dynamic program up to the largest count."""
     if variance_mode not in VARIANCE_MODES:
         raise ValueError(f"variance_mode must be one of {VARIANCE_MODES}")
     x = np.asarray(values, dtype=np.float64)
-    if n_epochs < 1:
-        raise ValueError("n_epochs must be >= 1")
     min_len = max(int(min_len), 2)
-    if x.size < n_epochs * min_len:
-        raise ValueError(
-            f"series of length {x.size} cannot hold {n_epochs} epochs "
-            f"of >= {min_len} positions"
-        )
+    for n_epochs in counts:
+        if n_epochs < 1:
+            raise ValueError("n_epochs must be >= 1")
+        if x.size < n_epochs * min_len:
+            raise ValueError(
+                f"series of length {x.size} cannot hold {n_epochs} epochs "
+                f"of >= {min_len} positions"
+            )
     cost = _cost_matrix(x, min_len, variance_mode, var_floor)
     n = x.size
+    most = max(counts)
 
     # dp[e][j]: best log-likelihood covering x[:j] with e epochs
-    dp = np.full((n_epochs + 1, n + 1), -np.inf)
-    back = np.zeros((n_epochs + 1, n + 1), dtype=np.int64)
+    dp = np.full((most + 1, n + 1), -np.inf)
+    back = np.zeros((most + 1, n + 1), dtype=np.int64)
     dp[1] = cost[0]
-    for e in range(2, n_epochs + 1):
+    for e in range(2, most + 1):
         lo = (e - 1) * min_len
         for j in range(e * min_len, n + 1):
             candidates = dp[e - 1, lo : j - min_len + 1] + cost[lo : j - min_len + 1, j]
@@ -208,24 +222,28 @@ def fit_epochs(
             dp[e, j] = candidates[best]
             back[e, j] = lo + best
 
-    bounds = [n]
-    j = n
-    for e in range(n_epochs, 1, -1):
-        j = int(back[e, j])
-        bounds.append(j)
-    bounds.append(0)
-    bounds.reverse()
-
-    fit = segment_loglik(x, bounds, variance_mode=variance_mode, var_floor=var_floor)
-    return EpochModel(
-        n_epochs=n_epochs,
-        boundaries=fit.boundaries,
-        means=fit.means,
-        variances=fit.variances,
-        log_likelihood=fit.log_likelihood,
-        degenerate=fit.degenerate,
-        variance_mode=variance_mode,
-    )
+    models = []
+    for n_epochs in counts:
+        bounds = [n]
+        j = n
+        for e in range(n_epochs, 1, -1):
+            j = int(back[e, j])
+            bounds.append(j)
+        bounds.append(0)
+        bounds.reverse()
+        fit = segment_loglik(x, bounds, variance_mode=variance_mode, var_floor=var_floor)
+        models.append(
+            EpochModel(
+                n_epochs=n_epochs,
+                boundaries=fit.boundaries,
+                means=fit.means,
+                variances=fit.variances,
+                log_likelihood=fit.log_likelihood,
+                degenerate=fit.degenerate,
+                variance_mode=variance_mode,
+            )
+        )
+    return models
 
 
 @dataclass(frozen=True)
@@ -257,10 +275,7 @@ def select_model(
     """
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
-    models = [
-        fit_epochs(values, n, min_len=min_len, variance_mode=variance_mode, var_floor=var_floor)
-        for n in range(1, max_epochs + 1)
-    ]
+    models = _fit_counts(values, range(1, max_epochs + 1), min_len, variance_mode, var_floor)
     aics = [2.0 * m.param_count - 2.0 * m.log_likelihood for m in models]
     best = min(aics)
     base_ll = models[0].log_likelihood

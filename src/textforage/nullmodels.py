@@ -8,6 +8,12 @@ grows; the sampler therefore terminates exactly when a feasible
 assignment exists at all.  (Sequential filling is uniform over feasible
 orders in the unconstrained case; with active constraints it defines
 the operative null rather than the uniform-over-feasible-orders null.)
+Every draw's pool size is known before any draw is made: at the r-th
+slot in date order it is the number of items published by that slot's
+date, minus r.  A `ReadingOrder` computes this slot schedule once and
+checks feasibility there, before any draw; a permutation is then one
+`Generator.integers` call over the pool sizes, which yields the same
+stream as one call per slot, followed by swap-removal from the pool.
 
 Also here: empirical one-sided p-values with add-one smoothing,
 cumulative surprise relative to the per-position null mean, the greedy
@@ -17,19 +23,21 @@ reading choices.
 Reading-choice ranks come from one divergence matrix per model: entry
 ``[c, r]`` is KL(theta_r || theta_c), each row filled by one
 `kl_divergence_rows` call, so an order's ranks are pure indexing and
-the observed order and every null permutation share the same bits.
-The matrix is O(n^2) in memory (2.9 MB of float64 at 600 items).  A
-pair where theta_r has mass where theta_c has none is stored as
-infinite, and only a rank that reads such an entry raises
-`NumericalDegeneracyError`.
+the observed order and every null permutation share the same bits;
+each order costs one n x n gather of the matrix's rows.  The matrix is
+O(n^2) in memory (2.9 MB of float64 at 600 items).  A pair where
+theta_r has mass where theta_c has none is stored as infinite, and
+only a rank that reads such an entry raises `NumericalDegeneracyError`.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +57,22 @@ __all__ = [
     "RankDistribution",
     "rank_distribution",
 ]
+
+
+class SlotSchedule(NamedTuple):
+    """What the constrained sampler needs of an order, draws aside.
+
+    Entry r of `eligible` and `pool_sizes` belongs to slot `slots[r]`,
+    the r-th slot by date (ties by slot index): the number of items
+    published by its date, of which r are taken by earlier slots.
+    `items_by_pub` lists item positions by publication date (ties by
+    position), so a slot's eligible items are its first `eligible[r]`.
+    """
+
+    slots: tuple[int, ...]
+    items_by_pub: tuple[int, ...]
+    eligible: tuple[int, ...]
+    pool_sizes: np.ndarray  # int64, every entry >= 1
 
 
 @dataclass(frozen=True)
@@ -105,6 +129,28 @@ class ReadingOrder:
             if self.pub_dates[i] > self.slot_dates[i]
         ]
 
+    @cached_property
+    def schedule(self) -> SlotSchedule:
+        """The slot schedule, computed once per order.
+
+        Raises `ValueError` naming the first slot (by date) left with
+        no eligible item, which is exactly when no feasible permutation
+        exists.
+        """
+        slots = tuple(sorted(range(len(self)), key=self.slot_dates.__getitem__))
+        items_by_pub = tuple(sorted(range(len(self)), key=self.pub_dates.__getitem__))
+        published = [self.pub_dates[i] for i in items_by_pub]
+        eligible = tuple(bisect_right(published, self.slot_dates[s]) for s in slots)
+        pool_sizes = np.asarray(eligible, dtype=np.int64) - np.arange(len(self))
+        empty = np.flatnonzero(pool_sizes <= 0)
+        if empty.size:
+            slot = slots[empty[0]]
+            raise ValueError(
+                f"infeasible order: slot {slot} ({self.item_ids[slot]}, "
+                f"{self.slot_dates[slot].isoformat()}) has no eligible remaining item"
+            )
+        return SlotSchedule(slots, items_by_pub, eligible, pool_sizes)
+
 
 def constrained_permutation(order: ReadingOrder, seed_or_rng) -> np.ndarray:
     """One re-sampled reading order respecting the publication constraint.
@@ -114,31 +160,19 @@ def constrained_permutation(order: ReadingOrder, seed_or_rng) -> np.ndarray:
     receiving a uniform draw among the remaining items published by the
     slot date.  Reproducible from the seed.
     """
+    schedule = order.schedule
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else rng_from(seed_or_rng)
-    n = len(order)
-    slot_seq = sorted(range(n), key=lambda s: (order.slot_dates[s], s))
-    items_by_pub = sorted(range(n), key=lambda i: (order.pub_dates[i], i))
-
-    perm = np.empty(n, dtype=np.int64)
-    pool = np.empty(n, dtype=np.int64)
-    pool_size = 0
-    next_item = 0
-    for slot in slot_seq:
-        slot_date = order.slot_dates[slot]
-        while next_item < n and order.pub_dates[items_by_pub[next_item]] <= slot_date:
-            pool[pool_size] = items_by_pub[next_item]
-            pool_size += 1
-            next_item += 1
-        if pool_size == 0:
-            raise ValueError(
-                f"infeasible order: slot {slot} ({order.item_ids[slot]}, "
-                f"{slot_date.isoformat()}) has no eligible remaining item"
-            )
-        j = int(rng.integers(pool_size))
+    picks = rng.integers(schedule.pool_sizes).tolist()
+    perm = [0] * len(order)
+    pool: list[int] = []
+    added = 0
+    for slot, eligible, j in zip(schedule.slots, schedule.eligible, picks):
+        pool.extend(schedule.items_by_pub[added:eligible])
+        added = eligible
         perm[slot] = pool[j]
-        pool[j] = pool[pool_size - 1]
-        pool_size -= 1
-    return perm
+        pool[j] = pool[-1]
+        pool.pop()
+    return np.asarray(perm, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -347,18 +381,23 @@ def _ranks_from_matrix(d: np.ndarray, order: Sequence[int]) -> np.ndarray:
     """Competition ranks of an order's choices, read off `_kl_matrix`.
 
     Row i of `costs` is the surprise of every item against the item
-    read at step i; step i reads its columns j > i, the unread items.
+    read at step i; its candidates are the items whose `position` in
+    the order exceeds i, those not yet read.
     """
     order = np.asarray(order, dtype=np.int64)
-    if sorted(order.tolist()) != list(range(d.shape[0])):
+    n = d.shape[0]
+    if sorted(order.tolist()) != list(range(n)):
         raise ValueError("order must visit every item exactly once")
-    costs = d[np.ix_(order[:-1], order)]
-    unread = np.triu(np.ones(costs.shape, dtype=bool), 1)
-    if np.isinf(costs[unread]).any():
+    steps = np.arange(n - 1)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    costs = d[order[:-1]]
+    unread = position > steps[:, None]
+    if costs.max(initial=0.0) == np.inf and np.isinf(costs[unread]).any():
         raise NumericalDegeneracyError(
             "infinite divergence: q has mass where p has none"
         )
-    chosen = np.diagonal(costs, 1)
+    chosen = costs[steps, order[1:]]
     return 1 + np.count_nonzero((costs < chosen[:, None]) & unread, axis=1)
 
 

@@ -73,6 +73,35 @@ def reading_rows(draw, max_n=12, max_k=6):
     return weights / weights.sum(axis=1, keepdims=True)
 
 
+def reference_constrained_permutation(order, rng):
+    """`constrained_permutation` as one `rng.integers` call per slot,
+    with the dates sorted on every call."""
+    n = len(order)
+    slot_seq = sorted(range(n), key=lambda s: (order.slot_dates[s], s))
+    items_by_pub = sorted(range(n), key=lambda i: (order.pub_dates[i], i))
+
+    perm = np.empty(n, dtype=np.int64)
+    pool = np.empty(n, dtype=np.int64)
+    pool_size = 0
+    next_item = 0
+    for slot in slot_seq:
+        slot_date = order.slot_dates[slot]
+        while next_item < n and order.pub_dates[items_by_pub[next_item]] <= slot_date:
+            pool[pool_size] = items_by_pub[next_item]
+            pool_size += 1
+            next_item += 1
+        if pool_size == 0:
+            raise ValueError(
+                f"infeasible order: slot {slot} ({order.item_ids[slot]}, "
+                f"{slot_date.isoformat()}) has no eligible remaining item"
+            )
+        j = int(rng.integers(pool_size))
+        perm[slot] = pool[j]
+        pool[j] = pool[pool_size - 1]
+        pool_size -= 1
+    return perm
+
+
 def reference_step_ranks(theta, order):
     """Reading-choice ranks by one KL row block per step."""
     from textforage.measures import kl_divergence_rows

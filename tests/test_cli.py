@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import io
 import itertools
 import json
 import os
@@ -17,11 +18,11 @@ import yaml
 import textforage
 from textforage import _gibbs, cli, lda, modelcompare, nullmodels
 from textforage.corpus import Corpus
-from textforage.measures import surprise_series
-from textforage.seeds import derive_seed
+from textforage.measures import surprise_series, surprise_values
+from textforage.seeds import derive_seed, rng_from
 from textforage.synthetic import FixtureSpec, make_fixture
 
-from conftest import reference_rank_payload
+from conftest import reference_constrained_permutation, reference_rank_payload
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +177,51 @@ class TestSeriesConsistency:
         )
         body = {"metadata": json.loads(written)["metadata"], **payload}
         assert json.dumps(body, indent=2, sort_keys=True) + "\n" == written
+
+    def test_means_file_is_the_per_slot_reference(self, tmp_path):
+        config = small_pipeline(tmp_path, null_model={"permutations": 40})
+        assert run_cli("pipeline", "--config", config) == 0
+        out = tmp_path / "out"
+        corpus = Corpus.load(out / "corpus.json")
+        model = lda.TopicModel.load(out / "model_k2.json", corpus.vocabulary)
+        theta, _ = lda.estimate_distributions(model, smoothing=True)
+        order = nullmodels.ReadingOrder.from_corpus(corpus)
+        seed = derive_seed(3, 2, "null")
+        written = (out / "null_k2_means.csv").read_bytes().decode()
+        body = io.StringIO()
+        body.writelines(line for line in io.StringIO(written) if line.startswith("#"))
+        writer = csv.writer(body)
+        writer.writerow(["permutation", "t2p_mean_bits", "t2t_mean_bits"])
+        for draw in range(40):
+            rng = rng_from(derive_seed(seed, draw, "null"))
+            perm = reference_constrained_permutation(order, rng)
+            writer.writerow([draw] + [repr(float(surprise_values(theta[perm], mode).mean()))
+                                      for mode in ("t2p", "t2t")])
+        assert body.getvalue() == written
+
+
+class TestInfeasibleOrder:
+    @pytest.mark.parametrize("pub_date, named", [
+        ("2099-01-01", "infeasible order"),
+        (None, "documents without pub_date: doc000"),
+    ], ids=["published-after-every-read", "no-pub-date"])
+    def test_null_names_the_manifest_and_the_slot(self, tmp_path, capsys, pub_date, named):
+        config = small_pipeline(tmp_path)
+        manifest = tmp_path / "manifest.jsonl"
+        entries = [json.loads(line) for line in manifest.read_text().splitlines()]
+        entries[0]["pub_date"] = pub_date
+        manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        for stage in ("prepare", "train", "measure"):
+            assert run_cli(stage, "--config", config) == 0
+        capsys.readouterr()
+        assert run_cli("null", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert "manifest.jsonl" in err and named in err and "Traceback" not in err
+        if pub_date is not None:
+            last = max(entries, key=lambda e: e["read_date"])
+            assert f"({last['id']}, {last['read_date']})" in err
+            assert "pub_date" in err and "read_date" in err
+        assert not list((tmp_path / "out").glob("null_*"))
 
 
 class TestStageOrdering:

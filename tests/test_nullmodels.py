@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -19,10 +19,12 @@ from textforage.nullmodels import (
     rank_distribution,
     step_ranks,
 )
+from textforage.seeds import rng_from
 
 from conftest import (
     random_distributions,
     reading_rows,
+    reference_constrained_permutation,
     reference_rank_payload,
     reference_step_ranks,
 )
@@ -111,6 +113,50 @@ class TestConstrainedPermutation:
     def test_violations_reported(self):
         order = order_from_days([5, 0], [1, 10])
         assert order.violations() == [0]
+
+
+@st.composite
+def dated_orders(draw, base=datetime.date(1840, 1, 1)):
+    """Reading orders over few distinct days, so slot dates tie, with
+    items often published on their own slot date (pools of size 1),
+    some published after it (occasionally infeasible), and dates
+    written at day, month or year precision."""
+    n = draw(st.integers(1, 30))
+    span = draw(st.sampled_from([3, 40, 1500]))
+    slot_days = draw(st.lists(st.integers(0, span), min_size=n, max_size=n))
+    lags = draw(st.lists(st.one_of(st.just(0), st.integers(-20, span)),
+                         min_size=n, max_size=n))
+    precision = st.lists(st.sampled_from([10, 10, 7, 4]), min_size=n, max_size=n)
+
+    def written(days, cuts):
+        return tuple((base + datetime.timedelta(days=d)).isoformat()[:c]
+                     for d, c in zip(days, cuts))
+
+    return ReadingOrder(
+        item_ids=tuple(f"item{i}" for i in range(n)),
+        slot_dates=written(slot_days, draw(precision)),
+        pub_dates=written([d - lag for d, lag in zip(slot_days, lags)], draw(precision)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(order=dated_orders(), seed=st.integers(0, 2**64 - 1))
+@example(order=order_from_days(range(6), range(6)), seed=3)  # every pool holds 1
+@example(order=order_from_days([0, 0, 2, 5, 5], [5, 5, 5, 2, 9]), seed=4)  # ties
+@example(order=order_from_days([0, 0, 999], [10, 20, 30]), seed=0)  # infeasible
+def test_sampler_is_the_per_slot_reference(order, seed):
+    got_rng, want_rng = rng_from(seed), rng_from(seed)
+    try:
+        want = reference_constrained_permutation(order, want_rng)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            constrained_permutation(order, got_rng)
+        assert str(raised.value) == str(exc)
+        return
+    got = constrained_permutation(order, got_rng)
+    npt.assert_array_equal(got, want)
+    assert got.dtype == np.int64
+    assert got_rng.random() == want_rng.random()
 
 
 class TestNullEnsemble:
