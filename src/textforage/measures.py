@@ -121,7 +121,7 @@ def js_distance(p, q) -> float:
 
 
 def _js_divergence_one_to_many(p: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
-    """JS divergence of one distribution against a stack of them.
+    """JS divergence of `p` (one row, or rows paired) against `q_rows`.
 
     Uses the two-KL form so identical rows give exactly 0 (the entropy
     identity cancels imperfectly in float and the square root inflates
@@ -139,11 +139,13 @@ def _js_divergence_one_to_many(p: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
 def js_distance_matrix(rows) -> np.ndarray:
     """Pairwise JS distance matrix for a stack of distributions."""
     theta = np.asarray(rows, dtype=np.float64)
-    n = theta.shape[0]
-    out = np.zeros((n, n))
-    for i in range(n - 1):
-        div = _js_divergence_one_to_many(theta[i], theta[i + 1 :])
-        out[i, i + 1 :] = out[i + 1 :, i] = np.sqrt(div)
+    out = np.zeros((len(theta), len(theta)))
+    first, second = np.triu_indices(len(theta), 1)
+    # each pair i < j once, in steps whose temporaries hold <= 2**18 floats
+    step = max(1, 2**18 // theta.shape[1])
+    for s in range(0, first.size, step):
+        i, j = first[s : s + step], second[s : s + step]
+        out[i, j] = out[j, i] = np.sqrt(_js_divergence_one_to_many(theta[i], theta[j]))
     return out
 
 

@@ -275,10 +275,11 @@ class ClusterReport:
 def _pam(dist: np.ndarray, k: int) -> np.ndarray:
     """Deterministic k-medoids (PAM build + swap) on a distance matrix.
 
-    Ties always resolve to the lowest index, so the result depends only
-    on the distances.
+    The swap phase is first-improvement in scan order (medoid slots,
+    then candidates, both ascending; the first cheaper swap is taken and
+    the scan restarts), and the result depends on that order.  Ties
+    resolve to the lowest index, so it depends only on the distances.
     """
-    n = dist.shape[0]
     medoids = [int(np.argmin(dist.sum(axis=1)))]
     while len(medoids) < k:
         current = dist[:, medoids].min(axis=1)
@@ -287,44 +288,44 @@ def _pam(dist: np.ndarray, k: int) -> np.ndarray:
         medoids.append(int(np.argmax(gains)))
     medoids = sorted(medoids)
 
-    def cost(meds: list[int]) -> float:
-        return float(dist[:, meds].min(axis=1).sum())
-
-    best_cost = cost(medoids)
+    # C order: each row of a trial block sums with the bits of a 1-d sum
+    dist_t = np.ascontiguousarray(dist.T)
+    best_cost = float(dist[:, medoids].min(axis=1).sum())
     improved = True
     while improved:
         improved = False
-        for mi, m in enumerate(list(medoids)):
-            others = np.setdiff1d(np.arange(n), medoids)
-            for candidate in others:
-                trial = sorted(medoids[:mi] + [int(candidate)] + medoids[mi + 1 :])
-                c = cost(trial)
-                if c < best_cost - 1e-15:
-                    medoids = trial
-                    best_cost = c
-                    improved = True
-                    break
-            if improved:
+        others = np.setdiff1d(np.arange(len(dist)), medoids)
+        for mi in range(k):
+            rest = medoids[:mi] + medoids[mi + 1 :]
+            base = dist[:, rest].min(axis=1)
+            costs = np.minimum(base, dist_t[others]).sum(axis=1)
+            better = np.flatnonzero(costs < best_cost - 1e-15)
+            if better.size:
+                medoids = sorted(rest + [int(others[better[0]])])
+                best_cost = float(costs[better[0]])
+                improved = True
                 break
     return np.asarray(medoids, dtype=int)
 
 
 def _silhouette_mean(dist: np.ndarray, labels: np.ndarray) -> float:
-    n = len(labels)
-    uniq = np.unique(labels)
+    uniq, own = np.unique(labels, return_inverse=True)
     if len(uniq) < 2:
         return float("nan")
-    score = np.zeros(n)
-    for i in range(n):
-        own = labels == labels[i]
-        own_count = own.sum() - 1
-        if own_count == 0:
-            score[i] = 0.0  # singleton cluster
-            continue
-        a = dist[i, own].sum() / own_count
-        b = min(dist[i, labels == u].mean() for u in uniq if u != labels[i])
-        score[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
-    return float(score.mean())
+    # C order: sums[i, u] has the bits of the 1-d dist[i, members].sum()
+    sums = np.column_stack(
+        [np.ascontiguousarray(dist[:, labels == u]).sum(axis=1) for u in uniq]
+    )
+    counts = np.bincount(own)
+    i = np.arange(len(labels))
+    own_count = counts[own] - 1
+    a = sums[i, own] / np.maximum(own_count, 1)
+    means = sums / counts
+    means[i, own] = np.inf
+    b = means.min(axis=1)
+    top = np.maximum(a, b)
+    keep = (own_count > 0) & (top > 0)  # else a singleton, or a == b == 0
+    return float(np.where(keep, (b - a) / np.where(keep, top, 1.0), 0.0).mean())
 
 
 def cluster_ensemble(
@@ -370,14 +371,10 @@ def cluster_ensemble(
     # duplicate samples can leave a medoid with no members (every point
     # ties to an earlier identical medoid); report only occupied
     # clusters, renumbered densely
-    occupied = [
-        label for label in range(best_k) if np.any(best_labels == label)
-    ]
-    relabel = {old: new for new, old in enumerate(occupied)}
-    assignments = np.array([relabel[label] for label in best_labels], dtype=int)
+    occupied, assignments = np.unique(best_labels, return_inverse=True)
     clusters = tuple(
-        _cluster_info(ensemble, relabel[old], assignments, int(best_medoids[old]))
-        for old in occupied
+        _cluster_info(ensemble, new, assignments, int(best_medoids[old]))
+        for new, old in enumerate(occupied)
     )
     note = None
     if len(occupied) < best_k:

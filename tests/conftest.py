@@ -144,3 +144,97 @@ def reference_rank_payload(theta, order, permutations):
         null_ci=np.percentile(null, [2.5, 97.5], axis=0).T,
         ratio=ratio,
     ).to_payload()
+
+
+def reference_pam(dist, k):
+    """`querysample._pam` with one cost evaluation per trial swap."""
+    n = dist.shape[0]
+    medoids = [int(np.argmin(dist.sum(axis=1)))]
+    while len(medoids) < k:
+        current = dist[:, medoids].min(axis=1)
+        gains = np.maximum(current[None, :] - dist, 0.0).sum(axis=1)
+        gains[medoids] = -np.inf
+        medoids.append(int(np.argmax(gains)))
+    medoids = sorted(medoids)
+
+    def cost(meds):
+        return float(dist[:, meds].min(axis=1).sum())
+
+    best_cost = cost(medoids)
+    improved = True
+    while improved:
+        improved = False
+        for mi, m in enumerate(list(medoids)):
+            others = np.setdiff1d(np.arange(n), medoids)
+            for candidate in others:
+                trial = sorted(medoids[:mi] + [int(candidate)] + medoids[mi + 1 :])
+                c = cost(trial)
+                if c < best_cost - 1e-15:
+                    medoids = trial
+                    best_cost = c
+                    improved = True
+                    break
+            if improved:
+                break
+    return np.asarray(medoids, dtype=int)
+
+
+def reference_silhouette_mean(dist, labels):
+    """`querysample._silhouette_mean` one sample and one cluster at a time."""
+    n = len(labels)
+    uniq = np.unique(labels)
+    if len(uniq) < 2:
+        return float("nan")
+    score = np.zeros(n)
+    for i in range(n):
+        own = labels == labels[i]
+        own_count = own.sum() - 1
+        if own_count == 0:
+            score[i] = 0.0  # singleton cluster
+            continue
+        a = dist[i, own].sum() / own_count
+        b = min(dist[i, labels == u].mean() for u in uniq if u != labels[i])
+        score[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+    return float(score.mean())
+
+
+def reference_js_distance_matrix(rows):
+    """`measures.js_distance_matrix` as one one-against-the-rest block per row."""
+    theta = np.asarray(rows, dtype=np.float64)
+    n = theta.shape[0]
+    out = np.zeros((n, n))
+    for i in range(n - 1):
+        p, q_rows = theta[i], theta[i + 1 :]
+        m = 0.5 * (q_rows + p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_terms = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0) / m), 0.0)
+            q_terms = np.where(
+                q_rows > 0, q_rows * np.log2(np.where(q_rows > 0, q_rows, 1.0) / m), 0.0
+            )
+        div = np.maximum(0.5 * p_terms.sum(axis=1) + 0.5 * q_terms.sum(axis=1), 0.0)
+        out[i, i + 1 :] = out[i + 1 :, i] = np.sqrt(div)
+    return out
+
+
+@st.composite
+def tied_ensembles(draw, min_n=3, max_n=120, max_width=8):
+    """An (n, width) stack of distributions in which ties are common.
+
+    A third of the stacks repeat a few distinct rows many times, a third
+    are Dirichlet draws rounded to one decimal (so rows and distances
+    repeat, and entries are often 0), and a third are plain Dirichlet
+    draws.
+    """
+    n = draw(st.integers(min_n, max_n))
+    width = draw(st.integers(2, max_width))
+    kind = draw(st.sampled_from(["duplicates", "rounded", "dirichlet"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "duplicates":
+        distinct = rng.dirichlet(np.full(width, 0.5), size=draw(st.integers(1, 6)))
+        return distinct[rng.integers(0, len(distinct), size=n)]
+    rows = rng.dirichlet(np.full(width, 0.5), size=n)
+    if kind == "rounded":
+        rows = np.round(rows, 1)
+        rows[rows.sum(axis=1) == 0, 0] = 1.0
+        rows /= rows.sum(axis=1, keepdims=True)
+    return rows

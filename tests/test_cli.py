@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import hashlib
 import io
 import itertools
 import json
@@ -389,6 +390,35 @@ class TestFitConfig:
         assert field in capsys.readouterr().err
         # rejected by load_config, before any sampling time is spent
         assert not list((tmp_path / "out").glob("fit_*"))
+
+
+class TestFitPayloads:
+    # SHA-256 of each fit payload with its metadata removed, as the
+    # per-trial and per-sample clustering loops wrote them: pins the
+    # medoids, the assignments and silhouette_by_k for k = 2..10
+    PINNED = {
+        "fit_query_0_k3.json":
+            "67cbe1bf60989c596c1d84491688cc746706414fdf77df1cfbc75fbce317291f",
+        "fit_query_0_k3_clusters.json":
+            "ff5eff162dec2ffa9bc249dd27df5b1044f6b66b53fd55b81f7d84e8381a22d8",
+    }
+
+    def test_fit_payloads_are_pinned(self, tmp_path):
+        config = small_pipeline(
+            tmp_path,
+            training={"ks": [3], "iterations": 20},
+            fit={"documents": ["query_0.txt"], "samples": 30, "iterations": 20,
+                 "cluster_range": [2, 10]},
+        )
+        for stage in ("prepare", "train", "fit"):
+            assert run_cli(stage, "--config", config) == 0
+        digests = {}
+        for path in sorted((tmp_path / "out").glob("fit_*.json")):
+            body = json.loads(path.read_text())
+            body.pop("metadata")
+            payload = json.dumps(body, indent=2, sort_keys=True).encode("utf-8")
+            digests[path.name] = hashlib.sha256(payload).hexdigest()
+        assert digests == self.PINNED
 
 
 class TestGibbsBackend:

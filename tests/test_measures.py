@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from textforage.errors import NumericalDegeneracyError
@@ -19,7 +21,12 @@ from textforage.measures import (
     surprise_values,
 )
 
-from conftest import random_distributions, reading_rows
+from conftest import (
+    random_distributions,
+    reading_rows,
+    reference_js_distance_matrix,
+    tied_ensembles,
+)
 
 
 class TestEntropy:
@@ -137,6 +144,26 @@ class TestJensenShannon:
                 assert matrix[i, j] == pytest.approx(
                     js_distance(rows[i], rows[j]), abs=1e-9
                 )
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=tied_ensembles(min_n=1, max_width=80))
+    # 7,140 pairs of width 80 take three steps of at most 2**18 floats
+    @example(rows=np.random.default_rng(0).dirichlet(np.full(80, 0.3), size=120))
+    def test_distance_matrix_is_the_row_loop_bit_for_bit(self, rows):
+        matrix = js_distance_matrix(rows)
+        assert matrix.tobytes() == reference_js_distance_matrix(rows).tobytes()
+
+    def test_distance_matrix_memory_stays_near_its_output(self):
+        # one (pairs, k) temporary for all 499,500 pairs at k = 200 would
+        # be about 0.8 GB; the matrix itself is 8 MB
+        rows = np.random.default_rng(6).dirichlet(np.full(200, 0.5), size=1000)
+        tracemalloc.start()
+        try:
+            matrix = js_distance_matrix(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * matrix.nbytes
 
 
 class TestEnclosure:

@@ -1,13 +1,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textforage import lda, querysample
 from textforage.errors import NumericalDegeneracyError
-from textforage.measures import js_distance
+from textforage.measures import js_distance, js_distance_matrix
 from textforage.seeds import derive_seed
 
-from conftest import build_corpus
+from conftest import build_corpus, reference_pam, reference_silhouette_mean, tied_ensembles
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +256,29 @@ class TestClusterEnsemble:
             for c in range(report_shuffled.n_clusters)
         }
         assert original_groups == mapped_groups
+
+
+def float_bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(thetas=tied_ensembles(), k=st.integers(2, 10), data=st.data())
+def test_pam_and_silhouette_match_the_loop_reference(thetas, k, data):
+    # the whole-array swap scan and silhouette against the one-trial-at-
+    # a-time and one-sample-at-a-time loops: same medoids, same bits
+    n = len(thetas)
+    k = min(k, n - 1)
+    dist = js_distance_matrix(thetas)
+    medoids = querysample._pam(dist, k)
+    assert medoids.tolist() == reference_pam(dist, k).tolist()
+    labels = np.argmin(dist[:, medoids], axis=1)
+    assert float_bits(querysample._silhouette_mean(dist, labels)) == float_bits(
+        reference_silhouette_mean(dist, labels)
+    )
+    # arbitrary labels too: singletons, absent labels, a single cluster
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    labels = np.random.default_rng(seed).integers(0, k, size=n)
+    assert float_bits(querysample._silhouette_mean(dist, labels)) == float_bits(
+        reference_silhouette_mean(dist, labels)
+    )
