@@ -87,9 +87,9 @@ def _require(cfg: dict, path: str, kind, where: str):
 def load_config(path: str | Path, overrides: dict | None = None) -> dict:
     """Read, default-fill, and validate the pipeline configuration.
 
-    Relative paths inside the file resolve against the file's own
-    directory.  `overrides` (from --seed/--out/--threads flags) are
-    applied before validation and become part of the config hash.
+    `config_sha256` hashes paths as written; they then resolve against
+    the file's own directory.  `overrides` (--seed/--out/--threads flags)
+    are applied before validation and become part of the config hash.
     """
     path = Path(path)
     if not path.is_file():
@@ -174,6 +174,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
         raise ConfigError(f"{where}: field 'fit.cluster_range' holds no cluster count "
                           f"below fit.samples ({cfg['fit']['samples']})")
 
+    cfg["config_sha256"] = config_hash(cfg)
     base = path.parent
     cfg["manifest"] = str((base / cfg["manifest"]).resolve()
                           if not Path(cfg["manifest"]).is_absolute() else Path(cfg["manifest"]))
@@ -208,7 +209,7 @@ class _Run:
         self.cfg = cfg
         self.out = Path(cfg["output_dir"])
         self.out.mkdir(parents=True, exist_ok=True)
-        self.hash = config_hash(cfg)
+        self.hash = cfg["config_sha256"]
         self.seed = cfg["seed"]
 
     @property

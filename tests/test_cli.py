@@ -84,6 +84,21 @@ class TestPipeline:
         match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
         assert mismatch == [] and errors == []
 
+    def test_moving_the_inputs_keeps_every_artifact(self, tmp_path):
+        # the config hash sees `manifest` and `fit.documents` as the
+        # config spells them, not resolved against where the inputs sit
+        first, second = tmp_path / "first", tmp_path / "elsewhere" / "second"
+        small_pipeline(first, fit={"documents": ["query_0.txt"], "samples": 4,
+                                   "iterations": 5, "cluster_range": [2, 3]})
+        shutil.copytree(first, second)
+        for root in (first, second):
+            assert run_cli("pipeline", "--config", str(root / "config.yaml")) == 0
+        a, b = first / "out", second / "out"
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+        assert mismatch == [] and errors == []
+
     def test_artifacts_carry_metadata(self, fixture_dir):
         out = fixture_dir / "out"
         if not (out / "series_k3_t2t.csv").is_file():
