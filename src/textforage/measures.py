@@ -141,8 +141,8 @@ def js_distance_matrix(rows) -> np.ndarray:
     theta = np.asarray(rows, dtype=np.float64)
     out = np.zeros((len(theta), len(theta)))
     first, second = np.triu_indices(len(theta), 1)
-    # each pair i < j once, in steps whose temporaries hold <= 2**18 floats
-    step = max(1, 2**18 // theta.shape[1])
+    # each pair i < j once, in steps whose temporaries hold <= 2**13 floats
+    step = max(1, 2**13 // theta.shape[1])
     for s in range(0, first.size, step):
         i, j = first[s : s + step], second[s : s + step]
         out[i, j] = out[j, i] = np.sqrt(_js_divergence_one_to_many(theta[i], theta[j]))

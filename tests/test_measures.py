@@ -147,7 +147,7 @@ class TestJensenShannon:
 
     @settings(max_examples=200, deadline=None)
     @given(rows=tied_ensembles(min_n=1, max_width=80))
-    # 7,140 pairs of width 80 take three steps of at most 2**18 floats
+    # 7,140 pairs of width 80 take 70 steps of at most 2**13 floats
     @example(rows=np.random.default_rng(0).dirichlet(np.full(80, 0.3), size=120))
     def test_distance_matrix_is_the_row_loop_bit_for_bit(self, rows):
         matrix = js_distance_matrix(rows)
