@@ -7,7 +7,7 @@
  * Python kernels; built with -ffp-contract=off (no fused multiply-add)
  * the two give the same bits.  `uniforms` holds n_sweeps rows of
  * n_tokens draws: row s drives sweep s.  `probs` is k doubles of
- * scratch.
+ * scratch.  `fit_batch` runs many fits of one query document in one call.
  */
 
 #include <stdint.h>
@@ -86,5 +86,27 @@ void sweep_locked(int64_t n_sweeps, int64_t n_tokens, const int32_t *tokens,
             z[i] = (int32_t)t_new;
             td_col[t_new] += 1;
         }
+    }
+}
+
+/* n_samples fits of one query document, each on its own row of z, td
+ * and `uniforms`, the counts already holding its initial z.  Tokens index
+ * the u rows of base_wt or wt; v enters only v_beta.  With wt and n_t
+ * each sample runs `sweep` on one document (`docs` all 0), else
+ * `sweep_locked` on base_wt and base_t. */
+void fit_batch(int64_t n_samples, int64_t n_sweeps, int64_t n_tokens,
+               const int32_t *tokens, const int32_t *docs, int32_t *z,
+               const int64_t *base_wt, const int64_t *base_t, int64_t *td,
+               int64_t *wt, int64_t *n_t, int64_t u, int64_t v, int64_t k,
+               double alpha, double beta, const double *uniforms, double *probs)
+{
+    for (int64_t s = 0; s < n_samples; s++) {
+        const double *row = uniforms + s * n_sweeps * n_tokens;
+        if (!wt)
+            sweep_locked(n_sweeps, n_tokens, tokens, z + s * n_tokens, base_wt, base_t,
+                         td + s * k, v, k, alpha, beta, row, probs);
+        else
+            sweep(n_sweeps, n_tokens, tokens, docs, z + s * n_tokens, wt + s * u * k,
+                  td + s * k, n_t + s * k, v, k, 1, alpha, beta, row, probs);
     }
 }

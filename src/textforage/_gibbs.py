@@ -70,7 +70,9 @@ def _open(path: Path):
                           i64, i64, i64, f64, f64, ptr, ptr]
     lib.sweep_locked.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr,
                                  i64, i64, f64, f64, ptr, ptr]
-    lib.sweep.restype = lib.sweep_locked.restype = None
+    lib.fit_batch.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+                              i64, i64, i64, f64, f64, ptr, ptr]
+    lib.sweep.restype = lib.sweep_locked.restype = lib.fit_batch.restype = None
     return lib
 
 

@@ -88,8 +88,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
     """Read, default-fill, and validate the pipeline configuration.
 
     `config_sha256` hashes paths as written; they then resolve against
-    the file's own directory.  `overrides` (--seed/--out/--threads flags)
-    are applied before validation and become part of the config hash.
+    the file's own directory (a relative --out flag: the current one).
+    `overrides` (--seed/--out/--threads flags) are applied before
+    validation and become part of the config hash.
     """
     path = Path(path)
     if not path.is_file():
@@ -160,9 +161,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
     for field, minimum in (
         ("training.iterations", 0), ("null_model.permutations", 1),
         ("epochs.max_epochs", 1), ("epochs.min_len", 2),
-        ("fit.iterations", 0), ("fit.samples", 3),
+        ("fit.iterations", 0), ("fit.samples", 3), ("threads", 1),
     ):
-        if cfg[field.split(".")[0]][field.split(".")[1]] < minimum:
+        if _require(cfg, field, None, where) < minimum:
             raise ConfigError(f"{where}: field '{field}' must be >= {minimum}")
     span = cfg["fit"]["cluster_range"]
     if (not isinstance(span, list) or len(span) != 2
@@ -178,8 +179,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
     base = path.parent
     cfg["manifest"] = str((base / cfg["manifest"]).resolve()
                           if not Path(cfg["manifest"]).is_absolute() else Path(cfg["manifest"]))
-    out_dir = Path(cfg["output_dir"])
-    cfg["output_dir"] = str((base / out_dir) if not out_dir.is_absolute() else out_dir)
+    out_base = Path() if (overrides or {}).get("output_dir") is not None else base
+    cfg["output_dir"] = str(out_base / cfg["output_dir"])
     cfg["fit"]["documents"] = [
         str((base / p) if not Path(p).is_absolute() else Path(p))
         for p in cfg["fit"]["documents"]
@@ -470,7 +471,7 @@ def stage_fit(run: _Run) -> None:
         path = Path(doc_path)
         if not path.is_file():
             raise ConfigError(f"fit.documents: file not found: {path}")
-        tokens = tokenize(path.read_text(encoding="utf-8"), tok_cfg)
+        tokens = model.vocabulary.encode(tokenize(path.read_text(encoding="utf-8"), tok_cfg))
         name = path.stem
         ensemble = querysample.sample_ensemble(
             model,
@@ -482,6 +483,10 @@ def stage_fit(run: _Run) -> None:
             doc_id=name,
             workers=cfg["threads"],
         )
+        n, sweeps = ensemble.n_samples, cfg["fit"]["iterations"]
+        print(f"fit {name}: {n} samples x {sweeps} iterations x {tokens.size} tokens = "
+              f"{n * sweeps * tokens.size} token updates in {ensemble.slices} worker "
+              "slice(s)", file=sys.stderr)
         querysample.ensemble_to_csv(
             ensemble, run.out / f"fit_{name}_k{k}_samples.csv",
             metadata=run.metadata_lines,

@@ -88,11 +88,10 @@ class TrainingConfig:
 # oracle and the fallback)
 #
 # `uniforms` holds one row of draws per sweep, so a single call can run
-# several sweeps.
+# several sweeps.  `v`, the model's V, enters only V*beta.
 
 
-def _sweep_kernel(tokens, docs, z, n_wt, n_td, n_t, alpha, beta, uniforms, probs):
-    v = n_wt.shape[0]
+def _sweep_kernel(tokens, docs, z, n_wt, n_td, n_t, v, alpha, beta, uniforms, probs):
     k = n_wt.shape[1]
     v_beta = v * beta
     for row in uniforms:
@@ -122,10 +121,9 @@ def _sweep_kernel(tokens, docs, z, n_wt, n_td, n_t, alpha, beta, uniforms, probs
             n_td[t_new, d] += 1
 
 
-def _sweep_kernel_locked(tokens, z, base_wt, base_t, td_col, alpha, beta, uniforms, probs):
+def _sweep_kernel_locked(tokens, z, base_wt, base_t, td_col, v, alpha, beta, uniforms, probs):
     # word-topic counts stay frozen at the trained snapshot; only the
     # query document's own topic counts evolve
-    v = base_wt.shape[0]
     k = base_wt.shape[1]
     v_beta = v * beta
     for row in uniforms:
@@ -194,33 +192,59 @@ def sweep(tokens, docs, z, n_wt, n_td, n_t, alpha: float, beta: float, uniforms)
     probs = np.empty(k, dtype=np.float64)
     lib, _ = _gibbs.load()
     if lib is None:
-        _sweep_kernel(tokens, docs, z, n_wt, n_td, n_t, alpha, beta, uniforms, probs)
+        _sweep_kernel(tokens, docs, z, n_wt, n_td, n_t, v, alpha, beta, uniforms, probs)
         return
     lib.sweep(n_sweeps, n, tokens.ctypes.data, docs.ctypes.data, z.ctypes.data,
               n_wt.ctypes.data, n_td.ctypes.data, n_t.ctypes.data, v, k, n_docs,
               alpha, beta, uniforms.ctypes.data, probs.ctypes.data)
 
 
-def sweep_locked(tokens, z, base_wt, base_t, td_col, alpha: float, beta: float,
-                 uniforms) -> None:
-    """`sweep` with the word-topic counts frozen: only `td_col` (k,)
-    and z change.  Same array rules, with base_wt (V, k) and base_t (k,)."""
+def fit_batch(tokens, z, base_wt, base_t, v: int, alpha: float, beta: float, uniforms,
+              drifting: bool, pool=None, slices: int = 1) -> tuple:
+    """m fits of one query document (`fit_batch` in `_gibbs.c`): tokens
+    (n,) index base_wt (u, k); z (m, n) goes from initial to final
+    topics; uniforms is (m, n_sweeps, n).  Returns the topic counts
+    (m, k), word-topic rows (m, u, k) and totals (m, k): the final ones
+    if `drifting`, else read-only views of the base.  Array rules as for
+    `sweep`, checked once; `slices` contiguous runs of samples, one
+    kernel call each, map over `pool` if given."""
     (n,) = _checked("tokens", tokens, np.int32, (-1,))
-    v, k = _checked("base_wt", base_wt, np.int64, (-1, -1))
-    _checked("z", z, np.int32, (n,), writeable=True)
+    u, k = _checked("base_wt", base_wt, np.int64, (-1, -1))
+    m, _ = _checked("z", z, np.int32, (-1, n), writeable=True)
     _checked("base_t", base_t, np.int64, (k,))
-    _checked("td_col", td_col, np.int64, (k,), writeable=True)
-    n_sweeps, _ = _checked("uniforms", uniforms, np.float64, (-1, n))
-    _in_range("tokens", tokens, v)
+    _, n_sweeps, _ = _checked("uniforms", uniforms, np.float64, (m, -1, n))
+    _in_range("tokens", tokens, u)
     _in_range("z", z, k)
-    probs = np.empty(k, dtype=np.float64)
+    sample = np.arange(m)[:, None]
+    td = np.bincount((sample * k + z).ravel(), minlength=m * k).astype(np.int64).reshape(m, k)
+    wt, n_t = np.broadcast_to(base_wt, (m, u, k)), np.broadcast_to(base_t, (m, k))
+    if drifting:  # each sample's own copy of the base counts plus its z
+        hist = np.bincount(((sample * u + tokens) * k + z).ravel(), minlength=m * u * k)
+        wt, n_t = base_wt + hist.reshape(m, u, k), base_t + td
+    docs = np.zeros(n, dtype=np.int32)
     lib, _ = _gibbs.load()
-    if lib is None:
-        _sweep_kernel_locked(tokens, z, base_wt, base_t, td_col, alpha, beta, uniforms, probs)
-        return
-    lib.sweep_locked(n_sweeps, n, tokens.ctypes.data, z.ctypes.data, base_wt.ctypes.data,
-                     base_t.ctypes.data, td_col.ctypes.data, v, k, alpha, beta,
-                     uniforms.ctypes.data, probs.ctypes.data)
+
+    def run(a: int, b: int) -> None:
+        probs = np.empty(k, dtype=np.float64)
+        if lib is not None:
+            lib.fit_batch(b - a, n_sweeps, n, tokens.ctypes.data, docs.ctypes.data,
+                          z[a:].ctypes.data, base_wt.ctypes.data, base_t.ctypes.data,
+                          td[a:].ctypes.data, wt[a:].ctypes.data if drifting else None,
+                          n_t[a:].ctypes.data if drifting else None, u, v, k, alpha, beta,
+                          uniforms[a:].ctypes.data, probs.ctypes.data)
+            return
+        for s in range(a, b):
+            if drifting:
+                _sweep_kernel(tokens, docs, z[s], wt[s], td[s, :, None], n_t[s], v, alpha,
+                              beta, uniforms[s], probs)
+            else:
+                _sweep_kernel_locked(tokens, z[s], base_wt, base_t, td[s], v, alpha, beta,
+                                     uniforms[s], probs)
+
+    slices = max(1, min(slices, m))
+    bounds = [m * i // slices for i in range(slices + 1)]
+    list((pool.map if pool else map)(run, bounds[:-1], bounds[1:]))
+    return td, wt, n_t
 
 
 def gibbs_backend() -> str:

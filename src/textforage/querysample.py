@@ -16,13 +16,17 @@ happens to the word-topic counts is governed by `phi_mode`:
 
 Because the sampler starts from a random assignment, repeated fits give
 different topic distributions; `sample_ensemble` collects them and
-`cluster_ensemble` groups the resulting interpretations.
+`cluster_ensemble` groups the resulting interpretations.  It fits in
+blocks of samples: each sample's RNG set-up runs serially on the calling
+thread, then `workers` threads split the block's sweeps into contiguous
+slices, one GIL-free kernel call each, on the query's own rows only.
 """
 
 from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,6 +49,9 @@ __all__ = [
 ]
 
 PHI_MODES = ("locked", "extended", "drifting")
+
+#: numbers per block of samples: each takes its uniforms and word-topic rows
+BLOCK_NUMBERS = 2**19
 
 
 @dataclass(frozen=True)
@@ -92,47 +99,50 @@ def fit_document(
     (model, doc, iterations, phi_mode, seed); the base model is never
     mutated in any mode.
     """
-    if phi_mode not in PHI_MODES:
-        raise ValueError(f"phi_mode must be one of {PHI_MODES}, got {phi_mode!r}")
     tokens = _restrict_to_vocabulary(model, doc)
-    k = model.config.k
-    alpha, beta = model.config.alpha, model.config.beta
-    rng = rng_from(seed)
-    z = rng.integers(0, k, tokens.size, dtype=np.int32)
-    td_col = np.bincount(z, minlength=k).astype(np.int64)
-    uniforms = rng.random((iterations, tokens.size))
-
-    if phi_mode == "locked":
-        lda.sweep_locked(tokens, z, model.n_wt, model.n_t, td_col, alpha, beta, uniforms)
-        wt, t_totals = model.n_wt, model.n_t
-        extra_counts = None
-    else:
-        wt = model.n_wt.copy()
-        t_totals = model.n_t.copy()
-        np.add.at(wt, (tokens, z), 1)
-        np.add.at(t_totals, z, 1)
-        td = td_col.reshape(k, 1)
-        docs0 = np.zeros(tokens.size, dtype=np.int32)
-        lda.sweep(tokens, docs0, z, wt, td, t_totals, alpha, beta, uniforms)
-        td_col = td[:, 0]
-        extra_counts = wt
-
-    theta = (td_col + alpha) / (tokens.size + k * alpha)
-    # smoothed phi for the query's own tokens only, row i for token i
-    phi_rows = (wt[tokens] + beta) / (t_totals + model.n_terms * beta)
-    perp = lda.perplexity_from_distributions(theta, phi_rows, [np.arange(tokens.size)])
-
-    extended = None
-    if phi_mode == "extended":
-        extended = _extend_model(model, tokens, z, seed)
+    ((thetas, perplexities, z),) = _fit_blocks(model, tokens, (seed,), iterations, phi_mode)
+    counts = None if phi_mode == "locked" else model.n_wt.copy()
+    if counts is not None:  # the sampled counts are the base plus the query's z
+        np.add.at(counts, (tokens, z[0]), 1)
+    extended = _extend_model(model, tokens, z[0], seed) if phi_mode == "extended" else None
     return FittedDocument(
-        theta=theta,
-        perplexity=perp,
+        theta=thetas[0],
+        perplexity=float(perplexities[0]),
         phi_mode=phi_mode,
         seed=seed,
-        word_topic_counts=extra_counts,
+        word_topic_counts=counts,
         extended_model=extended,
     )
+
+
+def _fit_blocks(model, tokens, seeds, iterations, phi_mode, workers=1):
+    """Fit `tokens` once per seed; yield (thetas, perplexities, final z)
+    per block of samples.  Each sample sweeps its own copy of just the
+    query's word-topic rows.  The RNG set-up runs on this thread, the
+    sweeps as one GIL-free kernel call per worker slice."""
+    if phi_mode not in PHI_MODES:
+        raise ValueError(f"phi_mode must be one of {PHI_MODES}, got {phi_mode!r}")
+    k, v, alpha, beta = model.config.k, model.n_terms, model.config.alpha, model.config.beta
+    local_ids, local_tokens = np.unique(tokens, return_inverse=True)
+    local_tokens, base_rows, n = local_tokens.astype(np.int32), model.n_wt[local_ids], tokens.size
+    block = max(workers, BLOCK_NUMBERS // (iterations * n + base_rows.size))
+    uniforms = np.empty((min(block, len(seeds)), iterations, n))  # reused by every block
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for start in range(0, len(seeds), block):
+            chunk = seeds[start : start + block]
+            z = np.empty((len(chunk), n), dtype=np.int32)
+            for j, seed in enumerate(chunk):
+                rng = rng_from(seed)
+                z[j] = rng.integers(0, k, n, dtype=np.int32)
+                rng.random(out=uniforms[j])
+            td, wt, n_t = lda.fit_batch(local_tokens, z, base_rows, model.n_t, v, alpha, beta,
+                                        uniforms[: len(chunk)], phi_mode != "locked", pool,
+                                        workers)
+            thetas = (td + alpha) / (n + k * alpha)
+            yield thetas, np.array([
+                lda.perplexity_from_distributions(theta, (rows + beta) / (t + v * beta),
+                                                  [local_tokens])
+                for theta, rows, t in zip(thetas, wt, n_t)]), z
 
 
 def _extend_model(
@@ -159,6 +169,8 @@ class SampleEnsemble:
     phi_mode: str
     master_seed: int
     seeds: tuple[int, ...]
+    #: kernel calls made, one per worker slice of a block (0 if built by hand)
+    slices: int = 0
 
     def __post_init__(self):
         if self.thetas.shape[0] != self.perplexities.shape[0]:
@@ -196,23 +208,18 @@ def sample_ensemble(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    tokens = _restrict_to_vocabulary(model, doc)
     seeds = tuple(derive_seed(master_seed, i, "ensemble") for i in range(n_samples))
-
-    def one(seed: int) -> FittedDocument:
-        return fit_document(model, doc, iterations=iterations, phi_mode=phi_mode, seed=seed)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fits = list(pool.map(one, seeds))
-    else:
-        fits = [one(s) for s in seeds]
+    workers = max(1, workers or 1)
+    blocks = [b[:2] for b in _fit_blocks(model, tokens, seeds, iterations, phi_mode, workers)]
     return SampleEnsemble(
         doc_id=doc_id,
-        thetas=np.vstack([f.theta for f in fits]),
-        perplexities=np.array([f.perplexity for f in fits]),
+        thetas=np.vstack([b[0] for b in blocks]),
+        perplexities=np.concatenate([b[1] for b in blocks]),
         phi_mode=phi_mode,
         master_seed=master_seed,
         seeds=seeds,
+        slices=sum(min(workers, len(b[0])) for b in blocks),
     )
 
 

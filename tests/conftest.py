@@ -238,3 +238,45 @@ def tied_ensembles(draw, min_n=3, max_n=120, max_width=8):
         rows[rows.sum(axis=1) == 0, 0] = 1.0
         rows /= rows.sum(axis=1, keepdims=True)
     return rows
+
+
+def reference_fit_document(model, tokens, iterations, phi_mode, seed):
+    """One query fit as `querysample.fit_document` made it sample by
+    sample: over the full V x k counts, the locked sweep through the
+    pure-Python kernel (bit-equal to the compiled one).  Returns theta,
+    perplexity, the final word-topic counts (None when locked) and z."""
+    from textforage.seeds import rng_from
+
+    tokens = np.asarray(tokens, dtype=np.int32)
+    k, alpha, beta = model.config.k, model.config.alpha, model.config.beta
+    rng = rng_from(seed)
+    z = rng.integers(0, k, tokens.size, dtype=np.int32)
+    td_col = np.bincount(z, minlength=k).astype(np.int64)
+    uniforms = rng.random((iterations, tokens.size))
+    if phi_mode == "locked":
+        lda._sweep_kernel_locked(tokens, z, model.n_wt, model.n_t, td_col, model.n_terms,
+                                 alpha, beta, uniforms, np.empty(k))
+        wt, t_totals, counts = model.n_wt, model.n_t, None
+    else:
+        wt, t_totals = model.n_wt.copy(), model.n_t.copy()
+        np.add.at(wt, (tokens, z), 1)
+        np.add.at(t_totals, z, 1)
+        td = td_col.reshape(k, 1)
+        lda.sweep(tokens, np.zeros(tokens.size, np.int32), z, wt, td, t_totals, alpha, beta,
+                  uniforms)
+        td_col, counts = td[:, 0], wt
+    theta = (td_col + alpha) / (tokens.size + k * alpha)
+    phi_rows = (wt[tokens] + beta) / (t_totals + model.n_terms * beta)
+    perp = lda.perplexity_from_distributions(theta, phi_rows, [np.arange(tokens.size)])
+    return theta, perp, counts, z
+
+
+def reference_sample_ensemble(model, tokens, n_samples, iterations, phi_mode, master_seed):
+    """`querysample.sample_ensemble`'s thetas and perplexities, one
+    `reference_fit_document` per sample."""
+    from textforage.seeds import derive_seed
+
+    fits = [reference_fit_document(model, tokens, iterations, phi_mode,
+                                   derive_seed(master_seed, i, "ensemble"))
+            for i in range(n_samples)]
+    return np.vstack([f[0] for f in fits]), np.array([f[1] for f in fits])

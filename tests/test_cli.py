@@ -19,6 +19,7 @@ import yaml
 import textforage
 from textforage import _gibbs, cli, lda, modelcompare, nullmodels
 from textforage.corpus import Corpus
+from textforage.errors import ConfigError
 from textforage.measures import surprise_series, surprise_values
 from textforage.seeds import derive_seed, rng_from
 from textforage.synthetic import FixtureSpec, make_fixture
@@ -449,6 +450,18 @@ class TestGibbsBackend:
                 library = Path(re.fullmatch(r"\w+: Gibbs backend C \((.+)\)", line).group(1))
                 assert library.is_file() and tmp_path not in library.parents
 
+    def test_fit_reports_its_work(self, tmp_path, capsys):
+        config = small_pipeline(tmp_path, training={"ks": [2], "iterations": 3}, fit=self.FIT)
+        for stage in ("prepare", "train"):
+            assert run_cli(stage, "--config", config) == 0
+        capsys.readouterr()
+        assert run_cli("fit", "--config", config, "--threads", "3") == 0
+        captured = capsys.readouterr()
+        work = re.search(r"^fit query_0: 4 samples x 5 iterations x (\d+) tokens = (\d+) "
+                         r"token updates in 3 worker slice\(s\)$", captured.err, re.M)
+        assert work and int(work[1]) > 0 and int(work[2]) == 4 * 5 * int(work[1])
+        assert "token updates" not in captured.out
+
     def test_fallback_names_the_reason(self, tmp_path, capsys, monkeypatch):
         def no_compiler(src, target):
             raise OSError("no compiler here")
@@ -499,3 +512,31 @@ class TestConfigValidation:
 
     def test_config_required_for_stages(self):
         assert run_cli("pipeline") == 1
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_is_named(self, tmp_path, threads):
+        path = tmp_path / "bad.yaml"
+        config = {"manifest": "m.jsonl", "output_dir": "o", "seed": 1}
+        path.write_text(yaml.safe_dump({**config, "threads": threads}))
+        with pytest.raises(ConfigError, match="field 'threads' must be >= 1"):
+            cli.load_config(path)
+        path.write_text(yaml.safe_dump(config))
+        with pytest.raises(ConfigError, match="field 'threads' must be >= 1"):
+            cli.load_config(path, overrides={"threads": threads})
+
+
+class TestOutputDirectory:
+    def test_relative_out_flag_is_taken_from_the_working_directory(self, tmp_path,
+                                                                  monkeypatch):
+        (tmp_path / "project").mkdir()
+        small_pipeline(tmp_path / "project")
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        config = os.path.join("..", "project", "config.yaml")
+        assert run_cli("prepare", "--config", config, "--out", "runs/a") == 0
+        assert (tmp_path / "work" / "runs" / "a" / "corpus.json").is_file()
+        assert not (tmp_path / "project" / "runs").exists()
+        # the config's own relative output_dir keeps the config's directory
+        assert run_cli("prepare", "--config", config) == 0
+        assert (tmp_path / "project" / "out" / "corpus.json").is_file()
+        assert not (tmp_path / "work" / "out").exists()

@@ -94,7 +94,7 @@ def test_full_kernel_is_bit_equal_to_the_oracle(state):
     want, got = np.empty(k), np.empty(k)
     for row in uniforms:
         row = row[None].copy()
-        lda._sweep_kernel(tokens, docs, *oracle, alpha, beta, row, want)
+        lda._sweep_kernel(tokens, docs, *oracle, v, alpha, beta, row, want)
         _gibbs.load()[0].sweep(1, tokens.size, *pointers(tokens, docs, *direct), v, k, n_docs,
                             alpha, beta, *pointers(row, got))
         npt.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg="probs")
@@ -121,16 +121,17 @@ def test_locked_kernel_is_bit_equal_to_the_oracle(state):
     want, got = np.empty(k), np.empty(k)
     for row in uniforms:
         row = row[None].copy()
-        lda._sweep_kernel_locked(tokens, *oracle, alpha, beta, row, want)
+        lda._sweep_kernel_locked(tokens, *oracle, v, alpha, beta, row, want)
         _gibbs.load()[0].sweep_locked(1, tokens.size, *pointers(tokens, *direct), v, k,
                                    alpha, beta, *pointers(row, got))
         npt.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg="probs")
-    one_call = fresh()
-    lda.sweep_locked(tokens, *one_call, alpha, beta, uniforms)
-    for i, name in ((0, "z"), (3, "td_col")):
+    one_z = z[None].copy()
+    one_td, _, _ = lda.fit_batch(tokens, one_z, base_wt, base_t, v, alpha, beta,
+                                 uniforms[None].copy(), drifting=False)
+    for i, name, one_call in ((0, "z", one_z), (3, "td_col", one_td)):
         npt.assert_array_equal(direct[i], oracle[i], err_msg=name)
-        npt.assert_array_equal(one_call[i], oracle[i], err_msg=name)
-    npt.assert_array_equal(one_call[1], base_wt)
+        npt.assert_array_equal(one_call[0], oracle[i], err_msg=name)
+    npt.assert_array_equal(base_wt, np.random.default_rng(k).integers(0, 50, (v, k)))
 
 
 @pytest.mark.parametrize("phi_mode", querysample.PHI_MODES)
@@ -148,7 +149,7 @@ def test_fit_is_one_call_on_the_per_iteration_stream(phi_mode):
     td = np.bincount(z, minlength=3).astype(np.int64)
     if phi_mode == "locked":
         for _ in range(7):
-            lda._sweep_kernel_locked(doc, z, model.n_wt, model.n_t, td, 0.1, 0.01,
+            lda._sweep_kernel_locked(doc, z, model.n_wt, model.n_t, td, 6, 0.1, 0.01,
                                      rng.random((1, doc.size)), np.empty(3))
     else:
         wt, t = model.n_wt.copy(), model.n_t.copy()
@@ -156,7 +157,7 @@ def test_fit_is_one_call_on_the_per_iteration_stream(phi_mode):
         np.add.at(t, z, 1)
         td = td.reshape(3, 1)
         for _ in range(7):
-            lda._sweep_kernel(doc, np.zeros(doc.size, np.int32), z, wt, td, t, 0.1, 0.01,
+            lda._sweep_kernel(doc, np.zeros(doc.size, np.int32), z, wt, td, t, 6, 0.1, 0.01,
                               rng.random((1, doc.size)), np.empty(3))
         td = td[:, 0]
     npt.assert_array_equal(fit.theta, (td + 0.1) / (doc.size + 3 * 0.1))
@@ -248,17 +249,18 @@ def test_sweep_rejects_arrays_it_cannot_take(case):
 @pytest.mark.parametrize("name, bad", [
     ("base_wt", np.zeros((4, 3), np.int32)),
     ("base_t", np.zeros(2, np.int64)),
-    ("td_col", np.zeros(6, np.int64)[::2]),
-    ("uniforms", np.full((1, 4), 0.5)),
+    ("z", np.zeros((2, 10), np.int32)[:, ::2]),
+    ("uniforms", np.full((2, 1, 4), 0.5)),
+    ("z", np.full((2, 5), 3, np.int32)),
 ])
 def test_locked_sweep_rejects_arrays_it_cannot_take(name, bad):
-    args = {"tokens": np.arange(5, dtype=np.int32) % 4, "z": np.zeros(5, np.int32),
+    args = {"tokens": np.arange(5, dtype=np.int32) % 4, "z": np.zeros((2, 5), np.int32),
             "base_wt": np.zeros((4, 3), np.int64), "base_t": np.zeros(3, np.int64),
-            "td_col": np.array([5, 0, 0], np.int64), "alpha": 0.1, "beta": 0.01,
-            "uniforms": np.full((1, 5), 0.5)}
+            "v": 4, "alpha": 0.1, "beta": 0.01, "uniforms": np.full((2, 1, 5), 0.5),
+            "drifting": False}
     args[name] = bad
     with pytest.raises(ValueError, match=f"^{name}: "):
-        lda.sweep_locked(**args)
+        lda.fit_batch(**args)
 
 
 FALLBACK_RUN = """

@@ -4,12 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textforage import lda, querysample
+from textforage import _gibbs, lda, querysample
 from textforage.errors import NumericalDegeneracyError
 from textforage.measures import js_distance, js_distance_matrix
 from textforage.seeds import derive_seed
 
-from conftest import build_corpus, reference_pam, reference_silhouette_mean, tied_ensembles
+from conftest import (
+    build_corpus,
+    reference_fit_document,
+    reference_pam,
+    reference_sample_ensemble,
+    reference_silhouette_mean,
+    tied_ensembles,
+)
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +162,81 @@ class TestSampleEnsemble:
         lines = path.read_text().splitlines()
         assert lines[0] == "sample,dominant_topic,perplexity"
         assert len(lines) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_blocked_fits_match_the_per_sample_reference(data):
+    """Blocked, sliced fits over the query's own rows give the bits of
+    the per-sample loop over the full counts: in every phi mode, at any
+    worker count, block size and backend, on documents of few terms."""
+    v, k = data.draw(st.integers(2, 25), "v"), data.draw(st.integers(2, 6), "k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    corpus = build_corpus([rng.integers(0, v, 20).tolist() for _ in range(4)],
+                          [f"w{i}" for i in range(v)])
+    # a large beta makes V*beta, which the query's own rows cannot show, matter
+    beta = data.draw(st.sampled_from([0.01, 0.3, 2.0]), "beta")
+    model = lda.train(corpus, lda.TrainingConfig(k=k, seed=1, beta=beta, iterations=5))
+    terms = rng.choice(v, size=min(v, data.draw(st.sampled_from([1, 2, 3, v]), "terms")),
+                       replace=False)
+    doc = rng.choice(terms, size=data.draw(st.integers(1, 40), "n")).astype(np.int32)
+    phi_mode = data.draw(st.sampled_from(querysample.PHI_MODES), "phi_mode")
+    iterations = data.draw(st.integers(0, 30), "iterations")
+    n_samples = data.draw(st.integers(1, 12), "n_samples")
+    workers = data.draw(st.integers(1, 4), "workers")
+    per_block = data.draw(st.sampled_from([None, 1, 2, 3]), "samples per block")
+    fallback = data.draw(st.booleans(), "fallback")
+    with pytest.MonkeyPatch.context() as patch:
+        if per_block is not None:
+            one = iterations * doc.size + np.unique(doc).size * k
+            patch.setattr(querysample, "BLOCK_NUMBERS", per_block * one)
+        if fallback:
+            patch.setattr(_gibbs, "load", lambda: (None, "pure Python (forced)"))
+        ensemble = querysample.sample_ensemble(
+            model, doc, n_samples, iterations=iterations, phi_mode=phi_mode,
+            master_seed=7, workers=workers)
+        fit = querysample.fit_document(model, doc, iterations, phi_mode, ensemble.seeds[0])
+        thetas, perplexities = reference_sample_ensemble(
+            model, doc, n_samples, iterations, phi_mode, master_seed=7)
+        _, _, counts, z = reference_fit_document(model, doc, iterations, phi_mode,
+                                                 ensemble.seeds[0])
+    assert ensemble.thetas.tobytes() == thetas.tobytes()
+    assert ensemble.perplexities.tobytes() == perplexities.tobytes()
+    assert fit.theta.tobytes() == thetas[0].tobytes()
+    assert fit.perplexity == perplexities[0]
+    if phi_mode == "locked":
+        assert fit.word_topic_counts is None
+    else:
+        npt.assert_array_equal(fit.word_topic_counts, counts)
+    if phi_mode == "extended":
+        npt.assert_array_equal(fit.extended_model.z[model.z.size :], z)
+        npt.assert_array_equal(fit.extended_model.z[: model.z.size], model.z)
+
+
+@pytest.mark.parametrize("phi_mode", ["drifting", "extended"])
+def test_ensemble_memory_does_not_grow_with_the_sample_count(phi_mode):
+    """At V = 5,000 and k = 20 a copy of the word-topic counts is 800 kB;
+    200 samples may cost no more than 20 plus 1 MB."""
+    import tracemalloc
+
+    v = 5000
+    rng = np.random.default_rng(3)
+    corpus = build_corpus([rng.permutation(v).tolist() for _ in range(2)],
+                          [f"w{i}" for i in range(v)])
+    model = lda.train(corpus, lda.TrainingConfig(k=20, seed=2, iterations=1))
+    doc = rng.integers(0, v, 8).astype(np.int32)
+
+    def peak(n_samples):
+        tracemalloc.start()
+        try:
+            querysample.sample_ensemble(model, doc, n_samples, iterations=10,
+                                        phi_mode=phi_mode, master_seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(3)  # loads the kernel outside the measurement
+    assert peak(200) - peak(20) < 2**20
 
 
 def synthetic_ensemble(thetas, perplexities=None):
