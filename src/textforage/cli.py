@@ -78,7 +78,8 @@ def _require(cfg: dict, path: str, kind, where: str):
         if not isinstance(value, dict) or part not in value:
             raise ConfigError(f"{where}: missing required field '{path}'")
         value = value[part]
-    if kind is not None and not isinstance(value, kind):
+    # YAML's true/false load as bool, which is an int: no field takes one
+    if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
         raise ConfigError(f"{where}: field '{path}' has wrong type "
                           f"(expected {getattr(kind, '__name__', kind)})")
     return value
@@ -132,9 +133,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
     where = str(path)
     _require(cfg, "manifest", str, where)
     _require(cfg, "output_dir", str, where)
-    seed = _require(cfg, "seed", int, where)
-    if isinstance(seed, bool):
-        raise ConfigError(f"{where}: field 'seed' must be an integer")
+    _require(cfg, "seed", int, where)
     ks = _require(cfg, "training.ks", list, where)
     if not ks or not all(isinstance(k, int) and k >= 2 for k in ks):
         raise ConfigError(f"{where}: field 'training.ks' must list integers >= 2")
@@ -402,9 +401,10 @@ def stage_null(run: _Run) -> None:
             run.artifact(f"series_k{k}_{mode}.csv", "measure")
         model = _load_model(run, k, corpus)
         theta, _ = lda.estimate_distributions(model, smoothing=cfg["measure"]["smoothing"])
+        d = nullmodels.kl_matrix(theta)
         comparison = nullmodels.null_ensemble(
             order, theta, n=n, seed=derive_seed(run.seed, k, "null"),
-            modes=tuple(cfg["measure"]["modes"]),
+            modes=tuple(cfg["measure"]["modes"]), d=d,
         )
         nullmodels.ensemble_means_to_csv(
             comparison, run.out / f"null_k{k}_means.csv", metadata=run.metadata_lines
@@ -416,12 +416,13 @@ def stage_null(run: _Run) -> None:
             )
         summary = comparison.summary_payload()
         for objective in cfg["measure"]["modes"]:
-            path = nullmodels.greedy_shortest_path(theta, start=0, objective=objective)
-            values = surprise_values(theta[path], objective)
+            path = nullmodels.greedy_shortest_path(theta, start=0, objective=objective, d=d)
+            values = (d[path[:-1], path[1:]] if objective == "t2t"
+                      else surprise_values(theta[path], objective))
             summary[objective]["greedy_mean_bits"] = float(values.mean())
         run.write_json(f"null_k{k}_summary.json", {"modes": summary})
         ranks = nullmodels.rank_distribution(
-            theta, np.arange(len(order)), comparison.ensemble.permutations
+            theta, np.arange(len(order)), comparison.ensemble.permutations, d=d
         )
         run.write_json(f"null_k{k}_ranks.json", ranks.to_payload())
         shown = {m: round(v, 5) for m, v in comparison.p_value.items()}

@@ -79,23 +79,24 @@ def kl_divergence(q, p) -> float:
 def kl_divergence_rows(q_rows: np.ndarray, p_rows: np.ndarray) -> np.ndarray:
     """Row-wise KL divergence between two stacks of distributions.
 
-    `p_rows` may be a single vector, broadcast against every row of
-    `q_rows`.  Rows are assumed already validated.  Terms with q_i = 0
-    contribute nothing; q_i > 0 against p_i = 0 is an infinite
-    divergence and raises rather than clamping, because any upstream
-    smoothing should have prevented it.
+    The last axis holds the distributions and is reduced; `q_rows` and
+    `p_rows` broadcast against each other over any leading axes, so a
+    single vector `p_rows` serves every row of `q_rows`.  Rows are
+    assumed already validated.  Terms with q_i = 0 contribute nothing;
+    q_i > 0 against p_i = 0 is an infinite divergence and raises rather
+    than clamping, because any upstream smoothing should have prevented
+    it.
     """
     q = np.atleast_2d(np.asarray(q_rows, dtype=np.float64))
     p = np.atleast_2d(np.asarray(p_rows, dtype=np.float64))
-    p = np.broadcast_to(p, q.shape)
     support = q > 0
-    if np.any((p <= 0) & support):
+    if ((p <= 0) & support).any():
         raise NumericalDegeneracyError(
             "infinite divergence: q has mass where p has none"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(support, q * np.log2(np.where(support, q, 1.0) / p), 0.0)
-    return np.maximum(terms.sum(axis=1), 0.0)
+    return np.maximum(terms.sum(axis=-1), 0.0)
 
 
 def js_divergence(p, q) -> float:
@@ -225,10 +226,11 @@ def surprise_values(theta, mode: str = "t2t", window: int | None = None) -> np.n
     """Per-step KL surprise of the rows of `theta`, in bits.
 
     The one implementation behind every surprise series: `theta` is an
-    (n, k) stack of already validated distributions in reading order,
-    and entry j is the surprise of row j+1.  Past means are plain
-    cumulative means (one cumsum), renormalized to absorb accumulation
-    error; the t2n window sum is a difference of that cumsum.  See
+    (..., n, k) stack of already validated distributions in reading
+    order, and entry j of the last axis is the surprise of row j+1;
+    leading axes are separate orders.  Past means are plain cumulative
+    means (one cumsum), renormalized to absorb accumulation error; the
+    t2n window sum is a difference of that cumsum.  See
     :func:`surprise_series` for the modes.
     """
     if mode not in ("t2t", "t2p", "t2n"):
@@ -240,17 +242,17 @@ def surprise_values(theta, mode: str = "t2t", window: int | None = None) -> np.n
         raise ValueError(f"window is only meaningful for t2n, not {mode!r}")
     theta = np.asarray(theta, dtype=np.float64)
     if mode == "t2t":
-        return kl_divergence_rows(theta[1:], theta[:-1])
-    cums = np.cumsum(theta, axis=0)
-    sums = cums[:-1]
-    counts = np.arange(1, theta.shape[0], dtype=np.float64)
+        return kl_divergence_rows(theta[..., 1:, :], theta[..., :-1, :])
+    cums = np.cumsum(theta, axis=-2)
+    sums = cums[..., :-1, :]
+    counts = np.arange(1, theta.shape[-2], dtype=np.float64)
     if mode == "t2n":
         sums = sums.copy()
-        sums[window:] -= cums[: -1 - window]
+        sums[..., window:, :] -= cums[..., : -1 - window, :]
         counts = np.minimum(counts, window)
     past_means = sums / counts[:, None]
-    past_means = past_means / past_means.sum(axis=1, keepdims=True)
-    return kl_divergence_rows(theta[1:], past_means)
+    past_means = past_means / past_means.sum(axis=-1, keepdims=True)
+    return kl_divergence_rows(theta[..., 1:, :], past_means)
 
 
 def surprise_series(

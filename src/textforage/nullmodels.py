@@ -14,26 +14,36 @@ date, minus r.  A `ReadingOrder` computes this slot schedule once and
 checks feasibility there, before any draw; a permutation is then one
 `Generator.integers` call over the pool sizes, which yields the same
 stream as one call per slot, followed by swap-removal from the pool.
+Since every pool size is fixed by the schedule, a block of permutations
+is filled in lockstep, one array operation per slot.
 
 Also here: empirical one-sided p-values with add-one smoothing,
 cumulative surprise relative to the per-position null mean, the greedy
 nearest-neighbor reading path, and log-binned rank distributions of
 reading choices.
 
-Reading-choice ranks come from one divergence matrix per model: entry
-``[c, r]`` is KL(theta_r || theta_c), each row filled by one
-`kl_divergence_rows` call, so an order's ranks are pure indexing and
-the observed order and every null permutation share the same bits;
-each order costs one n x n gather of the matrix's rows.  The matrix is
-O(n^2) in memory (2.9 MB of float64 at 600 items).  A pair where
-theta_r has mass where theta_c has none is stored as infinite, and
-only a rank that reads such an entry raises `NumericalDegeneracyError`.
+The null layer reads one divergence matrix per model, `kl_matrix`:
+entry ``[c, r]`` is KL(theta_r || theta_c), filled by
+`kl_divergence_rows` in blocks of rows, so every reading of it has the
+bits of the series it stands for.  The t2t series of the actual order
+and of every permutation are ``d[order[:-1], order[1:]]``, and the
+greedy t2t path takes the first minimum of ``d[current, remaining]``;
+t2p series are measured in blocks of permutations by `surprise_values`.
+Reading-choice ranks compare per-row competition ranks of the matrix,
+built once (int16 while n < 2**15), so each order costs one n x n
+gather of small integers.  The matrix is O(n^2) in memory (2.9 MB of
+float64 at 600 items).  A pair where theta_r has mass where theta_c has
+none is stored as infinite, and only a series step, greedy step or rank
+that reads such an entry raises `NumericalDegeneracyError`.  Block
+temporaries hold about `BLOCK_NUMBERS` floats, which keeps peak memory
+flat.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,10 +63,20 @@ __all__ = [
     "NullComparison",
     "null_ensemble",
     "greedy_shortest_path",
+    "kl_matrix",
     "step_ranks",
     "RankDistribution",
     "rank_distribution",
 ]
+
+#: numbers per block: the float temporaries of one block of matrix rows
+#: or of permutations' series hold about this many (but at least one row
+#: or permutation), which keeps them under glibc's 128 KB mmap threshold,
+#: so they are reused from the heap instead of mapped afresh each block
+BLOCK_NUMBERS = 2**13
+#: pool items per block of permutations drawn in lockstep; a draw costs a
+#: few array operations per slot and block, so these blocks are wider
+DRAW_NUMBERS = 2**15
 
 
 class SlotSchedule(NamedTuple):
@@ -162,17 +182,30 @@ def constrained_permutation(order: ReadingOrder, seed_or_rng) -> np.ndarray:
     """
     schedule = order.schedule
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else rng_from(seed_or_rng)
-    picks = rng.integers(schedule.pool_sizes).tolist()
-    perm = [0] * len(order)
-    pool: list[int] = []
+    return _constrained_permutations(schedule, [rng])[0]
+
+
+def _constrained_permutations(schedule: SlotSchedule, rngs) -> np.ndarray:
+    """One `constrained_permutation` per generator, filled in lockstep.
+
+    Every permutation's pool holds the same number of items at every
+    slot, so one array operation per slot serves them all: column b of
+    `pool` is permutation b's pool, and a pick swaps the pool's last
+    item into its place.
+    """
+    picks = np.array([rng.integers(schedule.pool_sizes) for rng in rngs])
+    columns = np.arange(len(rngs))
+    items = np.asarray(schedule.items_by_pub, dtype=np.int64)
+    perms = np.empty((len(rngs), len(items)), dtype=np.int64)
+    pool = np.empty((len(items), len(rngs)), dtype=np.int64)
     added = 0
-    for slot, eligible, j in zip(schedule.slots, schedule.eligible, picks):
-        pool.extend(schedule.items_by_pub[added:eligible])
+    for r, (slot, eligible) in enumerate(zip(schedule.slots, schedule.eligible)):
+        pool[added - r : eligible - r] = items[added:eligible, None]
         added = eligible
-        perm[slot] = pool[j]
-        pool[j] = pool[-1]
-        pool.pop()
-    return np.asarray(perm, dtype=np.int64)
+        j = picks[:, r]
+        perms[:, slot] = pool[j, columns]
+        pool[j, columns] = pool[eligible - r - 1]
+    return perms
 
 
 @dataclass(frozen=True)
@@ -223,6 +256,7 @@ def null_ensemble(
     n: int,
     seed: int,
     modes: Sequence[str] = ("t2t", "t2p"),
+    d: np.ndarray | None = None,
 ) -> NullComparison:
     """Generate `n` constrained permutations and compare the actual order.
 
@@ -231,7 +265,9 @@ def null_ensemble(
     null permutation's mean surprise is at or below the actual mean,
     with add-one smoothing: p = (1 + #{null <= actual}) / (n + 1), so a
     p-value of exactly 0 is never reported.  cumulative_relative is the
-    running sum of (actual - null mean) per position.
+    running sum of (actual - null mean) per position.  t2t series are
+    read off `d`, the :func:`kl_matrix` of `dists` (built here when not
+    given); t2p series are measured in blocks of permutations.
     """
     if n < 1:
         raise ValueError("need at least one permutation")
@@ -241,19 +277,33 @@ def null_ensemble(
     theta = np.asarray(dists, dtype=np.float64)
     if theta.shape[0] != len(order):
         raise ValueError("dists and order are not aligned")
+    if d is None and "t2t" in modes:
+        d = kl_matrix(theta)
 
-    actual_series = {m: surprise_values(theta, m) for m in modes}
-    permutations = np.empty((n, len(order)), dtype=np.int64)
+    def series(orders: np.ndarray, mode: str) -> np.ndarray:
+        if mode == "t2p":
+            return surprise_values(theta[orders], "t2p")
+        return _t2t_values(d, orders[..., :-1], orders[..., 1:])
+
+    actual_series = {m: series(np.arange(len(order)), m) for m in modes}
+    schedule = order.schedule
+    per = max(1, DRAW_NUMBERS // len(order))
+    permutations = np.vstack([
+        _constrained_permutations(schedule, [
+            rng_from(derive_seed(seed, draw, "null")) for draw in range(start, min(start + per, n))
+        ])
+        for start in range(0, n, per)
+    ])
     per_perm_means = {m: np.empty(n) for m in modes}
     series_sums = {m: np.zeros(len(order) - 1) for m in modes}
-    for draw in range(n):
-        perm = constrained_permutation(order, rng_from(derive_seed(seed, draw, "null")))
-        permutations[draw] = perm
-        theta_perm = theta[perm]
+    step = max(1, BLOCK_NUMBERS // theta.size)
+    for start in range(0, n, step):
+        block = permutations[start : start + step]
         for m in modes:
-            values = surprise_values(theta_perm, m)
-            per_perm_means[m][draw] = values.mean()
-            series_sums[m] += values
+            values = series(block, m)
+            per_perm_means[m][start : start + step] = values.mean(axis=1)
+            for row in values:
+                series_sums[m] += row
 
     null_series = {m: series_sums[m] / n for m in modes}
     ensemble = NullEnsemble(
@@ -271,8 +321,8 @@ def null_ensemble(
     }
     ci = {
         m: (
-            float(np.percentile(per_perm_means[m], 2.5)),
-            float(np.percentile(per_perm_means[m], 97.5)),
+            float(_percentile(per_perm_means[m], 2.5)),
+            float(_percentile(per_perm_means[m], 97.5)),
         )
         for m in modes
     }
@@ -284,6 +334,30 @@ def null_ensemble(
         cumulative_relative=cumulative,
         null_ci=ci,
     )
+
+
+def _percentile(values: np.ndarray, q: float) -> np.ndarray:
+    """``np.percentile(values, q, axis=0)`` by numpy's default linear
+    method, bit for bit for values without NaN or -0.0 (numpy partitions
+    where this sorts, which may order -0.0 and 0.0 apart).
+
+    numpy's own call reaches `np.unique`, which imports `numpy.ma` on
+    first use (about 20 ms of a fresh process).
+    """
+    ordered = np.sort(values, axis=0)
+    last = ordered.shape[0] - 1
+    index = last * (q / 100)
+    if index >= last:  # numpy takes the last value, with gamma measured from -1
+        lo = hi = last
+        gamma = index + 1
+    else:
+        lo = math.floor(index)
+        hi = lo + 1
+        gamma = index - lo
+    diff = ordered[hi] - ordered[lo]
+    if gamma >= 0.5:
+        return ordered[hi] - diff * (1 - gamma)
+    return ordered[lo] + diff * gamma
 
 
 def ensemble_means_to_csv(comparison: NullComparison, path, metadata: Sequence[str] = ()) -> None:
@@ -333,14 +407,15 @@ def cumulative_relative_to_csv(
 
 
 def greedy_shortest_path(
-    dists: np.ndarray, start: int = 0, objective: str = "t2t"
+    dists: np.ndarray, start: int = 0, objective: str = "t2t", d: np.ndarray | None = None
 ) -> np.ndarray:
     """Nearest-neighbor traversal of the topic distributions.
 
     Starting from `start`, each step visits the unvisited item with the
-    smallest incremental surprise: KL from the current item (t2t) or
-    from the running mean of everything visited so far (t2p).  Ties
-    break to the lowest item index.  An approximation of the
+    smallest incremental surprise: KL from the current item (t2t, read
+    off `d`, the :func:`kl_matrix` of `dists`, built here when not
+    given) or from the running mean of everything visited so far (t2p).
+    Ties break to the lowest item index.  An approximation of the
     surprise-minimizing order, not an exact one.
     """
     if objective not in ("t2t", "t2p"):
@@ -349,56 +424,111 @@ def greedy_shortest_path(
     n = theta.shape[0]
     if not 0 <= start < n:
         raise ValueError(f"start {start} out of range")
-    remaining = [i for i in range(n) if i != start]
+    if objective == "t2t" and d is None:
+        d = kl_matrix(theta)
+    unvisited = np.ones(n, dtype=bool)
+    unvisited[start] = False
     path = [start]
     past_sum = theta[start].copy()
-    current = start
-    while remaining:
+    for _ in range(n - 1):
+        remaining = np.flatnonzero(unvisited)
         if objective == "t2t":
-            reference = theta[current]
+            costs = _t2t_values(d, path[-1], remaining)
         else:
             reference = past_sum / len(path)
-            reference = reference / reference.sum()
-        costs = kl_divergence_rows(theta[remaining], reference)
-        pick = int(np.argmin(costs))  # first minimum = lowest id, remaining is sorted
-        current = remaining.pop(pick)
+            costs = kl_divergence_rows(theta[remaining], reference / reference.sum())
+        current = int(remaining[np.argmin(costs)])  # first minimum = lowest id
+        unvisited[current] = False
         path.append(current)
         past_sum += theta[current]
     return np.asarray(path, dtype=np.int64)
 
 
-def _kl_matrix(theta: np.ndarray) -> np.ndarray:
+def kl_matrix(dists: np.ndarray) -> np.ndarray:
     """``d[c, r] = KL(theta_r || theta_c)``; infinite where theta_r has
-    mass outside theta_c's support."""
-    d = np.full((theta.shape[0], theta.shape[0]), np.inf)
-    for c, reference in enumerate(theta):
-        finite = ~np.any((theta > 0) & (reference <= 0), axis=1)
-        d[c, finite] = kl_divergence_rows(theta[finite], reference)
+    mass outside theta_c's support.
+
+    Built by `kl_divergence_rows` in blocks of rows; within a block a
+    pair with an infinite divergence is measured against theta_r itself
+    and then overwritten.
+    """
+    theta = np.asarray(dists, dtype=np.float64)
+    n = theta.shape[0]
+    d = np.empty((n, n))
+    step = max(1, BLOCK_NUMBERS // theta.size)
+    for start in range(0, n, step):
+        reference = theta[start : start + step, None, :]
+        infinite = np.any((theta > 0) & (reference <= 0), axis=-1)
+        if infinite.any():
+            reference = np.where(infinite[..., None], theta, reference)
+        d[start : start + step] = kl_divergence_rows(theta, reference)
+        d[start : start + step][infinite] = np.inf
     return d
 
 
-def _ranks_from_matrix(d: np.ndarray, order: Sequence[int]) -> np.ndarray:
-    """Competition ranks of an order's choices, read off `_kl_matrix`.
+def _t2t_values(d: np.ndarray, before, after) -> np.ndarray:
+    """t2t surprises ``d[before, after]``, raising where one is
+    infinite, as `kl_divergence_rows` would."""
+    values = d[before, after]
+    if np.isinf(values).any():
+        raise NumericalDegeneracyError("infinite divergence: q has mass where p has none")
+    return values
 
-    Row i of `costs` is the surprise of every item against the item
-    read at step i; its candidates are the items whose `position` in
-    the order exceeds i, those not yet read.
+
+class _RankTable(NamedTuple):
+    """One divergence matrix prepared for reading-choice ranks."""
+
+    d: np.ndarray
+    ranks: np.ndarray  # [c, r]: competition rank of d[c, r] within row c
+    inf_rows: np.ndarray  # bool per row of d: does it hold an infinity
+
+
+def _rank_table(d: np.ndarray) -> _RankTable:
+    """Per-row competition ranks of `d`, in int16 while they fit, from an
+    argsort in blocks of rows: equal divergences share a rank, so
+    comparing ranks is comparing divergences, and the order the sort
+    leaves ties in does not matter."""
+    n = d.shape[0]
+    ranks = np.empty((n, n), dtype=np.int16 if n < 2**15 else np.int32)
+    first = np.arange(1, n + 1)
+    step = max(1, BLOCK_NUMBERS // n)
+    for start in range(0, n, step):
+        rows = d[start : start + step]
+        by_value = np.argsort(rows, axis=1)
+        ordered = np.take_along_axis(rows, by_value, axis=1)
+        starts = np.ones(ordered.shape, dtype=bool)
+        starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        tied = np.maximum.accumulate(np.where(starts, first, 0), axis=1)
+        np.put_along_axis(ranks[start : start + step], by_value, tied, axis=1)
+    return _RankTable(d, ranks, np.isinf(d).any(axis=1))
+
+
+def _ranks_from_matrix(table: _RankTable, order: Sequence[int]) -> np.ndarray:
+    """Competition ranks of an order's choices, read off a rank table.
+
+    Row i of `costs` ranks every item against the item read at step i;
+    its candidates are the items whose `position` in the order exceeds
+    i, those not yet read.  A candidate at infinite divergence raises.
     """
     order = np.asarray(order, dtype=np.int64)
-    n = d.shape[0]
-    if sorted(order.tolist()) != list(range(n)):
+    n = table.d.shape[0]
+    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError("order must visit every item exactly once")
-    steps = np.arange(n - 1)
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-    costs = d[order[:-1]]
+    small = table.ranks.dtype  # holds every step, position and count
+    steps = np.arange(n - 1, dtype=small)
+    position = np.empty(n, dtype=small)
+    position[order] = np.arange(n, dtype=small)
+    current = order[:-1]
     unread = position > steps[:, None]
-    if costs.max(initial=0.0) == np.inf and np.isinf(costs[unread]).any():
+    risky = np.flatnonzero(table.inf_rows[current])
+    if risky.size and np.isinf(table.d[current[risky]])[unread[risky]].any():
         raise NumericalDegeneracyError(
             "infinite divergence: q has mass where p has none"
         )
+    costs = table.ranks[current]
     chosen = costs[steps, order[1:]]
-    return 1 + np.count_nonzero((costs < chosen[:, None]) & unread, axis=1)
+    nearer = np.add.reduce((costs < chosen[:, None]) & unread, axis=1, dtype=small)
+    return 1 + nearer.astype(np.int64)
 
 
 def step_ranks(dists: np.ndarray, order: Sequence[int]) -> np.ndarray:
@@ -411,7 +541,7 @@ def step_ranks(dists: np.ndarray, order: Sequence[int]) -> np.ndarray:
     docstring; raises `NumericalDegeneracyError` when a step's current
     item has no mass where a remaining candidate has some.
     """
-    return _ranks_from_matrix(_kl_matrix(np.asarray(dists, dtype=np.float64)), order)
+    return _ranks_from_matrix(_rank_table(kl_matrix(dists)), order)
 
 
 def _bin_masses(ranks: np.ndarray, n_bins: int) -> np.ndarray:
@@ -453,6 +583,7 @@ def rank_distribution(
     dists: np.ndarray,
     order: Sequence[int],
     null_permutations: np.ndarray | None = None,
+    d: np.ndarray | None = None,
 ) -> RankDistribution:
     """Distribution of reading-choice ranks, log-binned.
 
@@ -463,8 +594,8 @@ def rank_distribution(
     serves the observed order and every permutation; a rank that reads
     an infinite divergence raises `NumericalDegeneracyError`.
     """
-    d = _kl_matrix(np.asarray(dists, dtype=np.float64))
-    ranks = _ranks_from_matrix(d, order)
+    table = _rank_table(kl_matrix(dists) if d is None else d)
+    ranks = _ranks_from_matrix(table, order)
     max_rank = len(order) - 1
     n_bins = max_rank.bit_length()
     labels = tuple(
@@ -477,10 +608,10 @@ def rank_distribution(
         return RankDistribution(bin_labels=labels, observed_mass=observed)
 
     null_masses = np.vstack(
-        [_bin_masses(_ranks_from_matrix(d, perm), n_bins) for perm in null_permutations]
+        [_bin_masses(_ranks_from_matrix(table, perm), n_bins) for perm in null_permutations]
     )
     null_mean = null_masses.mean(axis=0)
-    ci = np.percentile(null_masses, [2.5, 97.5], axis=0).T
+    ci = np.stack([_percentile(null_masses, 2.5), _percentile(null_masses, 97.5)], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(null_mean > 0, observed / null_mean, np.inf)
         ratio = np.where((null_mean == 0) & (observed == 0), np.nan, ratio)

@@ -301,7 +301,9 @@ def _pam(dist: np.ndarray, k: int) -> np.ndarray:
     improved = True
     while improved:
         improved = False
-        others = np.setdiff1d(np.arange(len(dist)), medoids)
+        free = np.ones(len(dist), dtype=bool)
+        free[medoids] = False
+        others = np.flatnonzero(free)
         for mi in range(k):
             rest = medoids[:mi] + medoids[mi + 1 :]
             base = dist[:, rest].min(axis=1)
@@ -398,6 +400,19 @@ def cluster_ensemble(
     )
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-d array without NaN or -0.0, bit for bit.
+
+    numpy's own call imports `numpy.ma` on first use (about 20 ms of a
+    fresh process).
+    """
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def _cluster_info(
     ensemble: SampleEnsemble, label: int, assignments: np.ndarray, medoid: int
 ) -> ClusterInfo:
@@ -409,5 +424,5 @@ def _cluster_info(
         size=int(members.size),
         medoid_index=medoid,
         perplexity_mean=float(perp.mean()),
-        perplexity_median=float(np.median(perp)),
+        perplexity_median=_median(perp),
     )

@@ -102,6 +102,61 @@ def reference_constrained_permutation(order, rng):
     return perm
 
 
+def reference_null_ensemble(order, dists, n, seed, modes=("t2t", "t2p")):
+    """`nullmodels.null_ensemble` one permutation at a time, each drawn by
+    `reference_constrained_permutation`, each series measured by
+    `surprise_values`, the CI by `np.percentile`."""
+    from textforage.measures import surprise_values
+    from textforage.nullmodels import NullComparison, NullEnsemble
+    from textforage.seeds import derive_seed, rng_from
+
+    theta = np.asarray(dists, dtype=np.float64)
+    actual_series = {m: surprise_values(theta, m) for m in modes}
+    permutations = np.empty((n, len(order)), dtype=np.int64)
+    per_perm_means = {m: np.empty(n) for m in modes}
+    series_sums = {m: np.zeros(len(order) - 1) for m in modes}
+    for draw in range(n):
+        perm = reference_constrained_permutation(order, rng_from(derive_seed(seed, draw, "null")))
+        permutations[draw] = perm
+        for m in modes:
+            values = surprise_values(theta[perm], m)
+            per_perm_means[m][draw] = values.mean()
+            series_sums[m] += values
+    null_series = {m: series_sums[m] / n for m in modes}
+    return NullComparison(
+        ensemble=NullEnsemble(permutations, per_perm_means, null_series, seed),
+        actual_mean={m: float(actual_series[m].mean()) for m in modes},
+        actual_series=actual_series,
+        p_value={m: float((1 + np.sum(per_perm_means[m] <= actual_series[m].mean())) / (n + 1))
+                 for m in modes},
+        cumulative_relative={m: np.cumsum(actual_series[m] - null_series[m]) for m in modes},
+        null_ci={m: (float(np.percentile(per_perm_means[m], 2.5)),
+                     float(np.percentile(per_perm_means[m], 97.5))) for m in modes},
+    )
+
+
+def reference_greedy_path(theta, start, objective):
+    """`nullmodels.greedy_shortest_path` over a list of remaining items,
+    one `kl_divergence_rows` call per step."""
+    from textforage.measures import kl_divergence_rows
+
+    remaining = [i for i in range(len(theta)) if i != start]
+    path = [start]
+    past_sum = theta[start].copy()
+    current = start
+    while remaining:
+        if objective == "t2t":
+            reference = theta[current]
+        else:
+            reference = past_sum / len(path)
+            reference = reference / reference.sum()
+        costs = kl_divergence_rows(theta[remaining], reference)
+        current = remaining.pop(int(np.argmin(costs)))
+        path.append(current)
+        past_sum += theta[current]
+    return np.asarray(path, dtype=np.int64)
+
+
 def reference_step_ranks(theta, order):
     """Reading-choice ranks by one KL row block per step."""
     from textforage.measures import kl_divergence_rows

@@ -345,14 +345,17 @@ class TestTrainReport:
         )
 
 
-SCIPY_MODULES = ("import json, sys\n"
-                 "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+PIPELINE = ("import sys\nfrom textforage import cli\n"
+            "assert cli.main(['pipeline', '--config', sys.argv[1]]) == 0")
 
 
-def scipy_modules_after(script, *args):
-    """The `scipy` modules a fresh interpreter has loaded after `script`."""
+def modules_after(package, script, *args):
+    """The modules of `package` (it and its submodules) that a fresh
+    interpreter has loaded after `script`."""
+    listing = ("import json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
+               f"if m == {package!r} or m.startswith({package + '.'!r}))))")
     env = dict(os.environ, PYTHONPATH=str(Path(textforage.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", f"{script}\n{SCIPY_MODULES}", *args],
+    done = subprocess.run([sys.executable, "-c", f"{script}\n{listing}", *args],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -361,22 +364,19 @@ def scipy_modules_after(script, *args):
 class TestScipyImport:
     """scipy adds about 0.24 s to start-up; only `adversarial` needs it."""
 
-    PIPELINE = ("import sys\nfrom textforage import cli\n"
-                "assert cli.main(['pipeline', '--config', sys.argv[1]]) == 0")
-
     def test_import_loads_no_scipy(self):
-        assert scipy_modules_after("import textforage.cli") == []
+        assert modules_after("scipy", "import textforage.cli") == []
 
     def test_basic_pipeline_loads_no_scipy(self, tmp_path):
         config = small_pipeline(tmp_path, training={"ks": [2, 3], "iterations": 20},
                                 compare={"strategy": "basic"})
-        assert scipy_modules_after(self.PIPELINE, config) == []
+        assert modules_after("scipy", PIPELINE, config) == []
         assert (tmp_path / "out" / "compare_k2_vs_k3.json").is_file()
 
     def test_adversarial_pipeline_gives_the_exact_optimum(self, tmp_path):
         config = small_pipeline(tmp_path, training={"ks": [2, 3], "iterations": 20},
                                 compare={"strategy": "adversarial"})
-        assert "scipy.optimize" in scipy_modules_after(self.PIPELINE, config)
+        assert "scipy.optimize" in modules_after("scipy", PIPELINE, config)
         out = tmp_path / "out"
         corpus = Corpus.load(out / "corpus.json")
         phi = [lda.estimate_distributions(
@@ -391,6 +391,22 @@ class TestScipyImport:
         report = json.loads((out / "compare_k2_vs_k3.json").read_text())
         assert report["strategy"] == "adversarial"
         assert report["total_distance"] == pytest.approx(optimum, abs=1e-12)
+
+
+class TestNumpyMaImport:
+    """`numpy.ma` costs about 20 ms of a fresh process, and `np.percentile`,
+    `np.median` and `np.setdiff1d` import it on first use."""
+
+    def test_pipeline_with_fit_loads_no_numpy_ma(self, tmp_path):
+        config = small_pipeline(
+            tmp_path, training={"ks": [2, 3], "iterations": 20},
+            fit={"documents": ["query_0.txt"], "samples": 8, "iterations": 5,
+                 "cluster_range": [2, 4]},
+        )
+        assert modules_after("numpy.ma", PIPELINE, config) == []
+        out = tmp_path / "out"
+        assert (out / "null_k2_ranks.json").is_file()
+        assert (out / "fit_query_0_k2_clusters.json").is_file()
 
 
 class TestFitConfig:
@@ -523,6 +539,19 @@ class TestConfigValidation:
         path.write_text(yaml.safe_dump(config))
         with pytest.raises(ConfigError, match="field 'threads' must be >= 1"):
             cli.load_config(path, overrides={"threads": threads})
+
+    @pytest.mark.parametrize("field", [
+        "seed", "threads", "training.alpha", "training.iterations", "fit.iterations",
+        "null_model.permutations",
+    ])
+    def test_boolean_for_a_number_is_named(self, tmp_path, capsys, field):
+        config = {"manifest": "m.jsonl", "output_dir": "o", "seed": 1}
+        section, _, name = field.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[name] = True
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run_cli("pipeline", "--config", str(path)) == 1
+        assert f"field '{field}' has wrong type" in capsys.readouterr().err
 
 
 class TestOutputDirectory:

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from textforage import nullmodels
@@ -25,6 +26,8 @@ from conftest import (
     random_distributions,
     reading_rows,
     reference_constrained_permutation,
+    reference_greedy_path,
+    reference_null_ensemble,
     reference_rank_payload,
     reference_step_ranks,
 )
@@ -396,3 +399,84 @@ def test_bin_masses_follow_bit_length():
     for r in ranks.tolist():
         counts[r.bit_length() - 1] += 1
     npt.assert_array_equal(nullmodels._bin_masses(ranks, 11), counts / ranks.size)
+
+
+@st.composite
+def null_cases(draw):
+    """Rows whose zeros make some t2t and t2p steps infinite, and an
+    order over them on a few days, published up to 8 days before its
+    slot (rarely 2 after it, which can make the order infeasible)."""
+    theta = draw(reading_rows())
+    n = len(theta)
+    slot_days = sorted(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+    lags = draw(st.lists(st.one_of(st.integers(0, 8), st.integers(-2, 8)),
+                         min_size=n, max_size=n))
+    return theta, order_from_days([d - lag for d, lag in zip(slot_days, lags)], slot_days)
+
+
+def _null_outcome(f, *args, **kwargs):
+    """Every number a null comparison reports, as bytes, or the error."""
+    try:
+        c = f(*args, **kwargs)
+    except (NumericalDegeneracyError, ValueError) as exc:
+        return type(exc), str(exc)
+    return c.ensemble.permutations.tobytes(), {
+        m: [np.asarray(x).tobytes() for x in (
+            c.actual_series[m], c.actual_mean[m], c.ensemble.mean_by_mode[m],
+            c.ensemble.null_series_by_mode[m], c.p_value[m], c.null_ci[m],
+            c.cumulative_relative[m])]
+        for m in c.actual_mean
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=null_cases(), n=st.integers(1, 7), per_block=st.integers(1, 3),
+       modes=st.sampled_from([("t2t", "t2p"), ("t2t",), ("t2p",)]),
+       seed=st.integers(0, 2**64 - 1))
+def test_blocked_null_matches_the_per_permutation_reference(case, n, per_block, modes, seed):
+    theta, order = case
+    want = _null_outcome(reference_null_ensemble, order, theta, n, seed, modes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nullmodels, "BLOCK_NUMBERS", per_block * theta.size)
+        patch.setattr(nullmodels, "DRAW_NUMBERS", per_block * len(theta))
+        assert _null_outcome(null_ensemble, order, theta, n, seed, modes) == want
+        d = nullmodels.kl_matrix(theta)
+        assert _null_outcome(null_ensemble, order, theta, n, seed, modes, d=d) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=reading_rows(), data=st.data())
+def test_greedy_path_matches_the_list_reference(theta, data):
+    start = data.draw(st.integers(0, len(theta) - 1))
+    for objective in ("t2t", "t2p"):
+        want = _outcome(reference_greedy_path, theta, start, objective)
+        for d in (None, nullmodels.kl_matrix(theta)):
+            got = _outcome(greedy_shortest_path, theta, start, objective, d)
+            if want is NumericalDegeneracyError:
+                assert got is NumericalDegeneracyError
+            else:
+                npt.assert_array_equal(got, want)
+
+
+@st.composite
+def percentile_inputs(draw):
+    """1-d or 2-d float arrays of few distinct values, so ties are
+    common; infinities make numpy's interpolation give NaN.  Zeros are
+    +0.0 (adding 0.0 turns -0.0 into it): numpy partitions where
+    `_percentile` sorts, and the two may order -0.0 and 0.0 apart."""
+    elements = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 1.0, np.inf, -np.inf]),
+                         st.floats(allow_nan=False).map(lambda x: x + 0.0))
+    rows = draw(st.integers(1, 30))
+    cols = draw(st.sampled_from([None, 1, 3]))
+    return draw(hnp.arrays(np.float64, rows if cols is None else (rows, cols),
+                           elements=elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=percentile_inputs(), q=st.sampled_from([2.5, 97.5, 0.0, 50.0, 100.0]))
+@example(values=np.array([-0.0]), q=2.5)  # at the last value numpy's gamma is index + 1
+def test_percentile_is_numpys_bit_for_bit(values, q):
+    with np.errstate(invalid="ignore"):
+        got = nullmodels._percentile(values, q)
+        want = np.percentile(values, q, axis=0)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

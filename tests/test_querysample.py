@@ -364,3 +364,12 @@ def test_pam_and_silhouette_match_the_loop_reference(thetas, k, data):
     assert float_bits(querysample._silhouette_mean(dist, labels)) == float_bits(
         reference_silhouette_mean(dist, labels)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from([1.0, 2.5, 7.0]),
+                                 st.floats(0, 1e300, exclude_min=True)),
+                       min_size=1, max_size=12))
+def test_median_is_numpys_bit_for_bit(values):
+    values = np.array(values)
+    assert np.float64(querysample._median(values)).tobytes() == np.median(values).tobytes()
