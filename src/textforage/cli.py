@@ -12,6 +12,10 @@ Subcommands chain file artifacts through an output directory:
     pipeline runs all of the above in order
     fixture writes a synthetic corpus + config for smoke testing
 
+`pipeline` still writes every artifact, but hands the corpus, models and
+series to the later stages in memory; a stage run on its own loads and
+checks each artifact it reads.
+
 Every artifact embeds the tool version, the SHA-256 of the resolved
 configuration, and the master seed, so identical (config, seed) runs
 are byte-identical.  Exit codes: 0 success, 1 configuration error,
@@ -203,7 +207,14 @@ def config_hash(cfg: dict) -> str:
 
 
 class _Run:
-    """Shared state for one invocation: resolved config and metadata."""
+    """Shared state for one invocation: resolved config, metadata, and
+    the products it has written or read.
+
+    A stage reads the corpus, a model or a series through `corpus`,
+    `model` and `series`.  What an earlier stage of the same invocation
+    wrote (`keep`) is handed over as it is; anything else is loaded from
+    its artifact and checked, then kept.
+    """
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
@@ -211,6 +222,25 @@ class _Run:
         self.out.mkdir(parents=True, exist_ok=True)
         self.hash = cfg["config_sha256"]
         self.seed = cfg["seed"]
+        self._kept: dict[str, object] = {}
+
+    def keep(self, name: str, product) -> None:
+        """Hand `product`, just written as artifact `name`, to later stages."""
+        self._kept[name] = product
+
+    def _product(self, name: str, load):
+        if name not in self._kept:
+            self._kept[name] = load()
+        return self._kept[name]
+
+    def corpus(self) -> Corpus:
+        return self._product("corpus.json", lambda: _load_corpus(self))
+
+    def model(self, k: int) -> lda.TopicModel:
+        return self._product(f"model_k{k}.json", lambda: _load_model(self, k))
+
+    def series(self, k: int, mode: str) -> np.ndarray:
+        return self._product(f"series_k{k}_{mode}.csv", lambda: _load_series(self, k, mode))
 
     @property
     def metadata_lines(self) -> list[str]:
@@ -269,6 +299,7 @@ def stage_prepare(run: _Run) -> None:
     for doc_id in corpus.skipped_empty:
         print(f"warning: {doc_id}: empty after encoding; excluded", file=sys.stderr)
     corpus.save(run.out / "corpus.json", metadata=run.metadata_dict())
+    run.keep("corpus.json", corpus)
     run.write_json(
         "prepare_summary.json",
         {
@@ -306,7 +337,8 @@ def _training_config(run: _Run, k: int) -> lda.TrainingConfig:
     )
 
 
-def _load_model(run: _Run, k: int, corpus: Corpus) -> lda.TopicModel:
+def _load_model(run: _Run, k: int) -> lda.TopicModel:
+    corpus = run.corpus()
     path = run.artifact(f"model_k{k}.json", "train")
     try:
         model = lda.TopicModel.load(path, corpus.vocabulary)
@@ -344,33 +376,65 @@ def _convergence(trace: list[float]) -> str:
 
 def stage_train(run: _Run) -> None:
     cfg = run.cfg
-    corpus = _load_corpus(run)
+    corpus = run.corpus()
     print(f"train: Gibbs backend {lda.gibbs_backend()}", file=sys.stderr)
     for k in cfg["training"]["ks"]:
         model = lda.train(corpus, _training_config(run, k))
         model.check_invariants()
         model.save(run.out / f"model_k{k}.json", metadata=run.metadata_dict())
+        run.keep(f"model_k{k}.json", model)
         print(f"trained k={k}: {_convergence(model.log_likelihood_trace)}"
               if model.log_likelihood_trace else f"trained k={k} (0 sweeps)")
 
 
 def stage_measure(run: _Run) -> None:
     cfg = run.cfg
-    corpus = _load_corpus(run)
-    item_ids = [d.spec.id for d in corpus.in_reading_order()]
+    item_ids = [d.spec.id for d in run.corpus().in_reading_order()]
     for k in cfg["training"]["ks"]:
-        model = _load_model(run, k, corpus)
-        theta, _ = lda.estimate_distributions(model, smoothing=cfg["measure"]["smoothing"])
+        theta, _ = lda.estimate_distributions(run.model(k),
+                                              smoothing=cfg["measure"]["smoothing"])
         for mode in cfg["measure"]["modes"]:
             series = surprise_series(theta, mode=mode, item_ids=item_ids)
-            series.to_csv(run.out / f"series_k{k}_{mode}.csv", metadata=run.metadata_lines)
+            name = f"series_k{k}_{mode}.csv"
+            series.to_csv(run.out / name, metadata=run.metadata_lines)
+            run.keep(name, series.values)
         print(f"measured k={k}: {len(item_ids) - 1} steps per mode")
 
 
 def _read_series_csv(path: Path) -> np.ndarray:
+    """The `bits` column of a series file; MissingArtifactError, naming
+    the file, for a missing column or a value that is not a finite
+    number."""
     with open(path, newline="") as fh:
         rows = csv.DictReader(line for line in fh if not line.startswith("#"))
-        return np.asarray([float(row["bits"]) for row in rows])
+        if "bits" not in (rows.fieldnames or ()):
+            raise MissingArtifactError(f"{path.name} has no `bits` column: rerun `measure`")
+        try:
+            values = np.asarray([float(row["bits"]) for row in rows])
+        except (TypeError, ValueError) as exc:
+            raise MissingArtifactError(
+                f"{path.name} is corrupt ({exc}): rerun `measure`"
+            ) from exc
+    if not np.isfinite(values).all():
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise MissingArtifactError(
+            f"{path.name} is corrupt (bits {float(values[bad])} in data row {bad + 1}): "
+            "rerun `measure`"
+        )
+    return values
+
+
+def _load_series(run: _Run, k: int, mode: str) -> np.ndarray:
+    """Series file (k, mode), checked to hold one step per pair of
+    consecutive documents of the corpus."""
+    steps = run.corpus().n_documents - 1
+    path = run.artifact(f"series_k{k}_{mode}.csv", "measure")
+    values = _read_series_csv(path)
+    if values.size != steps:
+        raise MissingArtifactError(
+            f"{path.name} has {values.size} steps, the corpus gives {steps}: rerun `measure`"
+        )
+    return values
 
 
 def _reading_order(run: _Run, corpus: Corpus) -> ReadingOrder:
@@ -392,15 +456,14 @@ def _reading_order(run: _Run, corpus: Corpus) -> ReadingOrder:
 
 def stage_null(run: _Run) -> None:
     cfg = run.cfg
-    corpus = _load_corpus(run)
-    order = _reading_order(run, corpus)
+    order = _reading_order(run, run.corpus())
     item_ids = list(order.item_ids)
     n = cfg["null_model"]["permutations"]
     for k in cfg["training"]["ks"]:
         for mode in cfg["measure"]["modes"]:
             run.artifact(f"series_k{k}_{mode}.csv", "measure")
-        model = _load_model(run, k, corpus)
-        theta, _ = lda.estimate_distributions(model, smoothing=cfg["measure"]["smoothing"])
+        theta, _ = lda.estimate_distributions(run.model(k),
+                                              smoothing=cfg["measure"]["smoothing"])
         d = nullmodels.kl_matrix(theta)
         comparison = nullmodels.null_ensemble(
             order, theta, n=n, seed=derive_seed(run.seed, k, "null"),
@@ -431,14 +494,12 @@ def stage_null(run: _Run) -> None:
 
 def stage_epochs(run: _Run) -> None:
     cfg = run.cfg
-    corpus = _load_corpus(run)
-    docs = corpus.in_reading_order()
+    docs = run.corpus().in_reading_order()
     labels = [str(d.spec.read_date) if d.spec.read_date else str(i)
               for i, d in enumerate(docs)][1:]
     for k in cfg["training"]["ks"]:
         for mode in cfg["measure"]["modes"]:
-            path = run.artifact(f"series_k{k}_{mode}.csv", "measure")
-            values = _read_series_csv(path)
+            values = run.series(k, mode)
             try:
                 scores = epochs.select_model(
                     values,
@@ -462,9 +523,8 @@ def stage_fit(run: _Run) -> None:
     if not cfg["fit"]["documents"]:
         print("fit: no documents configured; skipping")
         return
-    corpus = _load_corpus(run)
     k = cfg["training"]["ks"][0]
-    model = _load_model(run, k, corpus)
+    model = run.model(k)
     print(f"fit: Gibbs backend {lda.gibbs_backend()}", file=sys.stderr)
     tok_cfg = TokenizerConfig(**cfg["tokenizer"])
     lo, hi = cfg["fit"]["cluster_range"]
@@ -513,15 +573,12 @@ def stage_compare(run: _Run) -> None:
     ks = cfg["training"]["ks"]
     if len(ks) < 2:
         raise ConfigError("training.ks: compare needs at least two trained models")
-    corpus = _load_corpus(run)
-    terms = list(corpus.vocabulary.id_to_term)
+    terms = list(run.corpus().vocabulary.id_to_term)
     for k_a, k_b in zip(ks, ks[1:]):
         if k_a > k_b:
             k_a, k_b = k_b, k_a
-        model_a = _load_model(run, k_a, corpus)
-        model_b = _load_model(run, k_b, corpus)
-        _, phi_a = lda.estimate_distributions(model_a, smoothing=True)
-        _, phi_b = lda.estimate_distributions(model_b, smoothing=True)
+        _, phi_a = lda.estimate_distributions(run.model(k_a), smoothing=True)
+        _, phi_b = lda.estimate_distributions(run.model(k_b), smoothing=True)
         merged_a, merged_b, _ = modelcompare.merge_vocabulary(
             phi_a, terms, phi_b, terms, strategy=cfg["compare"]["merge"]
         )

@@ -36,6 +36,9 @@ __all__ = [
 DEFAULT_MIN_LEN = 10
 DEFAULT_VAR_FLOOR = 1e-9
 VARIANCE_MODES = ("mle", "legacy")
+# entries per block of the epoch DP's float temporaries (64 KB, under
+# glibc's 128 KB mmap threshold, so blocks reuse heap memory)
+_BLOCK = 2**13
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -142,31 +145,64 @@ class EpochModel:
 def _cost_matrix(
     x: np.ndarray, min_len: int, variance_mode: str, var_floor: float
 ) -> np.ndarray:
-    """cost[i, j] = max log-likelihood of segment x[i:j] (j - i >= min_len).
+    """cost[j, i] = max log-likelihood of segment x[i:j] (j - i >= min_len),
+    -inf elsewhere; one row per segment end.
 
     The series is centered on its global mean before the prefix sums:
     segment variances are shift-invariant and the segmentation is
-    location-equivariant, so this only improves conditioning.
+    location-equivariant, so this only improves conditioning.  Rows are
+    filled in blocks of at most `_BLOCK` entries, each entry by the
+    same elementwise expression as one segment at a time.
     """
     n = x.size
     centered = x - x.mean()
     s = np.concatenate([[0.0], np.cumsum(centered)])
     q = np.concatenate([[0.0], np.cumsum(centered**2)])
     cost = np.full((n + 1, n + 1), -np.inf)
-    for i in range(n + 1 - min_len):
-        j = np.arange(i + min_len, n + 1)
-        m = (j - i).astype(np.float64)
-        seg_sum = s[j] - s[i]
-        seg_sq = q[j] - q[i]
+    step = max(_BLOCK // (n + 1), 1)
+    for lo in range(min_len, n + 1, step):
+        hi = min(lo + step, n + 1)
+        starts = hi - min_len  # every start some end in lo:hi can take
+        m = (np.arange(lo, hi)[:, None] - np.arange(starts)).astype(np.float64)
+        seg_sum = s[lo:hi, None] - s[:starts]
+        seg_sq = q[lo:hi, None] - q[:starts]
         if variance_mode == "mle":
             denom, weight = m, m / 2.0
         else:
             denom, weight = m - 1.0, (m - 1.0) / 2.0
-        mu = seg_sum / denom
-        var = (seg_sq - 2.0 * mu * seg_sum + m * mu**2) / denom
-        var = np.maximum(var, var_floor)
-        cost[i, i + min_len :] = -weight * (1.0 + _LOG_2PI + np.log(var))
+        # segments shorter than min_len, masked out below, may divide by 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu = seg_sum / denom
+            var = (seg_sq - 2.0 * mu * seg_sum + m * mu**2) / denom
+            var = np.maximum(var, var_floor)
+            loglik = -weight * (1.0 + _LOG_2PI + np.log(var))
+        cost[lo:hi, :starts] = np.where(m >= min_len, loglik, -np.inf)
     return cost
+
+
+def _boundary_dp(cost: np.ndarray, most: int, min_len: int) -> np.ndarray:
+    """back[e, j]: where the last of e epochs starts in the best cover of
+    x[:j] by e = 2..most epochs, from `_cost_matrix`'s rows.
+
+    Ends are taken in blocks of at most `_BLOCK` candidates.  Starts
+    before the first feasible one are cut off, and those too close to
+    the end hold -inf, so each row's first maximum is the earliest best
+    boundary.
+    """
+    n = cost.shape[0] - 1
+    # dp[e][j]: best log-likelihood covering x[:j] with e epochs
+    dp = np.full((most + 1, n + 1), -np.inf)
+    back = np.zeros((most + 1, n + 1), dtype=np.int64)
+    dp[1] = cost[:, 0]
+    for e in range(2, most + 1):
+        lo = (e - 1) * min_len
+        step = max(_BLOCK // (n + 1 - lo), 1)
+        for j in range(e * min_len, n + 1, step):
+            candidates = dp[e - 1, lo:] + cost[j : j + step, lo:]
+            best = np.argmax(candidates, axis=1)
+            dp[e, j : j + step] = candidates[np.arange(best.size), best]
+            back[e, j : j + step] = lo + best
+    return back
 
 
 def fit_epochs(
@@ -206,21 +242,8 @@ def _fit_counts(
                 f"series of length {x.size} cannot hold {n_epochs} epochs "
                 f"of >= {min_len} positions"
             )
-    cost = _cost_matrix(x, min_len, variance_mode, var_floor)
     n = x.size
-    most = max(counts)
-
-    # dp[e][j]: best log-likelihood covering x[:j] with e epochs
-    dp = np.full((most + 1, n + 1), -np.inf)
-    back = np.zeros((most + 1, n + 1), dtype=np.int64)
-    dp[1] = cost[0]
-    for e in range(2, most + 1):
-        lo = (e - 1) * min_len
-        for j in range(e * min_len, n + 1):
-            candidates = dp[e - 1, lo : j - min_len + 1] + cost[lo : j - min_len + 1, j]
-            best = int(np.argmax(candidates))  # first max -> earliest boundary
-            dp[e, j] = candidates[best]
-            back[e, j] = lo + best
+    back = _boundary_dp(_cost_matrix(x, min_len, variance_mode, var_floor), max(counts), min_len)
 
     models = []
     for n_epochs in counts:

@@ -335,3 +335,46 @@ def reference_sample_ensemble(model, tokens, n_samples, iterations, phi_mode, ma
                                    derive_seed(master_seed, i, "ensemble"))
             for i in range(n_samples)]
     return np.vstack([f[0] for f in fits]), np.array([f[1] for f in fits])
+
+
+def reference_cost_matrix(x, min_len, variance_mode, var_floor):
+    """`epochs._cost_matrix` one segment start at a time, laid out
+    cost[start, end] (the transpose of the one `_cost_matrix` returns)."""
+    from textforage.epochs import _LOG_2PI
+
+    n = x.size
+    centered = x - x.mean()
+    s = np.concatenate([[0.0], np.cumsum(centered)])
+    q = np.concatenate([[0.0], np.cumsum(centered**2)])
+    cost = np.full((n + 1, n + 1), -np.inf)
+    for i in range(n + 1 - min_len):
+        j = np.arange(i + min_len, n + 1)
+        m = (j - i).astype(np.float64)
+        seg_sum = s[j] - s[i]
+        seg_sq = q[j] - q[i]
+        if variance_mode == "mle":
+            denom, weight = m, m / 2.0
+        else:
+            denom, weight = m - 1.0, (m - 1.0) / 2.0
+        mu = seg_sum / denom
+        var = (seg_sq - 2.0 * mu * seg_sum + m * mu**2) / denom
+        var = np.maximum(var, var_floor)
+        cost[i, i + min_len :] = -weight * (1.0 + _LOG_2PI + np.log(var))
+    return cost
+
+
+def reference_boundary_dp(cost, most, min_len):
+    """`epochs._boundary_dp` one segment end at a time, over the
+    cost[start, end] layout of `reference_cost_matrix`."""
+    n = cost.shape[0] - 1
+    dp = np.full((most + 1, n + 1), -np.inf)
+    back = np.zeros((most + 1, n + 1), dtype=np.int64)
+    dp[1] = cost[0]
+    for e in range(2, most + 1):
+        lo = (e - 1) * min_len
+        for j in range(e * min_len, n + 1):
+            candidates = dp[e - 1, lo : j - min_len + 1] + cost[lo : j - min_len + 1, j]
+            best = int(np.argmax(candidates))  # first max -> earliest boundary
+            dp[e, j] = candidates[best]
+            back[e, j] = lo + best
+    return back

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import filecmp
 import hashlib
@@ -325,6 +326,105 @@ class TestStaleArtifacts:
         assert run_cli("train", "--config", config) == 2
         err = capsys.readouterr().err
         assert "corpus.json" in err and "`prepare`" in err
+
+
+class TestCorruptSeries:
+    """`epochs` reads the series `measure` wrote; a damaged one exits 2."""
+
+    @pytest.mark.parametrize("tamper, named", [
+        ("no-bits-column", "no `bits` column"),
+        ("non-numeric", "could not convert string to float: 'abc'"),
+        ("nan", "bits nan in data row 3"),
+        ("inf", "bits -inf in data row 3"),
+        ("missing-row", "has 18 steps, the corpus gives 19"),
+        ("extra-row", "has 20 steps, the corpus gives 19"),
+    ], ids=["no-bits-column", "non-numeric", "nan", "inf", "missing-row", "extra-row"])
+    def test_corrupt_series_names_the_file(self, tmp_path, capsys, tamper, named):
+        config = small_pipeline(tmp_path)
+        for stage in ("prepare", "train", "measure"):
+            assert run_cli(stage, "--config", config) == 0
+        path = tmp_path / "out" / "series_k2_t2t.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        if tamper == "no-bits-column":
+            lines[header] = lines[header].replace("bits", "bit")
+        elif tamper == "missing-row":
+            lines.pop()
+        elif tamper == "extra-row":
+            lines.append(lines[-1])
+        else:
+            value = {"non-numeric": "abc", "nan": "nan", "inf": "-inf"}[tamper]
+            row = lines[header + 3]
+            lines[header + 3] = row[: row.rindex(",") + 1] + value + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run_cli("epochs", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "series_k2_t2t.csv" in err and named in err and "`measure`" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "out").glob("epochs_*"))
+
+
+STAGE_ORDER = ("prepare", "train", "measure", "null", "epochs", "fit", "compare")
+
+
+def run_captured(*args):
+    """`run_cli(*args)` with what it prints: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(*args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    _, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert mismatch == [] and errors == []
+
+
+@pytest.fixture(scope="module")
+def staged_fixture(tmp_path_factory):
+    """The `textforage fixture` corpus and config (two ks, `fit` and
+    `compare`), run one stage per invocation at --threads 1 and 2:
+    config path and, per thread count, the output directory and the
+    concatenated stdout and stderr."""
+    root = tmp_path_factory.mktemp("staged")
+    assert run_cli("fixture", "--out", str(root / "fx")) == 0
+    config = str(root / "fx" / "config.yaml")
+    runs = {}
+    for threads in ("1", "2"):
+        out = root / f"stages_t{threads}"
+        printed = [run_captured(stage, "--config", config, "--out", str(out),
+                                "--threads", threads) for stage in STAGE_ORDER]
+        assert [code for code, _, _ in printed] == [0] * len(STAGE_ORDER)
+        runs[threads] = (out, "".join(o for _, o, _ in printed),
+                         "".join(e for _, _, e in printed))
+    return config, runs
+
+
+class TestPipelineHandsProductsForward:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_pipeline_is_the_stages_one_at_a_time(self, staged_fixture, tmp_path, threads):
+        config, runs = staged_fixture
+        out, stdout, stderr = runs[threads]
+        result = run_captured("pipeline", "--config", config, "--out", str(tmp_path / "p"),
+                              "--threads", threads)
+        assert result == (0, stdout, stderr)
+        assert_same_files(out, tmp_path / "p")
+
+    def test_pipeline_reads_nothing_back(self, staged_fixture, tmp_path, monkeypatch):
+        # a standalone stage still loads and checks every artifact it
+        # reads (TestStaleArtifacts); a pipeline reads none of them
+        def read_back(*args, **kwargs):
+            raise AssertionError("pipeline read an artifact back")
+
+        monkeypatch.setattr(Corpus, "load", read_back)
+        monkeypatch.setattr(lda.TopicModel, "load", read_back)
+        monkeypatch.setattr(cli, "_read_series_csv", read_back)
+        config, runs = staged_fixture
+        assert run_cli("pipeline", "--config", config, "--out", str(tmp_path / "p")) == 0
+        assert_same_files(runs["1"][0], tmp_path / "p")
 
 
 class TestTrainReport:

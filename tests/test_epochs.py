@@ -1,9 +1,12 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from textforage import epochs
 from textforage.epochs import (
@@ -14,6 +17,8 @@ from textforage.epochs import (
     segment_loglik,
     select_model,
 )
+
+from conftest import reference_boundary_dp, reference_cost_matrix
 
 
 def brute_force_fit(values, n_epochs, min_len, variance_mode="mle"):
@@ -154,6 +159,54 @@ class TestFitEpochs:
         legacy = fit_epochs(values, 2, min_len=10, variance_mode="legacy")
         assert abs(legacy.interior_boundaries[0] - mle.interior_boundaries[0]) <= 2
         assert legacy.log_likelihood != mle.log_likelihood
+
+
+@st.composite
+def epoch_series(draw):
+    """(values, max_epochs, min_len, variance_mode, var_floor).
+
+    Series run from exactly max_epochs * min_len points up; they are
+    Gaussian noise (tiny, plain or far off zero), constant runs (zero
+    variance segments and tied placements) or a few integer levels
+    (many tied likelihoods).  The larger floors clamp most variances.
+    """
+    min_len = draw(st.integers(2, 6))
+    max_epochs = draw(st.integers(1, 4))
+    n = max_epochs * min_len + draw(st.one_of(st.just(0), st.integers(1, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "runs", "levels"]))
+    if kind == "noise":
+        values = rng.normal(draw(st.sampled_from([0.0, 1e3])),
+                            draw(st.sampled_from([1e-6, 1.0, 50.0])), n)
+    elif kind == "runs":
+        values = np.repeat(rng.normal(size=n), rng.integers(1, 2 * min_len + 2, size=n))[:n]
+    else:
+        values = rng.integers(0, 3, size=n).astype(np.float64)
+    return (values, max_epochs, min_len, draw(st.sampled_from(epochs.VARIANCE_MODES)),
+            draw(st.sampled_from([epochs.DEFAULT_VAR_FLOOR, 1e-3, 0.5])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=epoch_series())
+@example(case=(np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0]), 3, 2, "mle", epochs.DEFAULT_VAR_FLOOR))
+@example(case=(np.array([2.0, 2.0, 2.0, 5.0, 5.0, 5.0]), 2, 3, "legacy", 0.5))
+def test_whole_array_dp_matches_the_loops_bit_for_bit(case):
+    values, max_epochs, min_len, variance_mode, var_floor = case
+    cost = epochs._cost_matrix(values, min_len, variance_mode, var_floor)
+    ref_cost = reference_cost_matrix(values, min_len, variance_mode, var_floor)
+    assert cost.tobytes() == np.ascontiguousarray(ref_cost.T).tobytes()
+    back = epochs._boundary_dp(cost, max_epochs, min_len)
+    assert back.tobytes() == reference_boundary_dp(ref_cost, max_epochs, min_len).tobytes()
+
+    def report():
+        scores = select_model(values, max_epochs, min_len, variance_mode, var_floor)
+        return json.dumps(epoch_report(scores))
+
+    fast = report()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(epochs, "_cost_matrix", reference_cost_matrix)
+        patch.setattr(epochs, "_boundary_dp", reference_boundary_dp)
+        assert report() == fast
 
 
 class TestSelectModel:
