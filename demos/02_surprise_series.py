@@ -48,9 +48,9 @@ readings = np.array(
 )
 ids = [f"book{i}" for i in range(len(readings))]
 
-t2t = surprise_series(readings, mode="t2t", item_ids=ids)
-t2p = surprise_series(readings, mode="t2p", item_ids=ids)
-t2n = surprise_series(readings, mode="t2n", window=2, item_ids=ids)
+t2t = surprise_series(readings, mode="t2t")
+t2p = surprise_series(readings, mode="t2p")
+t2n = surprise_series(readings, mode="t2n", window=2)
 
 print("\npos  item    T2T bits  T2P bits  T2N(2) bits")
 for pos in t2t.positions:

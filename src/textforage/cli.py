@@ -16,10 +16,13 @@ Subcommands chain file artifacts through an output directory:
 series to the later stages in memory; a stage run on its own loads and
 checks each artifact it reads.
 
-Every artifact embeds the tool version, the SHA-256 of the resolved
-configuration, and the master seed, so identical (config, seed) runs
-are byte-identical.  Exit codes: 0 success, 1 configuration error,
-2 missing, stale or corrupt upstream artifact, 3 numerical degeneracy.
+Library modules return data; this module writes every CSV and JSON
+artifact and reads the series back (`Corpus.save` and `TopicModel.save`
+keep the corpus and model formats).  Every artifact embeds the tool
+version, the SHA-256 of the resolved configuration, and the master
+seed, so identical (config, seed) runs are byte-identical.  Exit codes:
+0 success, 1 configuration error, 2 missing, stale or corrupt upstream
+artifact, 3 numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -242,14 +245,6 @@ class _Run:
     def series(self, k: int, mode: str) -> np.ndarray:
         return self._product(f"series_k{k}_{mode}.csv", lambda: _load_series(self, k, mode))
 
-    @property
-    def metadata_lines(self) -> list[str]:
-        return [
-            f"textforage={__version__} format=1",
-            f"config_sha256={self.hash}",
-            f"seed={self.seed}",
-        ]
-
     def metadata_dict(self) -> dict:
         return {
             "textforage": __version__,
@@ -263,6 +258,15 @@ class _Run:
         (self.out / name).write_text(
             json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
+
+    def write_csv(self, name: str, header: list[str], rows) -> None:
+        """Artifact `name`: `#` metadata lines, `header`, then `rows`."""
+        with open(self.out / name, "w", newline="", encoding="utf-8") as fh:
+            fh.write(f"# textforage={__version__} format=1\n"
+                     f"# config_sha256={self.hash}\n# seed={self.seed}\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
     def artifact(self, name: str, producer: str) -> Path:
         path = self.out / name
@@ -394,10 +398,12 @@ def stage_measure(run: _Run) -> None:
         theta, _ = lda.estimate_distributions(run.model(k),
                                               smoothing=cfg["measure"]["smoothing"])
         for mode in cfg["measure"]["modes"]:
-            series = surprise_series(theta, mode=mode, item_ids=item_ids)
+            values = surprise_series(theta, mode=mode).values
             name = f"series_k{k}_{mode}.csv"
-            series.to_csv(run.out / name, metadata=run.metadata_lines)
-            run.keep(name, series.values)
+            run.write_csv(name, ["position", "item_id", "mode", "bits"],
+                          ((pos, item_ids[pos], mode, repr(float(v)))
+                           for pos, v in enumerate(values, 1)))
+            run.keep(name, values)
         print(f"measured k={k}: {len(item_ids) - 1} steps per mode")
 
 
@@ -405,7 +411,7 @@ def _read_series_csv(path: Path) -> np.ndarray:
     """The `bits` column of a series file; MissingArtifactError, naming
     the file, for a missing column or a value that is not a finite
     number."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.DictReader(line for line in fh if not line.startswith("#"))
         if "bits" not in (rows.fieldnames or ()):
             raise MissingArtifactError(f"{path.name} has no `bits` column: rerun `measure`")
@@ -457,28 +463,33 @@ def _reading_order(run: _Run, corpus: Corpus) -> ReadingOrder:
 def stage_null(run: _Run) -> None:
     cfg = run.cfg
     order = _reading_order(run, run.corpus())
-    item_ids = list(order.item_ids)
+    modes = cfg["measure"]["modes"]
     n = cfg["null_model"]["permutations"]
     for k in cfg["training"]["ks"]:
-        for mode in cfg["measure"]["modes"]:
-            run.artifact(f"series_k{k}_{mode}.csv", "measure")
+        for mode in modes:
+            run.series(k, mode)
         theta, _ = lda.estimate_distributions(run.model(k),
                                               smoothing=cfg["measure"]["smoothing"])
         d = nullmodels.kl_matrix(theta)
         comparison = nullmodels.null_ensemble(
             order, theta, n=n, seed=derive_seed(run.seed, k, "null"),
-            modes=tuple(cfg["measure"]["modes"]), d=d,
+            modes=tuple(modes), d=d,
         )
-        nullmodels.ensemble_means_to_csv(
-            comparison, run.out / f"null_k{k}_means.csv", metadata=run.metadata_lines
-        )
-        for mode in cfg["measure"]["modes"]:
-            nullmodels.cumulative_relative_to_csv(
-                comparison, mode, run.out / f"null_k{k}_cumrel_{mode}.csv",
-                item_ids=item_ids, metadata=run.metadata_lines,
-            )
+        means = [comparison.ensemble.mean_by_mode[m] for m in sorted(modes)]
+        run.write_csv(f"null_k{k}_means.csv",
+                      ["permutation"] + [f"{m}_mean_bits" for m in sorted(modes)],
+                      ([i] + [repr(float(c[i])) for c in means] for i in range(n)))
+        for mode in modes:
+            columns = (comparison.actual_series[mode],
+                       comparison.ensemble.null_series_by_mode[mode],
+                       comparison.cumulative_relative[mode])
+            run.write_csv(f"null_k{k}_cumrel_{mode}.csv",
+                          ["position", "item_id", "actual_bits", "null_mean_bits",
+                           "cumulative_relative_bits"],
+                          ([pos, order.item_ids[pos]] + [repr(float(c[pos - 1])) for c in columns]
+                           for pos in range(1, len(order))))
         summary = comparison.summary_payload()
-        for objective in cfg["measure"]["modes"]:
+        for objective in modes:
             path = nullmodels.greedy_shortest_path(theta, start=0, objective=objective, d=d)
             values = (d[path[:-1], path[1:]] if objective == "t2t"
                       else surprise_values(theta[path], objective))
@@ -548,10 +559,9 @@ def stage_fit(run: _Run) -> None:
         print(f"fit {name}: {n} samples x {sweeps} iterations x {tokens.size} tokens = "
               f"{n * sweeps * tokens.size} token updates in {ensemble.slices} worker "
               "slice(s)", file=sys.stderr)
-        querysample.ensemble_to_csv(
-            ensemble, run.out / f"fit_{name}_k{k}_samples.csv",
-            metadata=run.metadata_lines,
-        )
+        run.write_csv(f"fit_{name}_k{k}_samples.csv", ["sample", "dominant_topic", "perplexity"],
+                      ((i, int(t), repr(float(p))) for i, (t, p) in
+                       enumerate(zip(ensemble.dominant_topics(), ensemble.perplexities))))
         report = querysample.cluster_ensemble(ensemble, k_range=range(lo, hi + 1))
         run.write_json(f"fit_{name}_k{k}_clusters.json", report.to_payload())
         run.write_json(
@@ -586,10 +596,8 @@ def stage_compare(run: _Run) -> None:
             merged_a, merged_b, strategy=cfg["compare"]["strategy"]
         )
         mean, total = modelcompare.model_distance(alignment)
-        modelcompare.alignment_to_csv(
-            alignment, run.out / f"compare_k{k_a}_vs_k{k_b}.csv",
-            metadata=run.metadata_lines,
-        )
+        run.write_csv(f"compare_k{k_a}_vs_k{k_b}.csv", ["topic_a", "topic_b", "js_distance"],
+                      ((a, b, repr(float(d))) for a, b, d in alignment.pairs))
         run.write_json(
             f"compare_k{k_a}_vs_k{k_b}.json",
             {

@@ -8,10 +8,8 @@ reader's expectations were built on ``p``.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,11 +43,18 @@ def as_distribution(values, tol: float = NORMALIZATION_TOL) -> np.ndarray:
     p = np.asarray(values, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("distribution must be a non-empty 1-d vector")
-    if np.any(p < 0):
+    return _check_rows(p, tol)
+
+
+def _check_rows(p: np.ndarray, tol: float = NORMALIZATION_TOL) -> np.ndarray:
+    """`p`, one distribution or a stack along the last axis, once no
+    entry is negative and each sums to 1 within `tol`."""
+    if (p < 0).any():
         raise ValueError("distribution has negative entries")
-    total = float(p.sum())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"distribution sums to {total!r}, not 1")
+    totals = p.sum(axis=-1)
+    off = np.abs(totals - 1.0) > tol
+    if off.any():
+        raise ValueError(f"distribution sums to {float(totals[off][0])!r}, not 1")
     return p
 
 
@@ -178,21 +183,17 @@ class SurpriseSeries:
 
     `values[j]` is the surprise of the item at position j+1 in the
     reading order; a series over n items therefore has n-1 values.
-    `item_ids`, when present, labels all n items.
     """
 
     mode: str
     values: np.ndarray
     window: int | None = None
-    item_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         if np.any(values < 0):
             raise ValueError("surprise values must be non-negative")
-        if self.item_ids is not None and len(self.item_ids) != len(values) + 1:
-            raise ValueError("item_ids must label every item (len(values) + 1)")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -201,25 +202,6 @@ class SurpriseSeries:
     def positions(self) -> np.ndarray:
         """Positions of the arriving items (1-based)."""
         return np.arange(1, len(self.values) + 1)
-
-    def mode_label(self) -> str:
-        if self.mode == "t2n":
-            return f"t2n{self.window}"
-        return self.mode
-
-    def to_csv(self, path, metadata: Sequence[str] = ()) -> None:
-        """Write the series as CSV with columns position,item_id,mode,bits.
-
-        `metadata` lines are emitted as leading '#' comments.
-        """
-        with open(path, "w", newline="") as fh:
-            for line in metadata:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["position", "item_id", "mode", "bits"])
-            for pos, value in zip(self.positions, self.values):
-                item = self.item_ids[pos] if self.item_ids else str(pos)
-                writer.writerow([pos, item, self.mode_label(), repr(float(value))])
 
 
 def surprise_values(theta, mode: str = "t2t", window: int | None = None) -> np.ndarray:
@@ -255,12 +237,7 @@ def surprise_values(theta, mode: str = "t2t", window: int | None = None) -> np.n
     return kl_divergence_rows(theta[..., 1:, :], past_means)
 
 
-def surprise_series(
-    dists: Iterable,
-    mode: str = "t2t",
-    window: int | None = None,
-    item_ids: Sequence[str] | None = None,
-) -> SurpriseSeries:
+def surprise_series(dists, mode: str = "t2t", window: int | None = None) -> SurpriseSeries:
     """Per-step KL surprise along an ordered sequence of distributions.
 
     Modes:
@@ -273,14 +250,18 @@ def surprise_series(
     Past means are arithmetic means of the raw distributions,
     renormalized to absorb accumulation error.  At position 1 the past
     consists of a single item, so t2p and t2n agree with t2t there.
+    `dists`, an (n, k) array or n rows, is checked as one stack.
     """
-    rows = [as_distribution(d) for d in dists]
-    if len(rows) < 2:
+    try:
+        theta = np.asarray(dists, dtype=np.float64)
+    except ValueError:
+        if len({np.size(d) for d in dists}) > 1:  # ragged rows
+            raise ValueError("distributions differ in length") from None
+        raise
+    if theta.ndim < 2 or len(theta) < 2:
         raise ValueError("need at least 2 distributions")
-    dim = rows[0].size
-    if any(r.size != dim for r in rows):
-        raise ValueError("distributions differ in length")
+    if theta.ndim > 2 or theta.shape[1] == 0:
+        raise ValueError("distribution must be a non-empty 1-d vector")
     mode = mode.lower()
-    values = surprise_values(np.vstack(rows), mode, window)
-    ids = tuple(item_ids) if item_ids is not None else None
-    return SurpriseSeries(mode=mode, values=values, window=window, item_ids=ids)
+    values = surprise_values(_check_rows(theta), mode, window)
+    return SurpriseSeries(mode=mode, values=values, window=window)

@@ -10,7 +10,6 @@ that query sampling induces in a single model's word-topic counts.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +23,6 @@ __all__ = [
     "align_topics",
     "model_distance",
     "topic_drift",
-    "alignment_to_csv",
 ]
 
 MERGE_STRATEGIES = ("intersect", "intersect_renorm", "expand_epsilon")
@@ -225,13 +223,3 @@ def topic_drift(phi_before: np.ndarray, phi_after: np.ndarray) -> AlignmentResul
         mean_distance=float(dist.mean()),
         total_distance=float(dist.sum()),
     )
-
-
-def alignment_to_csv(alignment: AlignmentResult, path, metadata: Sequence[str] = ()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in metadata:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["topic_a", "topic_b", "js_distance"])
-        for a, b, d in alignment.pairs:
-            writer.writerow([a, b, repr(d)])

@@ -41,7 +41,6 @@ flat.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import math
 from bisect import bisect_right
@@ -358,48 +357,6 @@ def _percentile(values: np.ndarray, q: float) -> np.ndarray:
     if gamma >= 0.5:
         return ordered[hi] - diff * (1 - gamma)
     return ordered[lo] + diff * gamma
-
-
-def ensemble_means_to_csv(comparison: NullComparison, path, metadata: Sequence[str] = ()) -> None:
-    modes = sorted(comparison.actual_mean)
-    means = comparison.ensemble.mean_by_mode
-    with open(path, "w", newline="") as fh:
-        for line in metadata:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["permutation"] + [f"{m}_mean_bits" for m in modes])
-        for i in range(comparison.ensemble.n_permutations):
-            writer.writerow([i] + [repr(float(means[m][i])) for m in modes])
-
-
-def cumulative_relative_to_csv(
-    comparison: NullComparison,
-    mode: str,
-    path,
-    item_ids: Sequence[str] | None = None,
-    metadata: Sequence[str] = (),
-) -> None:
-    actual = comparison.actual_series[mode]
-    null_mean = comparison.ensemble.null_series_by_mode[mode]
-    cumulative = comparison.cumulative_relative[mode]
-    with open(path, "w", newline="") as fh:
-        for line in metadata:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["position", "item_id", "actual_bits", "null_mean_bits", "cumulative_relative_bits"]
-        )
-        for pos in range(1, len(actual) + 1):
-            item = item_ids[pos] if item_ids else str(pos)
-            writer.writerow(
-                [
-                    pos,
-                    item,
-                    repr(float(actual[pos - 1])),
-                    repr(float(null_mean[pos - 1])),
-                    repr(float(cumulative[pos - 1])),
-                ]
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ slices, one GIL-free kernel call each, on the query's own rows only.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -45,7 +44,6 @@ __all__ = [
     "ClusterInfo",
     "ClusterReport",
     "cluster_ensemble",
-    "ensemble_to_csv",
 ]
 
 PHI_MODES = ("locked", "extended", "drifting")
@@ -221,18 +219,6 @@ def sample_ensemble(
         seeds=seeds,
         slices=sum(min(workers, len(b[0])) for b in blocks),
     )
-
-
-def ensemble_to_csv(ensemble: SampleEnsemble, path, metadata: Sequence[str] = ()) -> None:
-    """Per-sample (dominant topic, perplexity) CSV."""
-    dominant = ensemble.dominant_topics()
-    with open(path, "w", newline="") as fh:
-        for line in metadata:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "dominant_topic", "perplexity"])
-        for i in range(ensemble.n_samples):
-            writer.writerow([i, int(dominant[i]), repr(float(ensemble.perplexities[i]))])
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,57 @@ class TestPipeline:
         assert base["metadata"]["config_sha256"] != other["metadata"]["config_sha256"]
 
 
+# every CSV artifact of the `fixture_dir` pipeline, with its family
+FIXTURE_CSVS = [
+    *(("series", f"series_k{k}_{m}.csv") for k in (3, 4) for m in ("t2t", "t2p")),
+    *(("means", f"null_k{k}_means.csv") for k in (3, 4)),
+    *(("cumrel", f"null_k{k}_cumrel_{m}.csv") for k in (3, 4) for m in ("t2t", "t2p")),
+    ("samples", "fit_query_0_k3_samples.csv"),
+    ("compare", "compare_k3_vs_k4.csv"),
+]
+
+
+@pytest.fixture(scope="module")
+def csv_run(fixture_dir):
+    """The `fixture_dir` pipeline's output, its config and reading order."""
+    config = fixture_dir / "config.yaml"
+    out = fixture_dir / "csv"
+    assert run_cli("pipeline", "--config", str(config), "--out", str(out)) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(n for _, n in FIXTURE_CSVS)
+    corpus = Corpus.load(out / "corpus.json")
+    return out, cli.load_config(config), [d.spec.id for d in corpus.in_reading_order()]
+
+
+@pytest.mark.parametrize("family, name", FIXTURE_CSVS, ids=[n for _, n in FIXTURE_CSVS])
+def test_csv_artifact_layout(csv_run, family, name):
+    """Three metadata lines, the family's header, then one row per
+    item, permutation, sample or topic, with `repr` floats."""
+    out, cfg, item_ids = csv_run
+    lines = (out / name).read_text(encoding="utf-8").splitlines()
+    assert lines[:3] == [f"# textforage={textforage.__version__} format=1",
+                         f"# config_sha256={cfg['config_sha256']}", f"# seed={cfg['seed']}"]
+    header, *rows = csv.reader(lines[3:])
+    steps = [str(i) for i in range(1, len(item_ids))]
+    expected = {
+        "series": (["position", "item_id", "mode", "bits"], [steps, item_ids[1:]]),
+        "means": (["permutation", "t2p_mean_bits", "t2t_mean_bits"],
+                  [[str(i) for i in range(cfg["null_model"]["permutations"])]]),
+        "cumrel": (["position", "item_id", "actual_bits", "null_mean_bits",
+                    "cumulative_relative_bits"], [steps, item_ids[1:]]),
+        "samples": (["sample", "dominant_topic", "perplexity"],
+                    [[str(i) for i in range(cfg["fit"]["samples"])]]),
+        "compare": (["topic_a", "topic_b", "js_distance"], [["0", "1", "2"]]),
+    }
+    columns, leading = expected[family]
+    assert header == columns
+    assert len(rows) == len(leading[0])
+    assert [list(c) for c in zip(*rows)][: len(leading)] == leading
+    if family == "series":
+        assert {row[2] for row in rows} == {Path(name).stem[-3:]}
+    floats = [i for i, c in enumerate(columns) if c.endswith(("bits", "perplexity", "distance"))]
+    assert all(repr(float(row[i])) == row[i] for row in rows for i in floats)
+
+
 def small_pipeline(root, **sections):
     """A 20-document fixture with one k and a short config under `root`."""
     make_fixture(root, seed=5, spec=FixtureSpec(n_docs=20, n_topics=3, terms_per_topic=25))
@@ -250,6 +301,31 @@ class TestStageOrdering:
         assert run_cli("train", "--config", config, "--out", str(out)) == 0
         code = run_cli("null", "--config", config, "--out", str(out))
         assert code == 2
+
+    @pytest.mark.parametrize("tamper, named", [
+        ("no-bits-column", "no `bits` column"),
+        ("nan", "bits nan in data row 19"),
+        ("missing-row", "has 18 steps, the corpus gives 19"),
+    ], ids=["no-bits-column", "nan", "missing-row"])
+    def test_null_over_a_corrupt_series_names_the_file(self, tmp_path, capsys, tamper, named):
+        config = small_pipeline(tmp_path)
+        for stage in ("prepare", "train", "measure"):
+            assert run_cli(stage, "--config", config) == 0
+        path = tmp_path / "out" / "series_k2_t2p.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        if tamper == "no-bits-column":
+            lines[3] = lines[3].replace("bits", "bit")
+        elif tamper == "nan":
+            lines[-1] = lines[-1][: lines[-1].rindex(",") + 1] + "nan\r\n"
+        else:
+            lines.pop()
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run_cli("null", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "series_k2_t2p.csv" in err and named in err and "`measure`" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "out").glob("null_*"))
 
     def test_train_before_prepare_names_the_corpus(self, fixture_dir, tmp_path, capsys):
         config = str(fixture_dir / "config.yaml")

@@ -241,16 +241,23 @@ class TestSurpriseSeries:
         with pytest.raises(ValueError):
             surprise_series([[0.5, 0.5]], mode="t2t")
 
-    def test_csv_export(self, tmp_path):
-        rows = [[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]]
-        series = surprise_series(rows, mode="t2t", item_ids=("x", "y", "z"))
-        path = tmp_path / "series.csv"
-        series.to_csv(path, metadata=["demo=1"])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# demo=1"
-        assert lines[1] == "position,item_id,mode,bits"
-        assert lines[2].startswith("1,y,t2t,")
-        assert lines[3].startswith("2,z,t2t,")
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.5, 0.5]], "need at least 2 distributions"),
+        ([], "need at least 2 distributions"),
+        ([[0.5, 0.5], [1.0]], "distributions differ in length"),
+        ([np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5])], "distributions differ in length"),
+        ([[0.5, 0.5], [1.5, -0.5]], "distribution has negative entries"),
+        ([[0.5, 0.5], [0.25, 0.75], [0.5, 0.6]], "distribution sums to 1.1, not 1"),
+        (np.full((3, 2), 0.5 + 1e-8), "distribution sums to 1.00000002, not 1"),
+    ], ids=["one-row", "no-rows", "ragged", "ragged-arrays", "negative", "sum", "array-sum"])
+    def test_checks_the_stack_once_with_the_row_messages(self, rows, message):
+        with pytest.raises(ValueError) as info:
+            surprise_series(rows, mode="t2p")
+        assert str(info.value) == message
+
+    def test_rows_within_the_tolerance_pass(self):
+        rows = np.full((3, 2), 0.5 + 2e-10)
+        npt.assert_array_equal(surprise_series(rows, mode="t2t").values, [0.0, 0.0])
 
     def test_long_series_past_mean_stays_normalized(self):
         rng = np.random.default_rng(10)

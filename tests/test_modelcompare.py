@@ -210,15 +210,3 @@ class TestTopicDrift:
             assert d == pytest.approx(
                 js_distance(before[:, t], after[:, t]), abs=1e-9
             )
-
-
-def test_alignment_csv(tmp_path):
-    rng = np.random.default_rng(17)
-    phi = random_phi(rng, 6, 3)
-    result = align_topics(phi, phi.copy(), strategy="basic")
-    path = tmp_path / "alignment.csv"
-    modelcompare.alignment_to_csv(result, path, metadata=["x=1"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# x=1"
-    assert lines[1] == "topic_a,topic_b,js_distance"
-    assert len(lines) == 5

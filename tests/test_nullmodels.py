@@ -212,17 +212,6 @@ class TestNullEnsemble:
         with pytest.raises(ValueError):
             null_ensemble(order, dists, n=0, seed=0)
 
-    def test_csv_exports(self, setup, tmp_path):
-        order, dists = setup
-        comparison = null_ensemble(order, dists, n=10, seed=1)
-        means = tmp_path / "means.csv"
-        nullmodels.ensemble_means_to_csv(comparison, means)
-        assert means.read_text().splitlines()[0] == "permutation,t2p_mean_bits,t2t_mean_bits"
-        cumrel = tmp_path / "cumrel.csv"
-        nullmodels.cumulative_relative_to_csv(comparison, "t2t", cumrel)
-        header = cumrel.read_text().splitlines()[0]
-        assert header == "position,item_id,actual_bits,null_mean_bits,cumulative_relative_bits"
-
 
 class TestGreedyShortestPath:
     def test_single_item(self):

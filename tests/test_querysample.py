@@ -152,17 +152,6 @@ class TestSampleEnsemble:
         ]
         assert max(distances) > 0.0
 
-    def test_csv_export(self, reading_model, tmp_path):
-        doc = ["w0", "w1"]
-        ensemble = querysample.sample_ensemble(
-            reading_model, doc, n_samples=3, iterations=5, master_seed=1
-        )
-        path = tmp_path / "ensemble.csv"
-        querysample.ensemble_to_csv(ensemble, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "sample,dominant_topic,perplexity"
-        assert len(lines) == 4
-
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
