@@ -1,16 +1,17 @@
-"""Build and load the compiled Gibbs kernels in `_gibbs.c`.
+"""Build and load the compiled Gibbs kernel in `_gibbs.c`.
 
 The library is built on first use, not at import, with
 ``gcc -O2 -ffp-contract=off -shared -fPIC``; with contraction off no
-fused multiply-add changes the rounding, so the C kernels give the same
-bits as the pure-Python ones in `lda`.  It is cached in
-``$XDG_CACHE_HOME/textforage/`` (default ``~/.cache/textforage/``) under
-a name keyed by the SHA-256 of the source and the flags.  A build writes
+fused multiply-add changes the rounding, so the C kernel gives the same
+bits as the pure-Python one in `lda`, with word-topic counts frozen or
+not.  It is cached in ``$XDG_CACHE_HOME/textforage/`` (default
+``~/.cache/textforage/``) under a name keyed by the SHA-256 of the
+source and the flags.  A build writes
 to a temporary name and renames it into place, so concurrent builds are
 safe.  ctypes releases the GIL during each call.
 
 Without gcc, or when the build or the load fails, `load` gives no library,
-one warning goes to stderr, and `lda` runs the pure-Python kernels.
+one warning goes to stderr, and `lda` runs the pure-Python kernel.
 """
 
 from __future__ import annotations
@@ -67,12 +68,10 @@ def _open(path: Path):
     lib = ctypes.CDLL(str(path))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.sweep.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr, ptr,
-                          i64, i64, i64, f64, f64, ptr, ptr]
-    lib.sweep_locked.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr,
-                                 i64, i64, f64, f64, ptr, ptr]
+                          i64, i64, i64, f64, f64, ptr, ptr, i64]
     lib.fit_batch.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                               i64, i64, i64, f64, f64, ptr, ptr]
-    lib.sweep.restype = lib.sweep_locked.restype = lib.fit_batch.restype = None
+    lib.sweep.restype = lib.fit_batch.restype = None
     return lib
 
 

@@ -85,10 +85,12 @@ def _require(cfg: dict, path: str, kind, where: str):
         if not isinstance(value, dict) or part not in value:
             raise ConfigError(f"{where}: missing required field '{path}'")
         value = value[part]
-    # YAML's true/false load as bool, which is an int: no field takes one
-    if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+    # YAML's true/false load as bool, which is an int: only a bool field takes one
+    if kind is not None and (isinstance(value, bool) and kind is not bool
+                             or not isinstance(value, kind)):
+        names = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
         raise ConfigError(f"{where}: field '{path}' has wrong type "
-                          f"(expected {getattr(kind, '__name__', kind)})")
+                          f"(expected {' or '.join(names)})")
     return value
 
 
@@ -151,14 +153,26 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
         ("training.iterations", int), ("null_model.permutations", int),
         ("epochs.max_epochs", int), ("epochs.min_len", int),
         ("fit.iterations", int), ("fit.samples", int), ("threads", int),
+        ("measure.smoothing", bool), ("tokenizer.merge_hyphens", bool),
+        ("tokenizer.ascii_fold", bool), ("filter.stopwords", list),
     ):
         _require(cfg, field, kind, where)
-    if cfg["epochs"]["variance_mode"] not in epochs.VARIANCE_MODES:
-        raise ConfigError(f"{where}: field 'epochs.variance_mode' must be one of "
-                          f"{epochs.VARIANCE_MODES}")
-    if cfg["fit"]["phi_mode"] not in querysample.PHI_MODES:
-        raise ConfigError(f"{where}: field 'fit.phi_mode' must be one of "
-                          f"{querysample.PHI_MODES}")
+    if not all(isinstance(w, str) for w in cfg["filter"]["stopwords"]):
+        raise ConfigError(f"{where}: field 'filter.stopwords' must list strings")
+    for name, kind in (("min_count", int), ("max_count", int),
+                       ("top_mass", (int, float)), ("bottom_mass", (int, float))):
+        if cfg["filter"][name] is not None:
+            _require(cfg, f"filter.{name}", kind, where)
+    for name in ("top_mass", "bottom_mass"):
+        if cfg["filter"][name] is not None and not 0 <= cfg["filter"][name] <= 1:
+            raise ConfigError(f"{where}: field 'filter.{name}' must be in [0, 1]")
+    for field, allowed in (
+        ("epochs.variance_mode", epochs.VARIANCE_MODES), ("fit.phi_mode", querysample.PHI_MODES),
+        ("compare.merge", modelcompare.MERGE_STRATEGIES),
+        ("compare.strategy", modelcompare.ALIGN_STRATEGIES),
+    ):
+        if _require(cfg, field, None, where) not in allowed:
+            raise ConfigError(f"{where}: field '{field}' must be one of {allowed}")
     for field in ("measure.modes",):
         modes = _require(cfg, field, list, where)
         bad = [m for m in modes if m not in ("t2t", "t2p")]
@@ -286,9 +300,18 @@ def stage_prepare(run: _Run) -> None:
     manifest = Path(cfg["manifest"])
     if not manifest.is_file():
         raise ConfigError(f"manifest: file not found: {manifest}")
-    specs = load_manifest(manifest)
+    try:
+        specs = load_manifest(manifest)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"manifest: {exc}") from exc
     tok_cfg = TokenizerConfig(**cfg["tokenizer"])
-    token_docs = [tokenize(s.load_text(manifest.parent), tok_cfg) for s in specs]
+    token_docs = []
+    for spec in specs:
+        try:
+            text = spec.load_text(manifest.parent)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"manifest: {manifest}: document {spec.id!r}: {exc}") from exc
+        token_docs.append(tokenize(text, tok_cfg))
     filt = FilterConfig(
         min_count=cfg["filter"]["min_count"],
         max_count=cfg["filter"]["max_count"],
@@ -296,7 +319,10 @@ def stage_prepare(run: _Run) -> None:
         bottom_mass=cfg["filter"]["bottom_mass"],
         stopwords=frozenset(cfg["filter"]["stopwords"]),
     )
-    vocabulary = build_vocabulary(token_docs, filt)
+    try:
+        vocabulary = build_vocabulary(token_docs, filt)
+    except ValueError as exc:
+        raise ConfigError(f"filter: {exc}") from exc
     corpus = encode_corpus(specs, token_docs, vocabulary)
     for warning in corpus.warnings:
         print(f"warning: {warning}", file=sys.stderr)

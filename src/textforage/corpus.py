@@ -508,20 +508,26 @@ def load_manifest(path: str | Path) -> list[DocumentSpec]:
                 entry = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno + 1}: invalid JSON: {exc}") from exc
-            if "id" not in entry:
+            if not isinstance(entry, dict) or "id" not in entry:
                 raise ValueError(f"{path}:{lineno + 1}: missing 'id'")
-            specs.append(
-                DocumentSpec(
-                    id=str(entry["id"]),
-                    text=entry.get("text"),
-                    text_path=entry.get("text_path"),
-                    read_date=entry.get("read_date"),
-                    pub_date=entry.get("pub_date"),
-                    order_index=int(entry.get("order_index", lineno)),
+            for name in ("text", "text_path"):
+                if entry.get(name) is not None and not isinstance(entry[name], str):
+                    raise ValueError(f"{path}:{lineno + 1}: '{name}' must be a string")
+            try:
+                specs.append(
+                    DocumentSpec(
+                        id=str(entry["id"]),
+                        text=entry.get("text"),
+                        text_path=entry.get("text_path"),
+                        read_date=entry.get("read_date"),
+                        pub_date=entry.get("pub_date"),
+                        order_index=int(entry.get("order_index", lineno)),
+                    )
                 )
-            )
+            except (TypeError, ValueError) as exc:  # a date or order_index
+                raise ValueError(f"{path}:{lineno + 1}: {exc}") from exc
     ids = [s.id for s in specs]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ValueError(f"duplicate manifest ids: {', '.join(dupes)}")
+        raise ValueError(f"{path}: duplicate manifest ids: {', '.join(dupes)}")
     return specs

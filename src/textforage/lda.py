@@ -13,8 +13,10 @@ is constant across topics and drops out of the normalization.
 
 The sweep runs in a small C kernel (`_gibbs.c`), built with gcc on
 first use and cached outside the output directory; without a compiler
-the pure-Python kernels below run instead, with one warning, and give
+the pure-Python kernel below runs instead, with one warning, and gives
 the same bits much more slowly.  `gibbs_backend` says which one runs.
+Query sampling runs the same kernel on one document; its locked mode
+only freezes the word-topic counts.
 
 Training is single-threaded and bit-reproducible from (corpus, config).
 A model file stores only what cannot be derived: the documents' tokens,
@@ -84,14 +86,17 @@ class TrainingConfig:
 
 
 # ---------------------------------------------------------------------------
-# Sweep kernels (compiled C in `_gibbs.c`, these pure-Python ones as the
+# Sweep kernel (compiled C in `_gibbs.c`, this pure-Python one as the
 # oracle and the fallback)
 #
 # `uniforms` holds one row of draws per sweep, so a single call can run
-# several sweeps.  `v`, the model's V, enters only V*beta.
+# several sweeps.  `v`, the model's V, enters only V*beta.  With `frozen`
+# the word-topic counts n_wt and n_t are read but never written: only
+# n_td moves.
 
 
-def _sweep_kernel(tokens, docs, z, n_wt, n_td, n_t, v, alpha, beta, uniforms, probs):
+def _sweep_kernel(tokens, docs, z, n_wt, n_td, n_t, v, alpha, beta, uniforms, probs,
+                  frozen=False):
     k = n_wt.shape[1]
     v_beta = v * beta
     for row in uniforms:
@@ -99,8 +104,9 @@ def _sweep_kernel(tokens, docs, z, n_wt, n_td, n_t, v, alpha, beta, uniforms, pr
             w = tokens[i]
             d = docs[i]
             t_old = z[i]
-            n_wt[w, t_old] -= 1
-            n_t[t_old] -= 1
+            if not frozen:
+                n_wt[w, t_old] -= 1
+                n_t[t_old] -= 1
             n_td[t_old, d] -= 1
             total = 0.0
             for t in range(k):
@@ -116,40 +122,14 @@ def _sweep_kernel(tokens, docs, z, n_wt, n_td, n_t, v, alpha, beta, uniforms, pr
                     t_new = t
                     break
             z[i] = t_new
-            n_wt[w, t_new] += 1
-            n_t[t_new] += 1
+            if not frozen:
+                n_wt[w, t_new] += 1
+                n_t[t_new] += 1
             n_td[t_new, d] += 1
 
 
-def _sweep_kernel_locked(tokens, z, base_wt, base_t, td_col, v, alpha, beta, uniforms, probs):
-    # word-topic counts stay frozen at the trained snapshot; only the
-    # query document's own topic counts evolve
-    k = base_wt.shape[1]
-    v_beta = v * beta
-    for row in uniforms:
-        for i in range(tokens.shape[0]):
-            w = tokens[i]
-            t_old = z[i]
-            td_col[t_old] -= 1
-            total = 0.0
-            for t in range(k):
-                p = (base_wt[w, t] + beta) / (base_t[t] + v_beta) * (td_col[t] + alpha)
-                probs[t] = p
-                total += p
-            r = row[i] * total
-            acc = 0.0
-            t_new = k - 1
-            for t in range(k):
-                acc += probs[t]
-                if r < acc:
-                    t_new = t
-                    break
-            z[i] = t_new
-            td_col[t_new] += 1
-
-
 def _checked(name: str, array, dtype, shape: tuple, writeable: bool = False) -> tuple:
-    """Reject an array the C kernels cannot take as is; -1 in `shape`
+    """Reject an array the C kernel cannot take as is; -1 in `shape`
     matches any length.  Returns the array's shape."""
     if not isinstance(array, np.ndarray) or array.dtype != dtype:
         raise ValueError(f"{name}: expected a {np.dtype(dtype)} array, "
@@ -196,7 +176,7 @@ def sweep(tokens, docs, z, n_wt, n_td, n_t, alpha: float, beta: float, uniforms)
         return
     lib.sweep(n_sweeps, n, tokens.ctypes.data, docs.ctypes.data, z.ctypes.data,
               n_wt.ctypes.data, n_td.ctypes.data, n_t.ctypes.data, v, k, n_docs,
-              alpha, beta, uniforms.ctypes.data, probs.ctypes.data)
+              alpha, beta, uniforms.ctypes.data, probs.ctypes.data, 0)
 
 
 def fit_batch(tokens, z, base_wt, base_t, v: int, alpha: float, beta: float, uniforms,
@@ -234,12 +214,8 @@ def fit_batch(tokens, z, base_wt, base_t, v: int, alpha: float, beta: float, uni
                           uniforms[a:].ctypes.data, probs.ctypes.data)
             return
         for s in range(a, b):
-            if drifting:
-                _sweep_kernel(tokens, docs, z[s], wt[s], td[s, :, None], n_t[s], v, alpha,
-                              beta, uniforms[s], probs)
-            else:
-                _sweep_kernel_locked(tokens, z[s], base_wt, base_t, td[s], v, alpha, beta,
-                                     uniforms[s], probs)
+            _sweep_kernel(tokens, docs, z[s], wt[s], td[s, :, None], n_t[s], v, alpha, beta,
+                          uniforms[s], probs, frozen=not drifting)
 
     slices = max(1, min(slices, m))
     bounds = [m * i // slices for i in range(slices + 1)]
@@ -248,7 +224,7 @@ def fit_batch(tokens, z, base_wt, base_t, v: int, alpha: float, beta: float, uni
 
 
 def gibbs_backend() -> str:
-    """Which kernels `sweep` runs: "C (<library>)" or "pure Python (<reason>)".
+    """Which kernel `sweep` runs: "C (<library>)" or "pure Python (<reason>)".
 
     Builds the compiled kernel on first use.
     """

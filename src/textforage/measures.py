@@ -37,8 +37,8 @@ NORMALIZATION_TOL = 1e-9
 def as_distribution(values, tol: float = NORMALIZATION_TOL) -> np.ndarray:
     """Validate and return `values` as a float64 probability vector.
 
-    Raises ValueError if any entry is negative or the sum deviates from
-    1 by more than `tol`.
+    Raises ValueError if any entry is negative or NaN or the sum deviates
+    from 1 by more than `tol`.
     """
     p = np.asarray(values, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
@@ -48,11 +48,13 @@ def as_distribution(values, tol: float = NORMALIZATION_TOL) -> np.ndarray:
 
 def _check_rows(p: np.ndarray, tol: float = NORMALIZATION_TOL) -> np.ndarray:
     """`p`, one distribution or a stack along the last axis, once no
-    entry is negative and each sums to 1 within `tol`."""
-    if (p < 0).any():
-        raise ValueError("distribution has negative entries")
+    entry is negative or NaN and each sums to 1 within `tol`.  Both
+    comparisons are written so that NaN fails them."""
+    if not (p >= 0).all():
+        kind = "NaN" if np.isnan(p).any() else "negative"
+        raise ValueError(f"distribution has {kind} entries")
     totals = p.sum(axis=-1)
-    off = np.abs(totals - 1.0) > tol
+    off = ~(np.abs(totals - 1.0) <= tol)
     if off.any():
         raise ValueError(f"distribution sums to {float(totals[off][0])!r}, not 1")
     return p

@@ -295,10 +295,39 @@ def tied_ensembles(draw, min_n=3, max_n=120, max_width=8):
     return rows
 
 
+def reference_sweep_locked(tokens, z, base_wt, base_t, td_col, v, alpha, beta, uniforms, probs):
+    """The locked query sweep as its own kernel: `lda._sweep_kernel` with
+    `frozen` set must give these bits."""
+    # word-topic counts stay frozen at the trained snapshot; only the
+    # query document's own topic counts evolve
+    k = base_wt.shape[1]
+    v_beta = v * beta
+    for row in uniforms:
+        for i in range(tokens.shape[0]):
+            w = tokens[i]
+            t_old = z[i]
+            td_col[t_old] -= 1
+            total = 0.0
+            for t in range(k):
+                p = (base_wt[w, t] + beta) / (base_t[t] + v_beta) * (td_col[t] + alpha)
+                probs[t] = p
+                total += p
+            r = row[i] * total
+            acc = 0.0
+            t_new = k - 1
+            for t in range(k):
+                acc += probs[t]
+                if r < acc:
+                    t_new = t
+                    break
+            z[i] = t_new
+            td_col[t_new] += 1
+
+
 def reference_fit_document(model, tokens, iterations, phi_mode, seed):
     """One query fit as `querysample.fit_document` made it sample by
-    sample: over the full V x k counts, the locked sweep through the
-    pure-Python kernel (bit-equal to the compiled one).  Returns theta,
+    sample: over the full V x k counts, the locked sweep through
+    `reference_sweep_locked`.  Returns theta,
     perplexity, the final word-topic counts (None when locked) and z."""
     from textforage.seeds import rng_from
 
@@ -309,8 +338,8 @@ def reference_fit_document(model, tokens, iterations, phi_mode, seed):
     td_col = np.bincount(z, minlength=k).astype(np.int64)
     uniforms = rng.random((iterations, tokens.size))
     if phi_mode == "locked":
-        lda._sweep_kernel_locked(tokens, z, model.n_wt, model.n_t, td_col, model.n_terms,
-                                 alpha, beta, uniforms, np.empty(k))
+        reference_sweep_locked(tokens, z, model.n_wt, model.n_t, td_col, model.n_terms,
+                               alpha, beta, uniforms, np.empty(k))
         wt, t_totals, counts = model.n_wt, model.n_t, None
     else:
         wt, t_totals = model.n_wt.copy(), model.n_t.copy()

@@ -730,6 +730,75 @@ class TestConfigValidation:
         assert f"field '{field}' has wrong type" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("section, value, field", [
+        ("compare", {"strategy": "bogus"}, "compare.strategy"),
+        ("compare", {"merge": "union"}, "compare.merge"),
+        ("measure", {"smoothing": "no"}, "measure.smoothing"),
+        ("tokenizer", {"ascii_fold": "off"}, "tokenizer.ascii_fold"),
+        ("tokenizer", {"merge_hyphens": 1}, "tokenizer.merge_hyphens"),
+        ("filter", {"top_mass": 2.0}, "filter.top_mass"),
+        ("filter", {"bottom_mass": "half"}, "filter.bottom_mass"),
+        ("filter", {"min_count": "two"}, "filter.min_count"),
+        ("filter", {"max_count": True}, "filter.max_count"),
+        ("filter", {"stopwords": "the"}, "filter.stopwords"),
+        ("filter", {"stopwords": ["the", 3]}, "filter.stopwords"),
+    ], ids=["strategy", "merge", "smoothing", "ascii_fold", "merge_hyphens", "top_mass",
+            "bottom_mass", "min_count", "max_count", "stopwords", "stopword"])
+    def test_bad_field_is_named_before_any_artifact(self, tmp_path, capsys, section, value,
+                                                     field):
+        config = small_pipeline(tmp_path, training={"ks": [2, 3], "iterations": 5},
+                                **{section: value})
+        assert run_cli("pipeline", "--config", config) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {config}: field '{field}'")
+        assert not (tmp_path / "out").exists()
+
+    def test_boolean_fields_take_booleans(self, tmp_path):
+        config = small_pipeline(tmp_path, measure={"smoothing": False},
+                                tokenizer={"merge_hyphens": False, "ascii_fold": False})
+        cfg = cli.load_config(config)
+        assert cfg["measure"]["smoothing"] is False
+        assert cfg["tokenizer"] == {"merge_hyphens": False, "ascii_fold": False}
+
+
+def third_manifest_line(pattern, repl):
+    """A tamper that substitutes `repl` for `pattern` on manifest line 3."""
+    def tamper(root):
+        path = root / "manifest.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2], count = re.subn(pattern, repl, lines[2])
+        assert count == 1
+        path.write_text("".join(lines))
+    return tamper
+
+
+class TestBadInputs:
+    CASES = {
+        "invalid-json": (third_manifest_line(r'^\{"id":', '{"id"'), {},
+                         "manifest.jsonl:3: invalid JSON"),
+        "bad-date": (third_manifest_line(r'"read_date": "[^"]*"', '"read_date": "1830-13-15"'),
+                     {}, "manifest.jsonl:3: month out of range in '1830-13-15'"),
+        "bad-order-index": (third_manifest_line(r'"order_index": \d+', '"order_index": "x"'), {},
+                            "manifest.jsonl:3: invalid literal"),
+        "missing-text": (third_manifest_line(r'"texts/[^"]*"', '"texts/missing.txt"'), {},
+                         "document 'doc002': [Errno 2]"),
+        "text-not-a-string": (third_manifest_line(r'"text_path": "[^"]*"', '"text": 5'), {},
+                              "manifest.jsonl:3: 'text' must be a string"),
+        "exhausted-vocabulary": (lambda root: None, {"filter": {"min_count": 100000}},
+                                 "filter: vocabulary exhausted"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_prepare_names_the_bad_input(self, tmp_path, capsys, case):
+        tamper, sections, named = self.CASES[case]
+        config = small_pipeline(tmp_path, **sections)
+        tamper(tmp_path)
+        assert run_cli("prepare", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert named in err
+        assert not (tmp_path / "out" / "corpus.json").exists()
+
+
 class TestOutputDirectory:
     def test_relative_out_flag_is_taken_from_the_working_directory(self, tmp_path,
                                                                   monkeypatch):

@@ -1,11 +1,13 @@
-"""The compiled Gibbs kernels against the pure-Python oracle kernels."""
+"""The compiled Gibbs kernel against the pure-Python oracle kernel."""
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import threading
+import types
 from importlib import resources
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import textforage
 from textforage import _gibbs, lda, querysample
 from textforage.seeds import rng_from
 
-from conftest import build_corpus
+from conftest import build_corpus, reference_sweep_locked
 
 HAVE_GCC = shutil.which("gcc") is not None
 
@@ -30,10 +32,25 @@ def compiled():
     assert _gibbs.load()[0] is not None, lda.gibbs_backend()
 
 
-def test_kernel_source_ships_as_package_data():
+def test_kernel_source_ships_as_package_data(monkeypatch):
+    """The source ships, and it exports exactly the functions `_open`
+    declares, each with one argtype per parameter."""
     source = resources.files("textforage").joinpath("_gibbs.c")
     assert source.is_file()
-    assert b"void sweep_locked(" in source.read_bytes()
+    exported = {name.decode(): params.count(b",") + 1 for name, params in
+                re.findall(rb"^void (\w+)\(([^)]*)\)", source.read_bytes(), re.M)}
+
+    class Declared(dict):
+        def __init__(self, path):
+            super().__init__()
+
+        def __getattr__(self, name):
+            return self.setdefault(name, types.SimpleNamespace())
+
+    monkeypatch.setattr("ctypes.CDLL", Declared)
+    declared = _gibbs._open(Path("unused.so"))
+    assert {name: len(f.argtypes) for name, f in declared.items()} == exported
+    assert all(f.restype is None for f in declared.values())
 
 
 def test_compiled_kernel_is_built_into_the_cache(kernel_cache):
@@ -96,7 +113,7 @@ def test_full_kernel_is_bit_equal_to_the_oracle(state):
         row = row[None].copy()
         lda._sweep_kernel(tokens, docs, *oracle, v, alpha, beta, row, want)
         _gibbs.load()[0].sweep(1, tokens.size, *pointers(tokens, docs, *direct), v, k, n_docs,
-                            alpha, beta, *pointers(row, got))
+                               alpha, beta, *pointers(row, got), 0)
         npt.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg="probs")
     one_call = full_counts(tokens, docs, z, v, n_docs, k)
     lda.sweep(tokens, docs, *one_call, alpha, beta, uniforms)
@@ -109,29 +126,42 @@ def test_full_kernel_is_bit_equal_to_the_oracle(state):
 @settings(max_examples=60, deadline=None)
 @given(state=sampler_states())
 def test_locked_kernel_is_bit_equal_to_the_oracle(state):
+    """The full kernel on one document with `frozen` set, in Python and
+    in C, is the locked sweep of `reference_sweep_locked`, and leaves the
+    word-topic counts as they were."""
     compiled()
     tokens, _, z, v, _, k, alpha, beta, uniforms = state
     base_wt = np.random.default_rng(k).integers(0, 50, (v, k)).astype(np.int64)
     base_t = base_wt.sum(axis=0)
-
-    def fresh():
-        return [z.copy(), base_wt, base_t, np.bincount(z, minlength=k).astype(np.int64)]
-
-    oracle, direct = fresh(), fresh()
-    want, got = np.empty(k), np.empty(k)
+    docs = np.zeros(tokens.size, np.int32)
+    oracle = [z.copy(), np.bincount(z, minlength=k).astype(np.int64)]
+    # z, n_wt, n_td (k x 1) and n_t, in the order `sweep` takes them
+    frozen = {name: [z.copy(), base_wt.copy(), oracle[1].reshape(k, 1).copy(), base_t.copy()]
+              for name in ("python", "C")}
+    want, got = np.empty(k), {"python": np.empty(k), "C": np.empty(k)}
     for row in uniforms:
         row = row[None].copy()
-        lda._sweep_kernel_locked(tokens, *oracle, v, alpha, beta, row, want)
-        _gibbs.load()[0].sweep_locked(1, tokens.size, *pointers(tokens, *direct), v, k,
-                                   alpha, beta, *pointers(row, got))
-        npt.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg="probs")
+        reference_sweep_locked(tokens, oracle[0], base_wt, base_t, oracle[1], v, alpha, beta,
+                               row, want)
+        lda._sweep_kernel(tokens, docs, *frozen["python"], v, alpha, beta, row, got["python"],
+                          frozen=True)
+        _gibbs.load()[0].sweep(1, tokens.size, *pointers(tokens, docs, *frozen["C"]), v, k, 1,
+                               alpha, beta, *pointers(row, got["C"]), 1)
+        for name, probs in got.items():
+            npt.assert_array_equal(probs.view(np.int64), want.view(np.int64),
+                                   err_msg=f"{name} probs")
     one_z = z[None].copy()
     one_td, _, _ = lda.fit_batch(tokens, one_z, base_wt, base_t, v, alpha, beta,
                                  uniforms[None].copy(), drifting=False)
-    for i, name, one_call in ((0, "z", one_z), (3, "td_col", one_td)):
-        npt.assert_array_equal(direct[i], oracle[i], err_msg=name)
-        npt.assert_array_equal(one_call[0], oracle[i], err_msg=name)
+    for name, (z_run, wt_run, td_run, t_run) in frozen.items():
+        npt.assert_array_equal(z_run, oracle[0], err_msg=f"{name} z")
+        npt.assert_array_equal(td_run[:, 0], oracle[1], err_msg=f"{name} td")
+        npt.assert_array_equal(wt_run, base_wt, err_msg=f"{name} n_wt")
+        npt.assert_array_equal(t_run, base_t, err_msg=f"{name} n_t")
+    npt.assert_array_equal(one_z[0], oracle[0], err_msg="fit_batch z")
+    npt.assert_array_equal(one_td[0], oracle[1], err_msg="fit_batch td")
     npt.assert_array_equal(base_wt, np.random.default_rng(k).integers(0, 50, (v, k)))
+    npt.assert_array_equal(base_t, base_wt.sum(axis=0))
 
 
 @pytest.mark.parametrize("phi_mode", querysample.PHI_MODES)
@@ -149,8 +179,8 @@ def test_fit_is_one_call_on_the_per_iteration_stream(phi_mode):
     td = np.bincount(z, minlength=3).astype(np.int64)
     if phi_mode == "locked":
         for _ in range(7):
-            lda._sweep_kernel_locked(doc, z, model.n_wt, model.n_t, td, 6, 0.1, 0.01,
-                                     rng.random((1, doc.size)), np.empty(3))
+            reference_sweep_locked(doc, z, model.n_wt, model.n_t, td, 6, 0.1, 0.01,
+                                   rng.random((1, doc.size)), np.empty(3))
     else:
         wt, t = model.n_wt.copy(), model.n_t.copy()
         np.add.at(wt, (doc, z), 1)

@@ -290,6 +290,26 @@ def test_surprise_values_match_per_row_reference(theta, data):
     npt.assert_allclose(surprise_values(theta, mode, window), expected, rtol=0, atol=1e-12)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: as_distribution([NAN, 1.0]),
+    lambda: as_distribution([0.5, 0.5, NAN]),
+    lambda: surprise_series([[0.5, 0.5], [NAN, 0.5]], "t2p"),
+    lambda: surprise_series([[0.5, 0.5], [0.5, 0.5], [NAN, NAN]], "t2t"),
+    lambda: kl_divergence([NAN, 1.0], [0.5, 0.5]),
+    lambda: kl_divergence([0.5, 0.5], [1.0, NAN]),
+    lambda: js_divergence([NAN, 1.0], [0.5, 0.5]),
+    lambda: js_divergence([0.5, 0.5], [NAN, 0.5]),
+], ids=["as_distribution", "as_distribution-last", "surprise_series",
+        "surprise_series-row", "kl_divergence-q", "kl_divergence-p", "js_divergence-p",
+        "js_divergence-q"])
+def test_nan_entries_are_rejected(call):
+    with pytest.raises(ValueError, match="^distribution has NaN entries$"):
+        call()
+
+
 def test_as_distribution_roundtrip():
     p = as_distribution([0.1, 0.9])
     assert p.dtype == np.float64
