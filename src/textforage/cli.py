@@ -154,11 +154,12 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
         ("epochs.max_epochs", int), ("epochs.min_len", int),
         ("fit.iterations", int), ("fit.samples", int), ("threads", int),
         ("measure.smoothing", bool), ("tokenizer.merge_hyphens", bool),
-        ("tokenizer.ascii_fold", bool), ("filter.stopwords", list),
+        ("tokenizer.ascii_fold", bool),
     ):
         _require(cfg, field, kind, where)
-    if not all(isinstance(w, str) for w in cfg["filter"]["stopwords"]):
-        raise ConfigError(f"{where}: field 'filter.stopwords' must list strings")
+    for field in ("filter.stopwords", "fit.documents"):
+        if not all(isinstance(w, str) for w in _require(cfg, field, list, where)):
+            raise ConfigError(f"{where}: field '{field}' must list strings")
     for name, kind in (("min_count", int), ("max_count", int),
                        ("top_mass", (int, float)), ("bottom_mass", (int, float))):
         if cfg["filter"][name] is not None:
@@ -173,11 +174,12 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
     ):
         if _require(cfg, field, None, where) not in allowed:
             raise ConfigError(f"{where}: field '{field}' must be one of {allowed}")
-    for field in ("measure.modes",):
-        modes = _require(cfg, field, list, where)
-        bad = [m for m in modes if m not in ("t2t", "t2p")]
-        if bad:
-            raise ConfigError(f"{where}: field '{field}' has unknown mode {bad[0]!r}")
+    modes = _require(cfg, "measure.modes", list, where)
+    if not modes:
+        raise ConfigError(f"{where}: field 'measure.modes' must list at least one mode")
+    bad = [m for m in modes if m not in ("t2t", "t2p")]
+    if bad:
+        raise ConfigError(f"{where}: field 'measure.modes' has unknown mode {bad[0]!r}")
     for field, minimum in (
         ("training.iterations", 0), ("null_model.permutations", 1),
         ("epochs.max_epochs", 1), ("epochs.min_len", 2),
@@ -185,6 +187,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
     ):
         if _require(cfg, field, None, where) < minimum:
             raise ConfigError(f"{where}: field '{field}' must be >= {minimum}")
+    for field in ("training.alpha", "training.beta"):
+        if not _require(cfg, field, None, where) > 0:
+            raise ConfigError(f"{where}: field '{field}' must be > 0")
     span = cfg["fit"]["cluster_range"]
     if (not isinstance(span, list) or len(span) != 2
             or not all(isinstance(x, int) for x in span)
@@ -348,7 +353,7 @@ def _load_corpus(run: _Run) -> Corpus:
     path = run.artifact("corpus.json", "prepare")
     try:
         return Corpus.load(path)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MissingArtifactError(
             f"{path.name} is stale or corrupt ({exc}): rerun `prepare`"
         ) from exc
@@ -372,7 +377,7 @@ def _load_model(run: _Run, k: int) -> lda.TopicModel:
     path = run.artifact(f"model_k{k}.json", "train")
     try:
         model = lda.TopicModel.load(path, corpus.vocabulary)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MissingArtifactError(
             f"{path.name} is stale or corrupt ({exc}): rerun `train`"
         ) from exc

@@ -3,7 +3,10 @@
 Raw texts become lower-cased, ASCII-folded, punctuation- and
 numeral-free token streams; a frequency-filtered vocabulary maps the
 retained types to dense integer ids; documents are stored as id
-sequences alongside their reading/publication metadata.
+sequences alongside their reading/publication metadata.  A corpus file
+(format 2) holds the documents as six equal-length columns (id,
+read_date, pub_date, order_index, token_ids, dropped), written as JSON
+without separator whitespace.
 
 Stemming is deliberately not offered: collapsing inflected forms hurts
 topic quality, so the tokenizer exposes no option for it.
@@ -39,7 +42,9 @@ __all__ = [
     "load_manifest",
 ]
 
-CORPUS_FORMAT_VERSION = 1
+CORPUS_FORMAT_VERSION = 2
+# the columns of a corpus file's `documents`, one entry per document each
+_DOCUMENT_COLUMNS = ("id", "read_date", "pub_date", "order_index", "token_ids", "dropped")
 
 
 # ---------------------------------------------------------------------------
@@ -391,49 +396,66 @@ class Corpus:
         ))
 
     def save(self, path: str | Path, metadata: dict | None = None) -> None:
+        """Write the corpus as compact JSON, `documents` as one object of
+        equal-length columns in document order."""
+        specs = [d.spec for d in self.documents]
         payload = {
             "format_version": CORPUS_FORMAT_VERSION,
             "kind": "corpus",
             "metadata": metadata or {},
             "vocabulary": self.vocabulary.to_payload(),
-            "documents": [
-                {
-                    "id": d.spec.id,
-                    "read_date": str(d.spec.read_date) if d.spec.read_date else None,
-                    "pub_date": str(d.spec.pub_date) if d.spec.pub_date else None,
-                    "order_index": d.spec.order_index,
-                    "token_ids": [int(t) for t in d.token_ids],
-                    "dropped": d.dropped,
-                }
-                for d in self.documents
-            ],
+            "documents": {
+                "id": [s.id for s in specs],
+                "read_date": [str(s.read_date) if s.read_date else None for s in specs],
+                "pub_date": [str(s.pub_date) if s.pub_date else None for s in specs],
+                "order_index": [s.order_index for s in specs],
+                "token_ids": [d.token_ids.tolist() for d in self.documents],
+                "dropped": [d.dropped for d in self.documents],
+            },
             "skipped_empty": list(self.skipped_empty),
             "warnings": list(self.warnings),
         }
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
+        Path(path).write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "Corpus":
+        """Read a corpus file.
+
+        Raises ValueError for a file of another kind or format version,
+        and, naming the field, for a `documents` value that is not a
+        mapping of equal-length columns.
+        """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("kind") != "corpus":
+        if not isinstance(payload, dict) or payload.get("kind") != "corpus":
             raise ValueError(f"{path} is not a corpus file")
         if payload.get("format_version") != CORPUS_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported corpus format_version {payload.get('format_version')!r}"
             )
         vocab = Vocabulary.from_payload(payload["vocabulary"])
+        columns = payload["documents"]
+        if not isinstance(columns, dict):
+            raise ValueError("field 'documents' must be a mapping of columns")
+        for name in _DOCUMENT_COLUMNS:
+            if not isinstance(columns.get(name), list):
+                raise ValueError(f"field 'documents.{name}' is missing or not a list")
+            if len(columns[name]) != len(columns["id"]):
+                raise ValueError(
+                    f"field 'documents.{name}' has {len(columns[name])} entries, "
+                    f"'documents.id' has {len(columns['id'])}"
+                )
         docs = tuple(
             EncodedDocument(
                 spec=DocumentSpec(
-                    id=entry["id"],
-                    read_date=entry["read_date"],
-                    pub_date=entry["pub_date"],
-                    order_index=entry["order_index"],
+                    id=doc_id, read_date=read_date, pub_date=pub_date,
+                    order_index=order_index,
                 ),
-                token_ids=np.asarray(entry["token_ids"], dtype=np.int32),
-                dropped=entry["dropped"],
+                token_ids=np.asarray(token_ids, dtype=np.int32),
+                dropped=dropped,
             )
-            for entry in payload["documents"]
+            for doc_id, read_date, pub_date, order_index, token_ids, dropped in zip(
+                *(columns[name] for name in _DOCUMENT_COLUMNS)
+            )
         )
         return cls(
             vocabulary=vocab,

@@ -148,16 +148,19 @@ def _cost_matrix(
     """cost[j, i] = max log-likelihood of segment x[i:j] (j - i >= min_len),
     -inf elsewhere; one row per segment end.
 
-    The series is centered on its global mean before the prefix sums:
-    segment variances are shift-invariant and the segmentation is
-    location-equivariant, so this only improves conditioning.  Rows are
-    filled in blocks of at most `_BLOCK` entries, each entry by the
-    same elementwise expression as one segment at a time.
+    In `mle` mode the series is centered on its global mean before the
+    prefix sums: segment variances are shift-invariant and the
+    segmentation is location-equivariant, so this only improves
+    conditioning.  `legacy`'s segment mean sum / (m - 1) is not
+    shift-equivariant, so there the raw values are summed, as
+    `segment_loglik` scores them.  Rows are filled in blocks of at most
+    `_BLOCK` entries, each entry by the same elementwise expression as
+    one segment at a time.
     """
     n = x.size
-    centered = x - x.mean()
-    s = np.concatenate([[0.0], np.cumsum(centered)])
-    q = np.concatenate([[0.0], np.cumsum(centered**2)])
+    y = x - x.mean() if variance_mode == "mle" else x
+    s = np.concatenate([[0.0], np.cumsum(y)])
+    q = np.concatenate([[0.0], np.cumsum(y**2)])
     cost = np.full((n + 1, n + 1), -np.inf)
     step = max(_BLOCK // (n + 1), 1)
     for lo in range(min_len, n + 1, step):

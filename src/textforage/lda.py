@@ -20,8 +20,8 @@ only freezes the word-topic counts.
 
 Training is single-threaded and bit-reproducible from (corpus, config).
 A model file stores only what cannot be derived: the documents' tokens,
-the assignments z and the likelihood trace.  Loading rebuilds every
-count matrix from z.
+the assignments z and the likelihood trace, as JSON without separator
+whitespace.  Loading rebuilds every count matrix from z.
 """
 
 from __future__ import annotations
@@ -370,7 +370,8 @@ class TopicModel:
         return h.hexdigest()
 
     def save(self, path: str | Path, metadata: dict | None = None) -> None:
-        """Write the underivable state: tokens per document, z, trace."""
+        """Write the underivable state as compact JSON: tokens per
+        document, z, trace."""
         payload = {
             "format_version": MODEL_FORMAT_VERSION,
             "kind": "topic_model",
@@ -384,7 +385,7 @@ class TopicModel:
             "sweeps_done": self.sweeps_done,
             "log_likelihood_trace": [float(x) for x in self.log_likelihood_trace],
         }
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
+        Path(path).write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path, vocabulary: Vocabulary) -> "TopicModel":
@@ -395,7 +396,7 @@ class TopicModel:
         tokens and z that do not hash to `assignments_sha256`.
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("kind") != "topic_model":
+        if not isinstance(payload, dict) or payload.get("kind") != "topic_model":
             raise ValueError(f"{path} is not a topic model file")
         if payload.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(

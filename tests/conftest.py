@@ -372,9 +372,9 @@ def reference_cost_matrix(x, min_len, variance_mode, var_floor):
     from textforage.epochs import _LOG_2PI
 
     n = x.size
-    centered = x - x.mean()
-    s = np.concatenate([[0.0], np.cumsum(centered)])
-    q = np.concatenate([[0.0], np.cumsum(centered**2)])
+    y = x - x.mean() if variance_mode == "mle" else x
+    s = np.concatenate([[0.0], np.cumsum(y)])
+    q = np.concatenate([[0.0], np.cumsum(y**2)])
     cost = np.full((n + 1, n + 1), -np.inf)
     for i in range(n + 1 - min_len):
         j = np.arange(i + min_len, n + 1)

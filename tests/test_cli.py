@@ -336,7 +336,8 @@ class TestStageOrdering:
 
 
 class TestStaleArtifacts:
-    @pytest.mark.parametrize("tamper", ["z", "token", "truncated-z", "format-1"])
+    @pytest.mark.parametrize("tamper", ["z", "token", "truncated-z", "format-1",
+                                        "config-not-a-mapping"])
     def test_tampered_model_names_the_file(self, tmp_path, capsys, tamper):
         config = small_pipeline(tmp_path)
         assert run_cli("prepare", "--config", config) == 0
@@ -350,6 +351,8 @@ class TestStaleArtifacts:
             doc[0] = 1 if doc[0] == 0 else 0
         elif tamper == "truncated-z":
             payload["z"].pop()
+        elif tamper == "config-not-a-mapping":
+            payload["config"] = [1]
         else:
             payload["format_version"] = 1
         path.write_text(json.dumps(payload))
@@ -402,6 +405,59 @@ class TestStaleArtifacts:
         assert run_cli("train", "--config", config) == 2
         err = capsys.readouterr().err
         assert "corpus.json" in err and "`prepare`" in err
+
+    @staticmethod
+    def _as_format_1(payload):
+        columns = payload["documents"]
+        payload["format_version"] = 1
+        payload["documents"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+    @pytest.mark.parametrize("tamper, named", [
+        (_as_format_1, "unsupported corpus format_version 1"),
+        (lambda payload: payload["documents"].pop("pub_date"),
+         "field 'documents.pub_date' is missing"),
+        (lambda payload: payload["documents"]["token_ids"].pop(),
+         "field 'documents.token_ids' has 19 entries, 'documents.id' has 20"),
+        (lambda payload: payload["documents"]["order_index"].__setitem__(0, "x"),
+         "not supported between instances of 'str' and 'int'"),
+    ], ids=["format-1", "missing-column", "short-column", "order-index-not-a-number"])
+    def test_malformed_corpus_names_the_file(self, tmp_path, capsys, tamper, named):
+        config = small_pipeline(tmp_path)
+        assert run_cli("prepare", "--config", config) == 0
+        path = tmp_path / "out" / "corpus.json"
+        payload = json.loads(path.read_text())
+        tamper(payload)
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("train", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "corpus.json" in err and named in err and "`prepare`" in err
+        assert not (tmp_path / "out" / "model_k2.json").exists()
+
+    @pytest.mark.parametrize("name, producer, reader", [
+        ("corpus.json", "prepare", "train"), ("model_k2.json", "train", "measure"),
+    ])
+    def test_file_that_is_not_an_object_names_the_file(self, tmp_path, capsys, name,
+                                                       producer, reader):
+        config = small_pipeline(tmp_path)
+        assert run_cli("prepare", "--config", config) == 0
+        assert run_cli("train", "--config", config) == 0
+        (tmp_path / "out" / name).write_text("[1]")
+        capsys.readouterr()
+        assert run_cli(reader, "--config", config) == 2
+        err = capsys.readouterr().err
+        assert f"{name} is stale or corrupt" in err and f"`{producer}`" in err
+
+    def test_bulk_files_have_no_separator_whitespace(self, tmp_path):
+        config = small_pipeline(tmp_path)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(manifest.read_text().replace('"doc005"', '"doc, 005: x"'))
+        assert run_cli("prepare", "--config", config) == 0
+        assert run_cli("train", "--config", config) == 0
+        for name in ("corpus.json", "model_k2.json"):
+            text = (tmp_path / "out" / name).read_text()
+            assert '"doc, 005: x"' in text
+            assert text == json.dumps(json.loads(text), separators=(",", ":"))
 
 
 class TestCorruptSeries:
@@ -488,6 +544,10 @@ class TestPipelineHandsProductsForward:
                               "--threads", threads)
         assert result == (0, stdout, stderr)
         assert_same_files(out, tmp_path / "p")
+
+    def test_thread_counts_write_the_same_files(self, staged_fixture):
+        _, runs = staged_fixture
+        assert_same_files(runs["1"][0], runs["2"][0])
 
     def test_pipeline_reads_nothing_back(self, staged_fixture, tmp_path, monkeypatch):
         # a standalone stage still loads and checks every artifact it
@@ -742,12 +802,18 @@ class TestConfigValidation:
         ("filter", {"max_count": True}, "filter.max_count"),
         ("filter", {"stopwords": "the"}, "filter.stopwords"),
         ("filter", {"stopwords": ["the", 3]}, "filter.stopwords"),
+        ("training", {"alpha": 0}, "training.alpha"),
+        ("training", {"beta": -1}, "training.beta"),
+        ("measure", {"modes": []}, "measure.modes"),
+        ("fit", {"documents": "query_0.txt"}, "fit.documents"),
     ], ids=["strategy", "merge", "smoothing", "ascii_fold", "merge_hyphens", "top_mass",
-            "bottom_mass", "min_count", "max_count", "stopwords", "stopword"])
+            "bottom_mass", "min_count", "max_count", "stopwords", "stopword", "alpha", "beta",
+            "modes", "documents"])
     def test_bad_field_is_named_before_any_artifact(self, tmp_path, capsys, section, value,
                                                      field):
-        config = small_pipeline(tmp_path, training={"ks": [2, 3], "iterations": 5},
-                                **{section: value})
+        sections = {"training": {"ks": [2, 3], "iterations": 5}}
+        sections[section] = {**sections.get(section, {}), **value}
+        config = small_pipeline(tmp_path, **sections)
         assert run_cli("pipeline", "--config", config) == 1
         assert capsys.readouterr().err.startswith(f"config error: {config}: field '{field}'")
         assert not (tmp_path / "out").exists()

@@ -179,6 +179,71 @@ class TestEncodeCorpus:
         with pytest.raises(ValueError, match="format_version"):
             Corpus.load(path)
 
+    @staticmethod
+    def _saved(tmp_path):
+        """A two-document corpus saved at `tmp_path`: (corpus, path)."""
+        vocab = Vocabulary(["a", "b"], [3, 1])
+        corpus = encode_corpus(
+            [DocumentSpec(id='d, 0: "x"', read_date="1845-03", order_index=1),
+             DocumentSpec(id="d1", pub_date="1841-02-01", order_index=0)],
+            [["a", "a", "b", "zz"], ["a"]],
+            vocab,
+        )
+        path = tmp_path / "corpus.json"
+        corpus.save(path)
+        return corpus, path
+
+    def test_documents_are_columns(self, tmp_path):
+        corpus, path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 2
+        assert payload["documents"] == {
+            "id": ['d, 0: "x"', "d1"],
+            "read_date": ["1845-03", None],
+            "pub_date": [None, "1841-02-01"],
+            "order_index": [1, 0],
+            "token_ids": [[0, 0, 1], [0]],
+            "dropped": [1, 0],
+        }
+        loaded = Corpus.load(path)
+        assert [(d.spec, d.token_ids.tolist(), d.dropped) for d in loaded.documents] == [
+            (d.spec, d.token_ids.tolist(), d.dropped) for d in corpus.documents
+        ]
+
+    def test_format_1_rejected(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        columns = payload["documents"]
+        payload["format_version"] = 1
+        payload["documents"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported corpus format_version 1"):
+            Corpus.load(path)
+
+    @pytest.mark.parametrize("tamper, named", [
+        (lambda docs: docs.pop("dropped"), "'documents.dropped' is missing"),
+        (lambda docs: docs["read_date"].pop(), "'documents.read_date' has 1 entries"),
+        (lambda docs: docs["token_ids"].append([0]), "'documents.token_ids' has 3 entries"),
+        (lambda docs: docs["id"].pop(), "'documents.read_date' has 2 entries, "
+                                        "'documents.id' has 1"),
+        (lambda docs: docs.update(order_index=None), "'documents.order_index' is missing"),
+    ], ids=["missing-column", "short-column", "long-column", "short-id", "not-a-list"])
+    def test_malformed_columns_rejected(self, tmp_path, tamper, named):
+        _, path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        tamper(payload["documents"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=named):
+            Corpus.load(path)
+
+    def test_documents_must_be_a_mapping(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["documents"] = list(payload["documents"].values())
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="'documents' must be a mapping"):
+            Corpus.load(path)
+
     def test_save_is_byte_stable_through_roundtrip(self, tmp_path):
         vocab = Vocabulary(["a", "b"], [3, 1])
         corpus = encode_corpus(

@@ -120,6 +120,22 @@ class TestFitEpochs:
         assert model.log_likelihood == pytest.approx(oracle_ll, rel=1e-10)
         assert model.boundaries == oracle_bounds
 
+    @pytest.mark.parametrize("variance_mode", ["mle", "legacy"])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), offset=st.floats(5, 25),
+           n_epochs=st.integers(2, 3))
+    def test_dp_matches_brute_force_at_shifted_means(self, variance_mode, seed, offset,
+                                                      n_epochs):
+        # legacy's segment mean sum / (m - 1) is not shift-equivariant, so
+        # a series far from zero finds any centring the DP would do
+        values = offset + np.random.default_rng(seed).normal(size=30)
+        model = fit_epochs(values, n_epochs, min_len=4, variance_mode=variance_mode)
+        oracle_ll, oracle_bounds = brute_force_fit(
+            values, n_epochs, min_len=4, variance_mode=variance_mode
+        )
+        assert model.boundaries == oracle_bounds
+        assert model.log_likelihood == pytest.approx(oracle_ll, rel=1e-10)
+
     def test_nesting_likelihood_non_decreasing(self):
         rng = np.random.default_rng(3)
         values = rng.normal(size=60)
