@@ -51,7 +51,6 @@ from .errors import ConfigError, MissingArtifactError, NumericalDegeneracyError
 from .measures import surprise_series, surprise_values
 from .nullmodels import ReadingOrder
 from .seeds import derive_seed
-from .synthetic import make_fixture
 
 SUBCOMMANDS = (
     "prepare", "train", "measure", "null", "epochs", "fit", "compare", "pipeline", "fixture",
@@ -665,6 +664,8 @@ def stage_pipeline(run: _Run) -> None:
 
 
 def stage_fixture(args) -> None:
+    from .synthetic import make_fixture  # only this stage needs it
+
     out = Path(args.out or "fixture")
     summary = make_fixture(out, seed=args.seed if args.seed is not None else 7)
     config = {

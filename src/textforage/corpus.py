@@ -43,8 +43,16 @@ __all__ = [
 ]
 
 CORPUS_FORMAT_VERSION = 2
-# the columns of a corpus file's `documents`, one entry per document each
-_DOCUMENT_COLUMNS = ("id", "read_date", "pub_date", "order_index", "token_ids", "dropped")
+# the columns of a corpus file's `documents`, one entry per document each,
+# and what each entry must be
+_DOCUMENT_COLUMNS = {
+    "id": "a string",
+    "read_date": "a date string or null",
+    "pub_date": "a date string or null",
+    "order_index": "a non-negative integer",
+    "token_ids": "a list of token ids in [0, V)",
+    "dropped": "a non-negative integer",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +431,8 @@ class Corpus:
 
         Raises ValueError for a file of another kind or format version,
         and, naming the field, for a `documents` value that is not a
-        mapping of equal-length columns.
+        mapping of equal-length columns or has an entry of the wrong
+        type (naming the document too).
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or payload.get("kind") != "corpus":
@@ -444,18 +453,31 @@ class Corpus:
                     f"field 'documents.{name}' has {len(columns[name])} entries, "
                     f"'documents.id' has {len(columns['id'])}"
                 )
+        v = len(vocab)
+
+        def token_ids(entry) -> np.ndarray:
+            if type(entry) is not list:
+                raise TypeError
+            ids = np.asarray(entry)  # nested lists of unequal lengths raise ValueError
+            if ids.ndim != 1 or ids.size and (
+                ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= v
+            ):
+                raise ValueError
+            return ids.astype(np.int32)
+
+        readers = {"id": _string, "read_date": _date, "pub_date": _date,
+                   "order_index": _count, "token_ids": token_ids, "dropped": _count}
+        values = {name: _read_column(columns, name, readers[name]) for name in _DOCUMENT_COLUMNS}
         docs = tuple(
             EncodedDocument(
                 spec=DocumentSpec(
                     id=doc_id, read_date=read_date, pub_date=pub_date,
                     order_index=order_index,
                 ),
-                token_ids=np.asarray(token_ids, dtype=np.int32),
+                token_ids=tokens,
                 dropped=dropped,
             )
-            for doc_id, read_date, pub_date, order_index, token_ids, dropped in zip(
-                *(columns[name] for name in _DOCUMENT_COLUMNS)
-            )
+            for doc_id, read_date, pub_date, order_index, tokens, dropped in zip(*values.values())
         )
         return cls(
             vocabulary=vocab,
@@ -463,6 +485,38 @@ class Corpus:
             skipped_empty=tuple(payload.get("skipped_empty", ())),
             warnings=tuple(payload.get("warnings", ())),
         )
+
+
+def _string(entry) -> str:
+    if type(entry) is not str:
+        raise TypeError
+    return entry
+
+
+def _date(entry) -> PartialDate | None:
+    return None if entry is None else PartialDate.parse(_string(entry))
+
+
+def _count(entry) -> int:
+    if type(entry) is not int or entry < 0:  # `type`: a bool is not a count
+        raise TypeError
+    return entry
+
+
+def _read_column(columns: dict, name: str, reader) -> list:
+    """Column `name` of a corpus file's `documents`, each entry through
+    `reader`; a ValueError names the field and the document of the first
+    entry that `reader` rejects with TypeError or ValueError."""
+    values = []
+    for i, entry in enumerate(columns[name]):
+        try:
+            values.append(reader(entry))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"field 'documents.{name}' entry {i} ({columns['id'][i]}) "
+                f"is not {_DOCUMENT_COLUMNS[name]}"
+            ) from None
+    return values
 
 
 def encode_corpus(

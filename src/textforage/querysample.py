@@ -24,7 +24,6 @@ slices, one GIL-free kernel call each, on the query's own rows only.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
@@ -125,6 +124,8 @@ def _fit_blocks(model, tokens, seeds, iterations, phi_mode, workers=1):
     local_tokens, base_rows, n = local_tokens.astype(np.int32), model.n_wt[local_ids], tokens.size
     block = max(workers, BLOCK_NUMBERS // (iterations * n + base_rows.size))
     uniforms = np.empty((min(block, len(seeds)), iterations, n))  # reused by every block
+    if workers > 1:  # a one-thread fit leaves concurrent.futures unimported
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for start in range(0, len(seeds), block):
             chunk = seeds[start : start + block]

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import filecmp
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -419,8 +420,12 @@ class TestStaleArtifacts:
         (lambda payload: payload["documents"]["token_ids"].pop(),
          "field 'documents.token_ids' has 19 entries, 'documents.id' has 20"),
         (lambda payload: payload["documents"]["order_index"].__setitem__(0, "x"),
-         "not supported between instances of 'str' and 'int'"),
-    ], ids=["format-1", "missing-column", "short-column", "order-index-not-a-number"])
+         "field 'documents.order_index' entry 0 (doc000) is not a non-negative integer"),
+        (lambda payload: payload["documents"]["token_ids"][1].append(
+            len(payload["vocabulary"]["terms"])),
+         "field 'documents.token_ids' entry 1 (doc001) is not a list of token ids in [0, V)"),
+    ], ids=["format-1", "missing-column", "short-column", "order-index-not-a-number",
+            "token-id-out-of-range"])
     def test_malformed_corpus_names_the_file(self, tmp_path, capsys, tamper, named):
         config = small_pipeline(tmp_path)
         assert run_cli("prepare", "--config", config) == 0
@@ -627,6 +632,52 @@ class TestScipyImport:
         report = json.loads((out / "compare_k2_vs_k3.json").read_text())
         assert report["strategy"] == "adversarial"
         assert report["total_distance"] == pytest.approx(optimum, abs=1e-12)
+
+
+class TestLazyNamespace:
+    """`import textforage` loads a submodule, and numpy, on first use of
+    one of its names."""
+
+    def test_import_loads_no_numpy(self):
+        assert modules_after("numpy", "import textforage") == []
+
+    def test_import_loads_no_submodule(self):
+        assert modules_after("textforage", "import textforage") == ["textforage"]
+
+    def test_names_are_their_submodules_objects(self):
+        assert textforage.__all__ == ["__version__", *textforage._SUBMODULE]
+        for name, module in textforage._SUBMODULE.items():
+            source = importlib.import_module(f"textforage.{module}")
+            assert getattr(textforage, name) is getattr(source, name)
+
+    def test_dir_lists_every_name(self):
+        assert set(textforage.__all__) <= set(dir(textforage))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            textforage.no_such_name
+
+    def test_star_import_binds_every_name(self):
+        script = ("import textforage\nfrom textforage import *\n"
+                  "assert [n for n in textforage.__all__ if n not in globals()] == []")
+        loaded = modules_after("textforage", script)
+        assert {f"textforage.{m}" for m in textforage._SUBMODULE.values()} <= set(loaded)
+
+
+class TestCliStartUp:
+    """The CLI imports what only one stage or a pool of threads needs
+    where it is used."""
+
+    def test_import_loads_no_synthetic(self):
+        assert modules_after("textforage.synthetic", "import textforage.cli") == []
+
+    def test_one_thread_pipeline_loads_no_concurrent(self, tmp_path):
+        config = small_pipeline(
+            tmp_path, fit={"documents": ["query_0.txt"], "samples": 4, "iterations": 5,
+                           "cluster_range": [2, 3]},
+        )
+        assert modules_after("concurrent", PIPELINE, config) == []
+        assert (tmp_path / "out" / "fit_query_0_k2_clusters.json").is_file()
 
 
 class TestNumpyMaImport:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,33 @@ class TestEncodeCorpus:
         tamper(payload["documents"])
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=named):
+            Corpus.load(path)
+
+    @pytest.mark.parametrize("name, entry", [
+        ("id", 7),
+        ("read_date", 1845),
+        ("pub_date", "1841-13"),
+        ("order_index", "0"),
+        ("order_index", True),
+        ("order_index", -1),
+        ("order_index", 1.0),
+        ("token_ids", [0, 2]),  # V is 2
+        ("token_ids", [0, -1]),
+        ("token_ids", [0, 1.5]),
+        ("token_ids", [True]),
+        ("token_ids", [[0], [0, 1]]),
+        ("token_ids", [2**70]),
+        ("token_ids", "01"),
+        ("dropped", None),
+        ("dropped", -1),
+    ])
+    def test_wrong_entry_names_the_field_and_the_document(self, tmp_path, name, entry):
+        _, path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["documents"][name][1] = entry
+        path.write_text(json.dumps(payload))
+        doc = entry if name == "id" else "d1"
+        with pytest.raises(ValueError, match=re.escape(f"field 'documents.{name}' entry 1 ({doc})")):
             Corpus.load(path)
 
     def test_documents_must_be_a_mapping(self, tmp_path):
