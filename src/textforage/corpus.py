@@ -467,7 +467,6 @@ class Corpus:
 
         readers = {"id": _string, "read_date": _date, "pub_date": _date,
                    "order_index": _count, "token_ids": token_ids, "dropped": _count}
-        values = {name: _read_column(columns, name, readers[name]) for name in _DOCUMENT_COLUMNS}
         docs = tuple(
             EncodedDocument(
                 spec=DocumentSpec(
@@ -477,7 +476,9 @@ class Corpus:
                 token_ids=tokens,
                 dropped=dropped,
             )
-            for doc_id, read_date, pub_date, order_index, tokens, dropped in zip(*values.values())
+            for doc_id, read_date, pub_date, order_index, tokens, dropped in zip(
+                *(_read_column(columns, name, readers[name]) for name in _DOCUMENT_COLUMNS)
+            )
         )
         return cls(
             vocabulary=vocab,
