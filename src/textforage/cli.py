@@ -505,19 +505,18 @@ def stage_null(run: _Run) -> None:
             order, theta, n=n, seed=derive_seed(run.seed, k, "null"),
             modes=tuple(modes), d=d,
         )
-        means = [comparison.ensemble.mean_by_mode[m] for m in sorted(modes)]
+        columns = sorted(modes)
+        means = [comparison.ensemble.mean_by_mode[m] for m in columns]
         run.write_csv(f"null_k{k}_means.csv",
-                      ["permutation"] + [f"{m}_mean_bits" for m in sorted(modes)],
+                      ["permutation"] + [f"{m}_mean_bits" for m in columns],
                       ([i] + [repr(float(c[i])) for c in means] for i in range(n)))
-        for mode in modes:
-            columns = (comparison.actual_series[mode],
-                       comparison.ensemble.null_series_by_mode[mode],
-                       comparison.cumulative_relative[mode])
-            run.write_csv(f"null_k{k}_cumrel_{mode}.csv",
-                          ["position", "item_id", "actual_bits", "null_mean_bits",
-                           "cumulative_relative_bits"],
-                          ([pos, order.item_ids[pos]] + [repr(float(c[pos - 1])) for c in columns]
-                           for pos in range(1, len(order))))
+        # the null's mean per step; the cumulative curve of a mode is
+        # np.cumsum(series_k{k}_{mode}.csv bits - this column)
+        steps = [comparison.ensemble.null_series_by_mode[m] for m in columns]
+        run.write_csv(f"null_k{k}_series.csv",
+                      ["position", "item_id"] + [f"{m}_null_mean_bits" for m in columns],
+                      ([pos, order.item_ids[pos]] + [repr(float(c[pos - 1])) for c in steps]
+                       for pos in range(1, len(order))))
         summary = comparison.summary_payload()
         for objective in modes:
             path = nullmodels.greedy_shortest_path(theta, start=0, objective=objective, d=d)

@@ -18,8 +18,9 @@ Because the sampler starts from a random assignment, repeated fits give
 different topic distributions; `sample_ensemble` collects them and
 `cluster_ensemble` groups the resulting interpretations.  It fits in
 blocks of samples: each sample's RNG set-up runs serially on the calling
-thread, then `workers` threads split the block's sweeps into contiguous
-slices, one GIL-free kernel call each, on the query's own rows only.
+thread, then up to `workers` threads split the block's sweeps into
+contiguous slices of at least `MIN_SLICE_UPDATES` token updates, one
+GIL-free kernel call each, on the query's own rows only.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ PHI_MODES = ("locked", "extended", "drifting")
 
 #: numbers per block of samples: each takes its uniforms and word-topic rows
 BLOCK_NUMBERS = 2**19
+
+#: token updates (samples x iterations x tokens) each worker slice of a
+#: block must hold, so a block splits in two from 100,000.  `sample_ensemble`
+#: of 100 fits x 100 iterations on a 2-core x86_64 host, 2 workers against
+#: 1 (interleaved medians of 11): 0.6-0.9x the time at k = 80 from 30,000
+#: updates up; at k = 20 1.1-1.2x below 100,000 and 0.85-0.94x from there;
+#: at k = 4 1.0-1.3x at every size up to 3,000,000
+MIN_SLICE_UPDATES = 50_000
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,8 @@ def _fit_blocks(model, tokens, seeds, iterations, phi_mode, workers=1):
     local_tokens, base_rows, n = local_tokens.astype(np.int32), model.n_wt[local_ids], tokens.size
     block = max(workers, BLOCK_NUMBERS // (iterations * n + base_rows.size))
     uniforms = np.empty((min(block, len(seeds)), iterations, n))  # reused by every block
-    if workers > 1:  # a one-thread fit leaves concurrent.futures unimported
+    workers = _slices(len(uniforms), iterations, n, workers)  # the largest block's
+    if workers > 1:  # an unsplit fit leaves concurrent.futures unimported
         from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for start in range(0, len(seeds), block):
@@ -136,12 +146,18 @@ def _fit_blocks(model, tokens, seeds, iterations, phi_mode, workers=1):
                 rng.random(out=uniforms[j])
             td, wt, n_t = lda.fit_batch(local_tokens, z, base_rows, model.n_t, v, alpha, beta,
                                         uniforms[: len(chunk)], phi_mode != "locked", pool,
-                                        workers)
+                                        _slices(len(chunk), iterations, n, workers))
             thetas = (td + alpha) / (n + k * alpha)
             yield thetas, np.array([
                 lda.perplexity_from_distributions(theta, (rows + beta) / (t + v * beta),
                                                   [local_tokens])
                 for theta, rows, t in zip(thetas, wt, n_t)]), z
+
+
+def _slices(samples: int, iterations: int, n: int, workers: int) -> int:
+    """Worker slices for a block: at most one per worker and sample, and
+    at least `MIN_SLICE_UPDATES` token updates each (one slice if less)."""
+    return min(workers, samples, max(1, samples * iterations * n // MIN_SLICE_UPDATES))
 
 
 def _extend_model(
@@ -218,7 +234,7 @@ def sample_ensemble(
         phi_mode=phi_mode,
         master_seed=master_seed,
         seeds=seeds,
-        slices=sum(min(workers, len(b[0])) for b in blocks),
+        slices=sum(_slices(len(b[0]), iterations, tokens.size, workers) for b in blocks),
     )
 
 

@@ -19,7 +19,7 @@ import pytest
 import yaml
 
 import textforage
-from textforage import _gibbs, cli, lda, modelcompare, nullmodels
+from textforage import _gibbs, cli, lda, modelcompare, nullmodels, querysample
 from textforage.corpus import Corpus
 from textforage.errors import ConfigError
 from textforage.measures import surprise_series, surprise_values
@@ -70,12 +70,14 @@ class TestPipeline:
             "corpus.json", "model_k3.json", "model_k4.json",
             "series_k3_t2t.csv", "series_k3_t2p.csv",
             "null_k3_summary.json", "null_k3_means.csv", "null_k3_ranks.json",
+            "null_k3_series.csv", "null_k4_series.csv",
             "epochs_k3_t2t.json", "epochs_k3_t2p.json",
             "fit_query_0_k3_samples.csv", "fit_query_0_k3_clusters.json",
             "compare_k3_vs_k4.csv", "compare_k3_vs_k4.json",
         ]
         for name in expected:
             assert (out / name).is_file(), name
+        assert list(out.glob("null_k*_cumrel_*")) == []
 
     def test_reruns_are_byte_identical(self, fixture_dir):
         config = str(fixture_dir / "config.yaml")
@@ -127,7 +129,7 @@ class TestPipeline:
 FIXTURE_CSVS = [
     *(("series", f"series_k{k}_{m}.csv") for k in (3, 4) for m in ("t2t", "t2p")),
     *(("means", f"null_k{k}_means.csv") for k in (3, 4)),
-    *(("cumrel", f"null_k{k}_cumrel_{m}.csv") for k in (3, 4) for m in ("t2t", "t2p")),
+    *(("null_series", f"null_k{k}_series.csv") for k in (3, 4)),
     ("samples", "fit_query_0_k3_samples.csv"),
     ("compare", "compare_k3_vs_k4.csv"),
 ]
@@ -158,8 +160,8 @@ def test_csv_artifact_layout(csv_run, family, name):
         "series": (["position", "item_id", "mode", "bits"], [steps, item_ids[1:]]),
         "means": (["permutation", "t2p_mean_bits", "t2t_mean_bits"],
                   [[str(i) for i in range(cfg["null_model"]["permutations"])]]),
-        "cumrel": (["position", "item_id", "actual_bits", "null_mean_bits",
-                    "cumulative_relative_bits"], [steps, item_ids[1:]]),
+        "null_series": (["position", "item_id", "t2p_null_mean_bits", "t2t_null_mean_bits"],
+                        [steps, item_ids[1:]]),
         "samples": (["sample", "dominant_topic", "perplexity"],
                     [[str(i) for i in range(cfg["fit"]["samples"])]]),
         "compare": (["topic_a", "topic_b", "js_distance"], [["0", "1", "2"]]),
@@ -197,6 +199,18 @@ def csv_column(path, name):
         return [row[name] for row in csv.DictReader(l for l in fh if not l.startswith("#"))]
 
 
+def small_pipeline_null(out, n):
+    """theta, reading order and null comparison of the `small_pipeline`
+    null stage at k=2, rebuilt from `out` with the stage's seed and d."""
+    corpus = Corpus.load(out / "corpus.json")
+    model = lda.TopicModel.load(out / "model_k2.json", corpus.vocabulary)
+    theta, _ = lda.estimate_distributions(model, smoothing=True)
+    order = nullmodels.ReadingOrder.from_corpus(corpus)
+    null = nullmodels.null_ensemble(order, theta, n=n, seed=derive_seed(3, 2, "null"),
+                                    d=nullmodels.kl_matrix(theta))
+    return theta, order, null
+
+
 class TestSeriesConsistency:
     def test_comma_in_id_reaches_epochs(self, tmp_path):
         config = small_pipeline(tmp_path)
@@ -227,20 +241,37 @@ class TestSeriesConsistency:
         config = small_pipeline(tmp_path)
         assert run_cli("pipeline", "--config", config) == 0
         out = tmp_path / "out"
+        _, _, null = small_pipeline_null(out, n=20)
         for mode in ("t2t", "t2p"):
             measured = csv_column(out / f"series_k2_{mode}.csv", "bits")
-            actual = csv_column(out / f"null_k2_cumrel_{mode}.csv", "actual_bits")
-            assert measured == actual
+            assert measured == [repr(float(x)) for x in null.actual_series[mode]]
+
+    def test_cumulative_curve_rebuilds_from_the_two_files(self, tmp_path):
+        config = small_pipeline(tmp_path)
+        assert run_cli("pipeline", "--config", config) == 0
+        out = tmp_path / "out"
+        _, _, null = small_pipeline_null(out, n=20)
+        summary = json.loads((out / "null_k2_summary.json").read_text())["modes"]
+        for mode in ("t2t", "t2p"):
+            bits = np.array(csv_column(out / f"series_k2_{mode}.csv", "bits"), dtype=float)
+            means = np.array(csv_column(out / "null_k2_series.csv", f"{mode}_null_mean_bits"),
+                             dtype=float)
+            curve = np.cumsum(bits - means)
+            assert curve.tobytes() == null.cumulative_relative[mode].tobytes()
+            assert float(curve[-1]) == summary[mode]["cumulative_relative_final_bits"]
+
+    def test_null_series_has_one_column_per_mode(self, tmp_path):
+        config = small_pipeline(tmp_path, measure={"modes": ["t2p"]})
+        assert run_cli("pipeline", "--config", config) == 0
+        lines = (tmp_path / "out" / "null_k2_series.csv").read_text().splitlines()
+        assert lines[3] == "position,item_id,t2p_null_mean_bits"
+        assert len(lines) == 4 + 19  # metadata, header, one row per step of 20 documents
 
     def test_ranks_file_is_the_per_step_reference(self, tmp_path):
         config = small_pipeline(tmp_path, null_model={"permutations": 40})
         assert run_cli("pipeline", "--config", config) == 0
         out = tmp_path / "out"
-        corpus = Corpus.load(out / "corpus.json")
-        model = lda.TopicModel.load(out / "model_k2.json", corpus.vocabulary)
-        theta, _ = lda.estimate_distributions(model, smoothing=True)
-        order = nullmodels.ReadingOrder.from_corpus(corpus)
-        null = nullmodels.null_ensemble(order, theta, n=40, seed=derive_seed(3, 2, "null"))
+        theta, order, null = small_pipeline_null(out, n=40)
         written = (out / "null_k2_ranks.json").read_text()
         payload = reference_rank_payload(
             theta, np.arange(len(order)), null.ensemble.permutations
@@ -252,10 +283,7 @@ class TestSeriesConsistency:
         config = small_pipeline(tmp_path, null_model={"permutations": 40})
         assert run_cli("pipeline", "--config", config) == 0
         out = tmp_path / "out"
-        corpus = Corpus.load(out / "corpus.json")
-        model = lda.TopicModel.load(out / "model_k2.json", corpus.vocabulary)
-        theta, _ = lda.estimate_distributions(model, smoothing=True)
-        order = nullmodels.ReadingOrder.from_corpus(corpus)
+        theta, order, _ = small_pipeline_null(out, n=40)
         seed = derive_seed(3, 2, "null")
         written = (out / "null_k2_means.csv").read_bytes().decode()
         body = io.StringIO()
@@ -552,6 +580,7 @@ class TestPipelineHandsProductsForward:
 
     def test_thread_counts_write_the_same_files(self, staged_fixture):
         _, runs = staged_fixture
+        assert "in 2 worker slice(s)" in runs["2"][2]  # the fixture's query fit is split
         assert_same_files(runs["1"][0], runs["2"][0])
 
     def test_pipeline_reads_nothing_back(self, staged_fixture, tmp_path, monkeypatch):
@@ -753,17 +782,22 @@ class TestGibbsBackend:
                 library = Path(re.fullmatch(r"\w+: Gibbs backend C \((.+)\)", line).group(1))
                 assert library.is_file() and tmp_path not in library.parents
 
-    def test_fit_reports_its_work(self, tmp_path, capsys):
+    def test_fit_reports_its_work(self, tmp_path, capsys, monkeypatch):
         config = small_pipeline(tmp_path, training={"ks": [2], "iterations": 3}, fit=self.FIT)
         for stage in ("prepare", "train"):
             assert run_cli(stage, "--config", config) == 0
-        capsys.readouterr()
-        assert run_cli("fit", "--config", config, "--threads", "3") == 0
-        captured = capsys.readouterr()
-        work = re.search(r"^fit query_0: 4 samples x 5 iterations x (\d+) tokens = (\d+) "
-                         r"token updates in 3 worker slice\(s\)$", captured.err, re.M)
-        assert work and int(work[1]) > 0 and int(work[2]) == 4 * 5 * int(work[1])
-        assert "token updates" not in captured.out
+        # 4 x 5 x (a few) token updates are too few to split across 3 threads
+        for slices in (1, 3):
+            if slices > 1:
+                monkeypatch.setattr(querysample, "MIN_SLICE_UPDATES", 1)
+            capsys.readouterr()
+            assert run_cli("fit", "--config", config, "--threads", "3") == 0
+            captured = capsys.readouterr()
+            work = re.search(r"^fit query_0: 4 samples x 5 iterations x (\d+) tokens = (\d+) "
+                             rf"token updates in {slices} worker slice\(s\)$", captured.err,
+                             re.M)
+            assert work and int(work[1]) > 0 and int(work[2]) == 4 * 5 * int(work[1])
+            assert "token updates" not in captured.out
 
     def test_fallback_names_the_reason(self, tmp_path, capsys, monkeypatch):
         def no_compiler(src, target):

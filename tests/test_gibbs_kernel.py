@@ -208,6 +208,7 @@ def test_racing_threads_load_once_and_keep_the_serial_bits(monkeypatch, phi_mode
                                          phi_mode=phi_mode, master_seed=5)
     opened = []
     real_open = _gibbs._open
+    monkeypatch.setattr(querysample, "MIN_SLICE_UPDATES", 1)  # six slices of this small fit
     monkeypatch.setattr(_gibbs, "_loaded", None)
     monkeypatch.setattr(_gibbs, "_open", lambda path: opened.append(path) or real_open(path))
     result = {}
@@ -226,6 +227,7 @@ def test_racing_threads_load_once_and_keep_the_serial_bits(monkeypatch, phi_mode
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive() and len(opened) == 1
+    assert result["ensemble"].slices == 6
     npt.assert_array_equal(result["ensemble"].thetas, serial.thetas)
     npt.assert_array_equal(result["ensemble"].perplexities, serial.perplexities)
 

@@ -127,7 +127,8 @@ class TestSampleEnsemble:
         npt.assert_array_equal(a.thetas, b.thetas)
         npt.assert_array_equal(a.perplexities, b.perplexities)
 
-    def test_workers_do_not_change_results(self, reading_model):
+    def test_workers_do_not_change_results(self, reading_model, monkeypatch):
+        monkeypatch.setattr(querysample, "MIN_SLICE_UPDATES", 1)  # split this small fit
         doc = ["w0", "w3", "w8", "w2"]
         serial = querysample.sample_ensemble(
             reading_model, doc, n_samples=6, iterations=10, master_seed=3
@@ -135,6 +136,7 @@ class TestSampleEnsemble:
         threaded = querysample.sample_ensemble(
             reading_model, doc, n_samples=6, iterations=10, master_seed=3, workers=3
         )
+        assert (serial.slices, threaded.slices) == (1, 3)
         npt.assert_array_equal(serial.thetas, threaded.thetas)
 
     def test_mixed_document_spreads_between_samples(self, reading_model):
@@ -176,6 +178,7 @@ def test_blocked_fits_match_the_per_sample_reference(data):
     per_block = data.draw(st.sampled_from([None, 1, 2, 3]), "samples per block")
     fallback = data.draw(st.booleans(), "fallback")
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(querysample, "MIN_SLICE_UPDATES", 1)  # every worker gets a slice
         if per_block is not None:
             one = iterations * doc.size + np.unique(doc).size * k
             patch.setattr(querysample, "BLOCK_NUMBERS", per_block * one)
