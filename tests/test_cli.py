@@ -146,11 +146,38 @@ def csv_run(fixture_dir):
     return out, cli.load_config(config), [d.spec.id for d in corpus.in_reading_order()]
 
 
-@pytest.mark.parametrize("family, name", FIXTURE_CSVS, ids=[n for _, n in FIXTURE_CSVS])
+# the per-mode cumulative curves, no longer written but rebuilt from the
+# series file and `null_k{k}_series.csv` under their former file names
+DERIVED_CUMREL = [("cumrel", f"null_k{k}_cumrel_{m}.csv") for k in (3, 4) for m in ("t2t", "t2p")]
+
+
+def check_derived_cumrel(out, item_ids, name):
+    """The curve rebuilt from the two CSVs has one value per step, both
+    files list the same items, and it ends at the summary's final bits."""
+    assert not (out / name).exists()
+    k, mode = re.fullmatch(r"null_k(\d+)_cumrel_(t2[tp])\.csv", name).groups()
+    series = read_csv_rows(out / f"series_k{k}_{mode}.csv")
+    null = read_csv_rows(out / f"null_k{k}_series.csv")
+    steps = [str(i) for i in range(1, len(item_ids))]
+    for rows in (series, null):
+        assert [r["position"] for r in rows] == steps
+        assert [r["item_id"] for r in rows] == item_ids[1:]
+    curve = np.cumsum(np.array([float(r["bits"]) for r in series])
+                      - np.array([float(r[f"{mode}_null_mean_bits"]) for r in null]))
+    assert len(curve) == len(steps)
+    summary = json.loads((out / f"null_k{k}_summary.json").read_text())["modes"][mode]
+    assert float(curve[-1]) == summary["cumulative_relative_final_bits"]
+
+
+@pytest.mark.parametrize("family, name", FIXTURE_CSVS + DERIVED_CUMREL,
+                         ids=[n for _, n in FIXTURE_CSVS + DERIVED_CUMREL])
 def test_csv_artifact_layout(csv_run, family, name):
     """Three metadata lines, the family's header, then one row per
-    item, permutation, sample or topic, with `repr` floats."""
+    item, permutation, sample or topic, with `repr` floats. A former
+    cumrel file is checked as the curve the two remaining files rebuild."""
     out, cfg, item_ids = csv_run
+    if family == "cumrel":
+        return check_derived_cumrel(out, item_ids, name)
     lines = (out / name).read_text(encoding="utf-8").splitlines()
     assert lines[:3] == [f"# textforage={textforage.__version__} format=1",
                          f"# config_sha256={cfg['config_sha256']}", f"# seed={cfg['seed']}"]
@@ -197,6 +224,12 @@ def csv_column(path, name):
     """One column of an artifact CSV, as the strings written."""
     with open(path, newline="") as fh:
         return [row[name] for row in csv.DictReader(l for l in fh if not l.startswith("#"))]
+
+
+def read_csv_rows(path):
+    """The rows of a CSV artifact as dicts, past its `#` metadata lines."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(l for l in fh if not l.startswith("#")))
 
 
 def small_pipeline_null(out, n):
