@@ -5,24 +5,27 @@ Subcommands chain file artifacts through an output directory:
     prepare -> corpus.json
     train   -> model_k{K}.json            (one per configured k)
     measure -> series_k{K}_{mode}.csv
-    null    -> null_k{K}_*.csv/.json      (needs measure's series)
-    epochs  -> epochs_k{K}_{mode}.json    (needs measure's series)
+    null    -> null_k{K}_*.csv/.json
+    epochs  -> epochs_k{K}_{mode}.json
     fit     -> fit_{name}_k{K}_*.csv/.json
     compare -> compare_k{A}_vs_k{B}.csv/.json
     pipeline runs all of the above in order
     fixture writes a synthetic corpus + config for smoke testing
 
+Stages read back only the corpus and the models: `measure`, `null` and
+`epochs` derive the surprise series from `train`'s models under the
+current `measure` settings, so `null` and `epochs` need no series file.
 `pipeline` still writes every artifact, but hands the corpus, models and
 series to the later stages in memory; a stage run on its own loads and
-checks each artifact it reads.
+checks the corpus and each model it reads.
 
 Library modules return data; this module writes every CSV and JSON
-artifact and reads the series back (`Corpus.save` and `TopicModel.save`
-keep the corpus and model formats).  Every artifact embeds the tool
-version, the SHA-256 of the resolved configuration, and the master
-seed, so identical (config, seed) runs are byte-identical.  Exit codes:
-0 success, 1 configuration error, 2 missing, stale or corrupt upstream
-artifact, 3 numerical degeneracy.
+artifact (`Corpus.save` and `TopicModel.save` keep the corpus and model
+formats).  Every artifact embeds the tool version, the SHA-256 of the
+resolved configuration, and the master seed, so identical (config,
+seed) runs are byte-identical.  Exit codes: 0 success, 1 configuration
+error, 2 missing, stale or corrupt upstream artifact, 3 numerical
+degeneracy.
 """
 
 from __future__ import annotations
@@ -229,12 +232,13 @@ def config_hash(cfg: dict) -> str:
 
 class _Run:
     """Shared state for one invocation: resolved config, metadata, and
-    the products it has written or read.
+    the products it has written, read or derived.
 
-    A stage reads the corpus, a model or a series through `corpus`,
-    `model` and `series`.  What an earlier stage of the same invocation
-    wrote (`keep`) is handed over as it is; anything else is loaded from
-    its artifact and checked, then kept.
+    A stage reads the corpus and a model through `corpus` and `model`:
+    what an earlier stage of the same invocation wrote (`keep`) is
+    handed over as it is; anything else is loaded from its artifact and
+    checked, then kept.  `theta` and `series` are derived from the
+    checked model under the current `measure` settings, then kept.
     """
 
     def __init__(self, cfg: dict):
@@ -260,8 +264,18 @@ class _Run:
     def model(self, k: int) -> lda.TopicModel:
         return self._product(f"model_k{k}.json", lambda: _load_model(self, k))
 
+    def theta(self, k: int) -> np.ndarray:
+        """Document-topic matrix of model `k` under `measure.smoothing`."""
+        def derive():
+            theta, _ = lda.estimate_distributions(
+                self.model(k), smoothing=self.cfg["measure"]["smoothing"])
+            theta.setflags(write=False)  # shared by every later stage
+            return theta
+        return self._product(f"theta_k{k}", derive)
+
     def series(self, k: int, mode: str) -> np.ndarray:
-        return self._product(f"series_k{k}_{mode}.csv", lambda: _load_series(self, k, mode))
+        return self._product(f"series_k{k}_{mode}.csv",
+                             lambda: surprise_series(self.theta(k), mode=mode).values)
 
     def metadata_dict(self) -> dict:
         return {
@@ -425,52 +439,11 @@ def stage_measure(run: _Run) -> None:
     cfg = run.cfg
     item_ids = [d.spec.id for d in run.corpus().in_reading_order()]
     for k in cfg["training"]["ks"]:
-        theta, _ = lda.estimate_distributions(run.model(k),
-                                              smoothing=cfg["measure"]["smoothing"])
         for mode in cfg["measure"]["modes"]:
-            values = surprise_series(theta, mode=mode).values
-            name = f"series_k{k}_{mode}.csv"
-            run.write_csv(name, ["position", "item_id", "mode", "bits"],
+            run.write_csv(f"series_k{k}_{mode}.csv", ["position", "item_id", "mode", "bits"],
                           ((pos, item_ids[pos], mode, repr(float(v)))
-                           for pos, v in enumerate(values, 1)))
-            run.keep(name, values)
+                           for pos, v in enumerate(run.series(k, mode), 1)))
         print(f"measured k={k}: {len(item_ids) - 1} steps per mode")
-
-
-def _read_series_csv(path: Path) -> np.ndarray:
-    """The `bits` column of a series file; MissingArtifactError, naming
-    the file, for a missing column or a value that is not a finite
-    number."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
-        if "bits" not in (rows.fieldnames or ()):
-            raise MissingArtifactError(f"{path.name} has no `bits` column: rerun `measure`")
-        try:
-            values = np.asarray([float(row["bits"]) for row in rows])
-        except (TypeError, ValueError) as exc:
-            raise MissingArtifactError(
-                f"{path.name} is corrupt ({exc}): rerun `measure`"
-            ) from exc
-    if not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise MissingArtifactError(
-            f"{path.name} is corrupt (bits {float(values[bad])} in data row {bad + 1}): "
-            "rerun `measure`"
-        )
-    return values
-
-
-def _load_series(run: _Run, k: int, mode: str) -> np.ndarray:
-    """Series file (k, mode), checked to hold one step per pair of
-    consecutive documents of the corpus."""
-    steps = run.corpus().n_documents - 1
-    path = run.artifact(f"series_k{k}_{mode}.csv", "measure")
-    values = _read_series_csv(path)
-    if values.size != steps:
-        raise MissingArtifactError(
-            f"{path.name} has {values.size} steps, the corpus gives {steps}: rerun `measure`"
-        )
-    return values
 
 
 def _reading_order(run: _Run, corpus: Corpus) -> ReadingOrder:
@@ -496,10 +469,7 @@ def stage_null(run: _Run) -> None:
     modes = cfg["measure"]["modes"]
     n = cfg["null_model"]["permutations"]
     for k in cfg["training"]["ks"]:
-        for mode in modes:
-            run.series(k, mode)
-        theta, _ = lda.estimate_distributions(run.model(k),
-                                              smoothing=cfg["measure"]["smoothing"])
+        theta = run.theta(k)
         d = nullmodels.kl_matrix(theta)
         comparison = nullmodels.null_ensemble(
             order, theta, n=n, seed=derive_seed(run.seed, k, "null"),

@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 import yaml
 
@@ -257,8 +256,10 @@ class TestSeriesConsistency:
         model = lda.TopicModel.load(out / "model_k2.json", corpus.vocabulary)
         theta, _ = lda.estimate_distributions(model, smoothing=True)
         for mode in ("t2t", "t2p"):
-            epochs_input = cli._read_series_csv(out / f"series_k2_{mode}.csv")
-            npt.assert_array_equal(epochs_input, surprise_series(theta, mode).values)
+            path = out / f"series_k2_{mode}.csv"
+            assert csv_column(path, "item_id") == item_ids[1:]
+            assert csv_column(path, "bits") == [
+                repr(float(x)) for x in surprise_series(theta, mode).values]
 
     def test_null_honours_measure_smoothing(self, tmp_path):
         # at k=2 the raw (unsmoothed) theta of this corpus has full support
@@ -267,7 +268,7 @@ class TestSeriesConsistency:
         out = tmp_path / "out"
         summary = json.loads((out / "null_k2_summary.json").read_text())
         for mode in ("t2t", "t2p"):
-            series = cli._read_series_csv(out / f"series_k2_{mode}.csv")
+            series = np.array(csv_column(out / f"series_k2_{mode}.csv", "bits"), dtype=float)
             assert summary["modes"][mode]["actual_mean_bits"] == float(np.mean(series))
 
     def test_measured_series_is_the_null_actual_series(self, tmp_path):
@@ -355,39 +356,23 @@ class TestInfeasibleOrder:
         assert not list((tmp_path / "out").glob("null_*"))
 
 
+def assert_same_reports(a, b, patterns=("null_*", "epochs_*")):
+    """Every file matching `patterns` in `b` is in `a` with the same bytes."""
+    names = sorted(p.name for pattern in patterns for p in b.glob(pattern))
+    assert names and sorted(p.name for pattern in patterns for p in a.glob(pattern)) == names
+    _, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert mismatch == [] and errors == []
+
+
 class TestStageOrdering:
-    def test_null_before_measure_names_the_series(self, fixture_dir, tmp_path):
+    def test_null_after_train_writes_the_pipeline_null_files(self, fixture_dir, csv_run,
+                                                              tmp_path):
         config = str(fixture_dir / "config.yaml")
         out = tmp_path / "partial"
-        assert run_cli("prepare", "--config", config, "--out", str(out)) == 0
-        assert run_cli("train", "--config", config, "--out", str(out)) == 0
-        code = run_cli("null", "--config", config, "--out", str(out))
-        assert code == 2
-
-    @pytest.mark.parametrize("tamper, named", [
-        ("no-bits-column", "no `bits` column"),
-        ("nan", "bits nan in data row 19"),
-        ("missing-row", "has 18 steps, the corpus gives 19"),
-    ], ids=["no-bits-column", "nan", "missing-row"])
-    def test_null_over_a_corrupt_series_names_the_file(self, tmp_path, capsys, tamper, named):
-        config = small_pipeline(tmp_path)
-        for stage in ("prepare", "train", "measure"):
-            assert run_cli(stage, "--config", config) == 0
-        path = tmp_path / "out" / "series_k2_t2p.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        if tamper == "no-bits-column":
-            lines[3] = lines[3].replace("bits", "bit")
-        elif tamper == "nan":
-            lines[-1] = lines[-1][: lines[-1].rindex(",") + 1] + "nan\r\n"
-        else:
-            lines.pop()
-        path.write_text("".join(lines))
-        capsys.readouterr()
-        assert run_cli("null", "--config", config) == 2
-        err = capsys.readouterr().err
-        assert "series_k2_t2p.csv" in err and named in err and "`measure`" in err
-        assert "Traceback" not in err
-        assert not list((tmp_path / "out").glob("null_*"))
+        for stage in ("prepare", "train", "null"):
+            assert run_cli(stage, "--config", config, "--out", str(out)) == 0
+        assert not list(out.glob("series_*"))
+        assert_same_reports(out, csv_run[0], patterns=("null_*",))
 
     def test_train_before_prepare_names_the_corpus(self, fixture_dir, tmp_path, capsys):
         config = str(fixture_dir / "config.yaml")
@@ -526,41 +511,63 @@ class TestStaleArtifacts:
             assert text == json.dumps(json.loads(text), separators=(",", ":"))
 
 
-class TestCorruptSeries:
-    """`epochs` reads the series `measure` wrote; a damaged one exits 2."""
+@pytest.fixture(scope="module")
+def measured_small(tmp_path_factory):
+    """`small_pipeline` run one stage at a time up to `measure`, and its
+    `pipeline` output: (config, staged output, pipeline output)."""
+    root = tmp_path_factory.mktemp("measured")
+    config = small_pipeline(root)
+    for stage in ("prepare", "train", "measure"):
+        assert run_cli(stage, "--config", config, "--out", str(root / "staged")) == 0
+    assert run_cli("pipeline", "--config", config, "--out", str(root / "pipeline")) == 0
+    return config, root / "staged", root / "pipeline"
 
-    @pytest.mark.parametrize("tamper, named", [
-        ("no-bits-column", "no `bits` column"),
-        ("non-numeric", "could not convert string to float: 'abc'"),
-        ("nan", "bits nan in data row 3"),
-        ("inf", "bits -inf in data row 3"),
-        ("missing-row", "has 18 steps, the corpus gives 19"),
-        ("extra-row", "has 20 steps, the corpus gives 19"),
-    ], ids=["no-bits-column", "non-numeric", "nan", "inf", "missing-row", "extra-row"])
-    def test_corrupt_series_names_the_file(self, tmp_path, capsys, tamper, named):
+
+class TestSeriesFilesAreNotRead:
+    """`null` and `epochs` derive the series from the models; what the
+    series files hold does not reach them."""
+
+    @pytest.mark.parametrize("tamper", ["deleted", "no-bits-column", "non-numeric", "nan",
+                                        "inf", "missing-row", "extra-row"])
+    def test_epochs_and_null_ignore_the_series_files(self, measured_small, tmp_path, tamper):
+        config, staged, pipeline = measured_small
+        out = tmp_path / "out"
+        shutil.copytree(staged, out)
+        paths = sorted(out.glob("series_k*"))
+        assert len(paths) == 2
+        for path in paths:
+            lines = path.read_text().splitlines(keepends=True)
+            header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+            if tamper == "deleted":
+                path.unlink()
+                continue
+            if tamper == "no-bits-column":
+                lines[header] = lines[header].replace("bits", "bit")
+            elif tamper == "missing-row":
+                lines.pop()
+            elif tamper == "extra-row":
+                lines.append(lines[-1])
+            else:
+                value = {"non-numeric": "abc", "nan": "nan", "inf": "-inf"}[tamper]
+                row = lines[header + 3]
+                lines[header + 3] = row[: row.rindex(",") + 1] + value + "\n"
+            path.write_text("".join(lines))
+        for stage in ("epochs", "null"):
+            assert run_cli(stage, "--config", config, "--out", str(out)) == 0
+        assert_same_reports(out, pipeline)
+
+    def test_epochs_and_null_follow_the_current_smoothing(self, tmp_path):
+        # at k=2 the raw (unsmoothed) theta of this corpus has full support
         config = small_pipeline(tmp_path)
         for stage in ("prepare", "train", "measure"):
             assert run_cli(stage, "--config", config) == 0
-        path = tmp_path / "out" / "series_k2_t2t.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        if tamper == "no-bits-column":
-            lines[header] = lines[header].replace("bits", "bit")
-        elif tamper == "missing-row":
-            lines.pop()
-        elif tamper == "extra-row":
-            lines.append(lines[-1])
-        else:
-            value = {"non-numeric": "abc", "nan": "nan", "inf": "-inf"}[tamper]
-            row = lines[header + 3]
-            lines[header + 3] = row[: row.rindex(",") + 1] + value + "\n"
-        path.write_text("".join(lines))
-        capsys.readouterr()
-        assert run_cli("epochs", "--config", config) == 2
-        err = capsys.readouterr().err
-        assert "series_k2_t2t.csv" in err and named in err and "`measure`" in err
-        assert "Traceback" not in err
-        assert not list((tmp_path / "out").glob("epochs_*"))
+        cfg = yaml.safe_load(Path(config).read_text())
+        Path(config).write_text(yaml.safe_dump({**cfg, "measure": {"smoothing": False}}))
+        for stage in ("epochs", "null"):
+            assert run_cli(stage, "--config", config) == 0
+        fresh = tmp_path / "fresh"
+        assert run_cli("pipeline", "--config", config, "--out", str(fresh)) == 0
+        assert_same_reports(tmp_path / "out", fresh)
 
 
 STAGE_ORDER = ("prepare", "train", "measure", "null", "epochs", "fit", "compare")
@@ -624,7 +631,6 @@ class TestPipelineHandsProductsForward:
 
         monkeypatch.setattr(Corpus, "load", read_back)
         monkeypatch.setattr(lda.TopicModel, "load", read_back)
-        monkeypatch.setattr(cli, "_read_series_csv", read_back)
         config, runs = staged_fixture
         assert run_cli("pipeline", "--config", config, "--out", str(tmp_path / "p")) == 0
         assert_same_files(runs["1"][0], tmp_path / "p")
