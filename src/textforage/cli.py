@@ -223,9 +223,6 @@ def config_hash(cfg: dict) -> str:
     worker counts) still produce byte-identical artifacts.
     """
     semantic = {k: v for k, v in cfg.items() if k not in ("output_dir", "threads")}
-    # the removed field `training.hogwild_shards` stays in the hash at its
-    # only value a loadable config can have, so configs keep their hash
-    semantic["training"] = {**cfg["training"], "hogwild_shards": None}
     canon = json.dumps(semantic, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
