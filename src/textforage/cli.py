@@ -437,8 +437,8 @@ def stage_measure(run: _Run) -> None:
     item_ids = [d.spec.id for d in run.corpus().in_reading_order()]
     for k in cfg["training"]["ks"]:
         for mode in cfg["measure"]["modes"]:
-            run.write_csv(f"series_k{k}_{mode}.csv", ["position", "item_id", "mode", "bits"],
-                          ((pos, item_ids[pos], mode, repr(float(v)))
+            run.write_csv(f"series_k{k}_{mode}.csv", ["position", "item_id", "bits"],
+                          ((pos, item_ids[pos], repr(float(v)))
                            for pos, v in enumerate(run.series(k, mode), 1)))
         print(f"measured k={k}: {len(item_ids) - 1} steps per mode")
 

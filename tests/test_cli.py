@@ -183,7 +183,7 @@ def test_csv_artifact_layout(csv_run, family, name):
     header, *rows = csv.reader(lines[3:])
     steps = [str(i) for i in range(1, len(item_ids))]
     expected = {
-        "series": (["position", "item_id", "mode", "bits"], [steps, item_ids[1:]]),
+        "series": (["position", "item_id", "bits"], [steps, item_ids[1:]]),
         "means": (["permutation", "t2p_mean_bits", "t2t_mean_bits"],
                   [[str(i) for i in range(cfg["null_model"]["permutations"])]]),
         "null_series": (["position", "item_id", "t2p_null_mean_bits", "t2t_null_mean_bits"],
@@ -196,8 +196,6 @@ def test_csv_artifact_layout(csv_run, family, name):
     assert header == columns
     assert len(rows) == len(leading[0])
     assert [list(c) for c in zip(*rows)][: len(leading)] == leading
-    if family == "series":
-        assert {row[2] for row in rows} == {Path(name).stem[-3:]}
     floats = [i for i, c in enumerate(columns) if c.endswith(("bits", "perplexity", "distance"))]
     assert all(repr(float(row[i])) == row[i] for row in rows for i in floats)
 
