@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -338,7 +339,8 @@ def stage_prepare(run: _Run) -> None:
         vocabulary = build_vocabulary(token_docs, filt)
     except ValueError as exc:
         raise ConfigError(f"filter: {exc}") from exc
-    corpus = encode_corpus(specs, token_docs, vocabulary)
+    corpus = dataclasses.replace(encode_corpus(specs, token_docs, vocabulary),
+                                 settings=_corpus_settings(cfg))
     for warning in corpus.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for doc_id in corpus.skipped_empty:
@@ -359,14 +361,36 @@ def stage_prepare(run: _Run) -> None:
           f"V={len(vocabulary)}, {corpus.total_tokens()} tokens")
 
 
+def _corpus_settings(cfg: dict) -> dict:
+    """The `tokenizer` and `filter` settings `prepare` records in the
+    corpus, stopwords as a sorted set: their order changes nothing."""
+    stopwords = sorted(set(cfg["filter"]["stopwords"]))
+    return {"tokenizer": dict(cfg["tokenizer"]),
+            "filter": {**cfg["filter"], "stopwords": stopwords}}
+
+
 def _load_corpus(run: _Run) -> Corpus:
     path = run.artifact("corpus.json", "prepare")
     try:
-        return Corpus.load(path)
+        corpus = Corpus.load(path)
     except (KeyError, TypeError, ValueError) as exc:
         raise MissingArtifactError(
             f"{path.name} is stale or corrupt ({exc}): rerun `prepare`"
         ) from exc
+    if corpus.settings is None:
+        raise MissingArtifactError(
+            f"{path.name} records no tokenizer and filter settings: rerun `prepare`"
+        )
+    for section, fields in _corpus_settings(run.cfg).items():
+        recorded = corpus.settings.get(section)
+        for name, value in fields.items():
+            old = recorded.get(name) if isinstance(recorded, dict) else None
+            if old != value:
+                raise MissingArtifactError(
+                    f"{path.name} was prepared with {section}.{name}={old!r}, the config "
+                    f"now gives {value!r}: rerun `prepare`"
+                )
+    return corpus
 
 
 def _training_config(run: _Run, k: int) -> lda.TrainingConfig:

@@ -5,8 +5,9 @@ numeral-free token streams; a frequency-filtered vocabulary maps the
 retained types to dense integer ids; documents are stored as id
 sequences alongside their reading/publication metadata.  A corpus file
 (format 2) holds the documents as six equal-length columns (id,
-read_date, pub_date, order_index, token_ids, dropped), written as JSON
-without separator whitespace.
+read_date, pub_date, order_index, token_ids, dropped) and the
+`settings` it was prepared with, written as JSON without separator
+whitespace.
 
 Stemming is deliberately not offered: collapsing inflected forms hurts
 topic quality, so the tokenizer exposes no option for it.
@@ -371,13 +372,16 @@ class Corpus:
 
     Immutable after construction and safe to share across threads.
     Documents reduced to zero in-vocabulary tokens are excluded from
-    `documents` and listed in `skipped_empty`.
+    `documents` and listed in `skipped_empty`.  `settings` records, as
+    a JSON mapping, what the corpus was prepared with; None when not
+    recorded.
     """
 
     vocabulary: Vocabulary
     documents: tuple[EncodedDocument, ...]
     skipped_empty: tuple[str, ...] = ()
     warnings: tuple[str, ...] = field(default_factory=tuple)
+    settings: dict | None = None
 
     def __post_init__(self):
         v = len(self.vocabulary)
@@ -422,6 +426,7 @@ class Corpus:
             },
             "skipped_empty": list(self.skipped_empty),
             "warnings": list(self.warnings),
+            "settings": self.settings,
         }
         Path(path).write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
 
@@ -430,9 +435,10 @@ class Corpus:
         """Read a corpus file.
 
         Raises ValueError for a file of another kind or format version,
-        and, naming the field, for a `documents` value that is not a
-        mapping of equal-length columns or has an entry of the wrong
-        type (naming the document too).
+        and, naming the field, for a `settings` value that is not a
+        mapping or null, or a `documents` value that is not a mapping of
+        equal-length columns or has an entry of the wrong type (naming
+        the document too).
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or payload.get("kind") != "corpus":
@@ -441,6 +447,9 @@ class Corpus:
             raise ValueError(
                 f"unsupported corpus format_version {payload.get('format_version')!r}"
             )
+        settings = payload.get("settings")
+        if settings is not None and not isinstance(settings, dict):
+            raise ValueError("field 'settings' must be a mapping")
         vocab = Vocabulary.from_payload(payload["vocabulary"])
         columns = payload["documents"]
         if not isinstance(columns, dict):
@@ -485,6 +494,7 @@ class Corpus:
             documents=docs,
             skipped_empty=tuple(payload.get("skipped_empty", ())),
             warnings=tuple(payload.get("warnings", ())),
+            settings=settings,
         )
 
 

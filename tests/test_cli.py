@@ -441,6 +441,46 @@ class TestStaleArtifacts:
         assert "model_k2.json" in err and field in err and "rerun `train`" in err
         assert not (tmp_path / "out" / "series_k2_t2t.csv").exists()
 
+    STOPWORDS = {"filter": {"min_count": 2, "stopwords": ["zeta", "alpha"]}}
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"filter": {"min_count": 30, "stopwords": ["zeta", "alpha"]}}, "filter.min_count=2"),
+        ({"filter": {"min_count": 2, "stopwords": ["alpha"]}},
+         "filter.stopwords=['alpha', 'zeta']"),
+        ({"tokenizer": {"ascii_fold": False}}, "tokenizer.ascii_fold=True"),
+        ({"tokenizer": {"merge_hyphens": False}}, "tokenizer.merge_hyphens=True"),
+    ], ids=["min_count", "stopwords", "ascii_fold", "merge_hyphens"])
+    def test_corpus_of_another_prepare_config_is_stale(self, tmp_path, capsys, changes, field):
+        config = small_pipeline(tmp_path, **self.STOPWORDS)
+        assert run_cli("prepare", "--config", config) == 0
+        cfg = yaml.safe_load(Path(config).read_text())
+        Path(config).write_text(yaml.safe_dump({**cfg, **changes}))
+        capsys.readouterr()
+        assert run_cli("train", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "corpus.json" in err and field in err and "rerun `prepare`" in err
+        assert not (tmp_path / "out" / "model_k2.json").exists()
+
+    def test_reordered_stopwords_keep_the_corpus(self, tmp_path):
+        config = small_pipeline(tmp_path, **self.STOPWORDS)
+        assert run_cli("prepare", "--config", config) == 0
+        cfg = yaml.safe_load(Path(config).read_text())
+        cfg["filter"]["stopwords"] = ["alpha", "zeta", "alpha"]
+        Path(config).write_text(yaml.safe_dump(cfg))
+        assert run_cli("train", "--config", config) == 0
+
+    def test_corpus_without_settings_is_stale(self, tmp_path, capsys):
+        config = small_pipeline(tmp_path)
+        assert run_cli("prepare", "--config", config) == 0
+        path = tmp_path / "out" / "corpus.json"
+        payload = json.loads(path.read_text())
+        del payload["settings"]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("train", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "corpus.json records no tokenizer and filter settings: rerun `prepare`" in err
+
     def test_corrupt_corpus_names_the_file(self, tmp_path, capsys):
         config = small_pipeline(tmp_path)
         assert run_cli("prepare", "--config", config) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -270,6 +271,21 @@ class TestEncodeCorpus:
         payload["documents"] = list(payload["documents"].values())
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="'documents' must be a mapping"):
+            Corpus.load(path)
+
+    def test_settings_roundtrip(self, tmp_path):
+        corpus, path = self._saved(tmp_path)
+        assert Corpus.load(path).settings is None
+        settings = {"tokenizer": {"ascii_fold": False}, "filter": {"stopwords": ["a"]}}
+        dataclasses.replace(corpus, settings=settings).save(path)
+        assert Corpus.load(path).settings == settings
+
+    def test_settings_must_be_a_mapping(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["settings"] = ["a"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="field 'settings' must be a mapping"):
             Corpus.load(path)
 
     def test_save_is_byte_stable_through_roundtrip(self, tmp_path):
