@@ -264,12 +264,8 @@ class _Run:
 
     def theta(self, k: int) -> np.ndarray:
         """Document-topic matrix of model `k` under `measure.smoothing`."""
-        def derive():
-            theta, _ = lda.estimate_distributions(
-                self.model(k), smoothing=self.cfg["measure"]["smoothing"])
-            theta.setflags(write=False)  # shared by every later stage
-            return theta
-        return self._product(f"theta_k{k}", derive)
+        return self._product(f"theta_k{k}", lambda: lda.estimate_distributions(
+            self.model(k), smoothing=self.cfg["measure"]["smoothing"])[0])
 
     def series(self, k: int, mode: str) -> np.ndarray:
         return self._product(f"series_k{k}_{mode}.csv",
@@ -328,15 +324,8 @@ def stage_prepare(run: _Run) -> None:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"manifest: {manifest}: document {spec.id!r}: {exc}") from exc
         token_docs.append(tokenize(text, tok_cfg))
-    filt = FilterConfig(
-        min_count=cfg["filter"]["min_count"],
-        max_count=cfg["filter"]["max_count"],
-        top_mass=cfg["filter"]["top_mass"],
-        bottom_mass=cfg["filter"]["bottom_mass"],
-        stopwords=frozenset(cfg["filter"]["stopwords"]),
-    )
     try:
-        vocabulary = build_vocabulary(token_docs, filt)
+        vocabulary = build_vocabulary(token_docs, FilterConfig(**cfg["filter"]))
     except ValueError as exc:
         raise ConfigError(f"filter: {exc}") from exc
     corpus = dataclasses.replace(encode_corpus(specs, token_docs, vocabulary),
