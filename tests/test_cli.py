@@ -354,12 +354,15 @@ class TestInfeasibleOrder:
         assert not list((tmp_path / "out").glob("null_*"))
 
 
-def assert_same_reports(a, b, patterns=("null_*", "epochs_*")):
-    """Every file matching `patterns` in `b` is in `a` with the same bytes."""
+def assert_same_files(a, b, patterns=("*",)):
+    """`a` and `b` hold the same files matching `patterns`, byte for byte."""
     names = sorted(p.name for pattern in patterns for p in b.glob(pattern))
     assert names and sorted(p.name for pattern in patterns for p in a.glob(pattern)) == names
     _, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
     assert mismatch == [] and errors == []
+
+
+REPORTS = ("null_*", "epochs_*")
 
 
 class TestStageOrdering:
@@ -370,7 +373,7 @@ class TestStageOrdering:
         for stage in ("prepare", "train", "null"):
             assert run_cli(stage, "--config", config, "--out", str(out)) == 0
         assert not list(out.glob("series_*"))
-        assert_same_reports(out, csv_run[0], patterns=("null_*",))
+        assert_same_files(out, csv_run[0], patterns=("null_*",))
 
     def test_train_before_prepare_names_the_corpus(self, fixture_dir, tmp_path, capsys):
         config = str(fixture_dir / "config.yaml")
@@ -592,7 +595,7 @@ class TestSeriesFilesAreNotRead:
             path.write_text("".join(lines))
         for stage in ("epochs", "null"):
             assert run_cli(stage, "--config", config, "--out", str(out)) == 0
-        assert_same_reports(out, pipeline)
+        assert_same_files(out, pipeline, REPORTS)
 
     def test_epochs_and_null_follow_the_current_smoothing(self, tmp_path):
         # at k=2 the raw (unsmoothed) theta of this corpus has full support
@@ -605,7 +608,7 @@ class TestSeriesFilesAreNotRead:
             assert run_cli(stage, "--config", config) == 0
         fresh = tmp_path / "fresh"
         assert run_cli("pipeline", "--config", config, "--out", str(fresh)) == 0
-        assert_same_reports(tmp_path / "out", fresh)
+        assert_same_files(tmp_path / "out", fresh, REPORTS)
 
 
 STAGE_ORDER = ("prepare", "train", "measure", "null", "epochs", "fit", "compare")
@@ -617,13 +620,6 @@ def run_captured(*args):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli(*args)
     return code, out.getvalue(), err.getvalue()
-
-
-def assert_same_files(a, b):
-    names = sorted(p.name for p in a.iterdir())
-    assert names == sorted(p.name for p in b.iterdir())
-    _, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
-    assert mismatch == [] and errors == []
 
 
 @pytest.fixture(scope="module")
