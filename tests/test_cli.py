@@ -568,12 +568,13 @@ class TestSeriesFilesAreNotRead:
     """`null` and `epochs` derive the series from the models; what the
     series files hold does not reach them."""
 
-    @pytest.mark.parametrize("tamper", ["deleted", "no-bits-column", "non-numeric", "nan",
-                                        "inf", "missing-row", "extra-row"])
-    def test_epochs_and_null_ignore_the_series_files(self, measured_small, tmp_path, tamper):
-        config, staged, pipeline = measured_small
-        out = tmp_path / "out"
-        shutil.copytree(staged, out)
+    TAMPERS = ["deleted", "no-bits-column", "non-numeric", "nan", "inf", "missing-row",
+               "extra-row"]
+
+    @staticmethod
+    def staged_copy_with_damaged_series(measured_small, out, tamper):
+        """Copy the staged run to `out` and damage each of its series files."""
+        shutil.copytree(measured_small[1], out)
         paths = sorted(out.glob("series_k*"))
         assert len(paths) == 2
         for path in paths:
@@ -593,9 +594,22 @@ class TestSeriesFilesAreNotRead:
                 row = lines[header + 3]
                 lines[header + 3] = row[: row.rindex(",") + 1] + value + "\n"
             path.write_text("".join(lines))
-        for stage in ("epochs", "null"):
-            assert run_cli(stage, "--config", config, "--out", str(out)) == 0
-        assert_same_files(out, pipeline, REPORTS)
+
+    @pytest.mark.parametrize("tamper", TAMPERS)
+    def test_epochs_ignores_the_series_files(self, measured_small, tmp_path, tamper):
+        config, _, pipeline = measured_small
+        out = tmp_path / "out"
+        self.staged_copy_with_damaged_series(measured_small, out, tamper)
+        assert run_cli("epochs", "--config", config, "--out", str(out)) == 0
+        assert_same_files(out, pipeline, ("epochs_*",))
+
+    @pytest.mark.parametrize("tamper", TAMPERS)
+    def test_null_ignores_the_series_files(self, measured_small, tmp_path, tamper):
+        config, _, pipeline = measured_small
+        out = tmp_path / "out"
+        self.staged_copy_with_damaged_series(measured_small, out, tamper)
+        assert run_cli("null", "--config", config, "--out", str(out)) == 0
+        assert_same_files(out, pipeline, ("null_*",))
 
     def test_epochs_and_null_follow_the_current_smoothing(self, tmp_path):
         # at k=2 the raw (unsmoothed) theta of this corpus has full support
