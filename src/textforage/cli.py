@@ -163,6 +163,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
     for field in ("filter.stopwords", "fit.documents"):
         if not all(isinstance(w, str) for w in _require(cfg, field, list, where)):
             raise ConfigError(f"{where}: field '{field}' must list strings")
+    stems = [Path(p).stem for p in cfg["fit"]["documents"]]
+    for stem in stems:  # a fit's artifacts and seed are named by its file's stem
+        if stems.count(stem) > 1:
+            raise ConfigError(f"{where}: field 'fit.documents' names two files with the "
+                              f"stem {stem!r}, whose fits would overwrite each other")
     for name, kind in (("min_count", int), ("max_count", int),
                        ("top_mass", (int, float)), ("bottom_mass", (int, float))):
         if cfg["filter"][name] is not None:
@@ -264,8 +269,8 @@ class _Run:
 
     def theta(self, k: int) -> np.ndarray:
         """Document-topic matrix of model `k` under `measure.smoothing`."""
-        return self._product(f"theta_k{k}", lambda: lda.estimate_distributions(
-            self.model(k), smoothing=self.cfg["measure"]["smoothing"])[0])
+        return self._product(f"theta_k{k}", lambda: lda._theta(
+            self.model(k), self.cfg["measure"]["smoothing"]))
 
     def series(self, k: int, mode: str) -> np.ndarray:
         return self._product(f"series_k{k}_{mode}.csv",
@@ -433,11 +438,25 @@ def _convergence(trace: list[float]) -> str:
 
 
 def stage_train(run: _Run) -> None:
-    cfg = run.cfg
+    """Train one model per k, up to `threads` of them at once; each has
+    its own seed and stream, so the bytes do not depend on `threads`."""
+    ks = run.cfg["training"]["ks"]
     corpus = run.corpus()
     print(f"train: Gibbs backend {lda.gibbs_backend()}", file=sys.stderr)
-    for k in cfg["training"]["ks"]:
-        model = lda.train(corpus, _training_config(run, k))
+
+    def train(k: int) -> lda.TopicModel:
+        return lda.train(corpus, _training_config(run, k))
+
+    at_once = min(run.cfg["threads"], len(ks))
+    if at_once == 1:  # one thread leaves concurrent.futures unimported
+        models = [train(k) for k in ks]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(at_once) as pool:
+            futures = [pool.submit(train, k) for k in ks]
+        models = [future.result() for future in futures]
+    for k, model in zip(ks, models):
         model.check_invariants()
         model.save(run.out / f"model_k{k}.json", metadata=run.metadata_dict())
         run.keep(f"model_k{k}.json", model)
@@ -562,12 +581,10 @@ def stage_fit(run: _Run) -> None:
             phi_mode=cfg["fit"]["phi_mode"],
             master_seed=derive_seed(run.seed, k, f"fit:{name}"),
             doc_id=name,
-            workers=cfg["threads"],
         )
         n, sweeps = ensemble.n_samples, cfg["fit"]["iterations"]
         print(f"fit {name}: {n} samples x {sweeps} iterations x {tokens.size} tokens = "
-              f"{n * sweeps * tokens.size} token updates in {ensemble.slices} worker "
-              "slice(s)", file=sys.stderr)
+              f"{n * sweeps * tokens.size} token updates", file=sys.stderr)
         run.write_csv(f"fit_{name}_k{k}_samples.csv", ["sample", "dominant_topic", "perplexity"],
                       ((i, int(t), repr(float(p))) for i, (t, p) in
                        enumerate(zip(ensemble.dominant_topics(), ensemble.perplexities))))

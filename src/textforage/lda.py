@@ -18,7 +18,9 @@ the same bits much more slowly.  `gibbs_backend` says which one runs.
 Query sampling runs the same kernel on one document; its locked mode
 only freezes the word-topic counts.
 
-Training is single-threaded and bit-reproducible from (corpus, config).
+Each model trains on one thread and is bit-reproducible from (corpus,
+config); the sweep releases the GIL, so models of different k may train
+concurrently.
 A model file stores only what cannot be derived: the documents' tokens,
 the assignments z and the likelihood trace, as JSON without separator
 whitespace.  Loading rebuilds every count matrix from z.
@@ -180,14 +182,13 @@ def sweep(tokens, docs, z, n_wt, n_td, n_t, alpha: float, beta: float, uniforms)
 
 
 def fit_batch(tokens, z, base_wt, base_t, v: int, alpha: float, beta: float, uniforms,
-              drifting: bool, pool=None, slices: int = 1) -> tuple:
-    """m fits of one query document (`fit_batch` in `_gibbs.c`): tokens
-    (n,) index base_wt (u, k); z (m, n) goes from initial to final
-    topics; uniforms is (m, n_sweeps, n).  Returns the topic counts
-    (m, k), word-topic rows (m, u, k) and totals (m, k): the final ones
-    if `drifting`, else read-only views of the base.  Array rules as for
-    `sweep`, checked once; `slices` contiguous runs of samples, one
-    kernel call each, map over `pool` if given."""
+              drifting: bool) -> tuple:
+    """m fits of one query document in one kernel call (`fit_batch` in
+    `_gibbs.c`): tokens (n,) index base_wt (u, k); z (m, n) goes from
+    initial to final topics; uniforms is (m, n_sweeps, n).  Returns the
+    topic counts (m, k), word-topic rows (m, u, k) and totals (m, k):
+    the final ones if `drifting`, else read-only views of the base.
+    Array rules as for `sweep`."""
     (n,) = _checked("tokens", tokens, np.int32, (-1,))
     u, k = _checked("base_wt", base_wt, np.int64, (-1, -1))
     m, _ = _checked("z", z, np.int32, (-1, n), writeable=True)
@@ -202,24 +203,17 @@ def fit_batch(tokens, z, base_wt, base_t, v: int, alpha: float, beta: float, uni
         hist = np.bincount(((sample * u + tokens) * k + z).ravel(), minlength=m * u * k)
         wt, n_t = base_wt + hist.reshape(m, u, k), base_t + td
     docs = np.zeros(n, dtype=np.int32)
+    probs = np.empty(k, dtype=np.float64)
     lib, _ = _gibbs.load()
-
-    def run(a: int, b: int) -> None:
-        probs = np.empty(k, dtype=np.float64)
-        if lib is not None:
-            lib.fit_batch(b - a, n_sweeps, n, tokens.ctypes.data, docs.ctypes.data,
-                          z[a:].ctypes.data, base_wt.ctypes.data, base_t.ctypes.data,
-                          td[a:].ctypes.data, wt[a:].ctypes.data if drifting else None,
-                          n_t[a:].ctypes.data if drifting else None, u, v, k, alpha, beta,
-                          uniforms[a:].ctypes.data, probs.ctypes.data)
-            return
-        for s in range(a, b):
+    if lib is None:
+        for s in range(m):
             _sweep_kernel(tokens, docs, z[s], wt[s], td[s, :, None], n_t[s], v, alpha, beta,
                           uniforms[s], probs, frozen=not drifting)
-
-    slices = max(1, min(slices, m))
-    bounds = [m * i // slices for i in range(slices + 1)]
-    list((pool.map if pool else map)(run, bounds[:-1], bounds[1:]))
+        return td, wt, n_t
+    lib.fit_batch(m, n_sweeps, n, tokens.ctypes.data, docs.ctypes.data, z.ctypes.data,
+                  base_wt.ctypes.data, base_t.ctypes.data, td.ctypes.data,
+                  wt.ctypes.data if drifting else None, n_t.ctypes.data if drifting else None,
+                  u, v, k, alpha, beta, uniforms.ctypes.data, probs.ctypes.data)
     return td, wt, n_t
 
 
@@ -471,20 +465,22 @@ def estimate_distributions(
     distribution is strictly positive; without it the raw count ratios
     are returned and an empty topic is an error.
     """
-    a, b, k = model.config.alpha, model.config.beta, model.config.k
-    v = model.n_terms
+    theta = _theta(model, smoothing)
+    b, v = model.config.beta, model.n_terms
     if smoothing:
-        theta = (model.n_td.T + a) / (model.n_d[:, None] + k * a)
-        phi = (model.n_wt + b) / (model.n_t[None, :] + v * b)
-    else:
-        if np.any(model.n_t == 0):
-            empty = int(np.flatnonzero(model.n_t == 0)[0])
-            raise NumericalDegeneracyError(
-                f"degenerate topic: topic {empty} has no assignments"
-            )
-        theta = model.n_td.T / model.n_d[:, None]
-        phi = model.n_wt / model.n_t[None, :].astype(np.float64)
-    return theta, phi
+        return theta, (model.n_wt + b) / (model.n_t[None, :] + v * b)
+    return theta, model.n_wt / model.n_t[None, :].astype(np.float64)
+
+
+def _theta(model: TopicModel, smoothing: bool) -> np.ndarray:
+    """theta of `estimate_distributions`, without building phi."""
+    a, k = model.config.alpha, model.config.k
+    if smoothing:
+        return (model.n_td.T + a) / (model.n_d[:, None] + k * a)
+    if np.any(model.n_t == 0):
+        empty = int(np.flatnonzero(model.n_t == 0)[0])
+        raise NumericalDegeneracyError(f"degenerate topic: topic {empty} has no assignments")
+    return model.n_td.T / model.n_d[:, None]
 
 
 def perplexity_from_distributions(

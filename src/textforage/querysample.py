@@ -17,15 +17,12 @@ happens to the word-topic counts is governed by `phi_mode`:
 Because the sampler starts from a random assignment, repeated fits give
 different topic distributions; `sample_ensemble` collects them and
 `cluster_ensemble` groups the resulting interpretations.  It fits in
-blocks of samples: each sample's RNG set-up runs serially on the calling
-thread, then up to `workers` threads split the block's sweeps into
-contiguous slices of at least `MIN_SLICE_UPDATES` token updates, one
-GIL-free kernel call each, on the query's own rows only.
+blocks of samples on the calling thread: each sample's RNG set-up, then
+one kernel call for the block's sweeps, on the query's own rows only.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,14 +47,6 @@ PHI_MODES = ("locked", "extended", "drifting")
 
 #: numbers per block of samples: each takes its uniforms and word-topic rows
 BLOCK_NUMBERS = 2**19
-
-#: token updates (samples x iterations x tokens) each worker slice of a
-#: block must hold, so a block splits in two from 100,000.  `sample_ensemble`
-#: of 100 fits x 100 iterations on a 2-core x86_64 host, 2 workers against
-#: 1 (interleaved medians of 11): 0.6-0.9x the time at k = 80 from 30,000
-#: updates up; at k = 20 1.1-1.2x below 100,000 and 0.85-0.94x from there;
-#: at k = 4 1.0-1.3x at every size up to 3,000,000
-MIN_SLICE_UPDATES = 50_000
 
 
 @dataclass(frozen=True)
@@ -121,43 +110,31 @@ def fit_document(
     )
 
 
-def _fit_blocks(model, tokens, seeds, iterations, phi_mode, workers=1):
+def _fit_blocks(model, tokens, seeds, iterations, phi_mode):
     """Fit `tokens` once per seed; yield (thetas, perplexities, final z)
     per block of samples.  Each sample sweeps its own copy of just the
-    query's word-topic rows.  The RNG set-up runs on this thread, the
-    sweeps as one GIL-free kernel call per worker slice."""
+    query's word-topic rows, all of a block's in one kernel call."""
     if phi_mode not in PHI_MODES:
         raise ValueError(f"phi_mode must be one of {PHI_MODES}, got {phi_mode!r}")
     k, v, alpha, beta = model.config.k, model.n_terms, model.config.alpha, model.config.beta
     local_ids, local_tokens = np.unique(tokens, return_inverse=True)
     local_tokens, base_rows, n = local_tokens.astype(np.int32), model.n_wt[local_ids], tokens.size
-    block = max(workers, BLOCK_NUMBERS // (iterations * n + base_rows.size))
+    block = max(1, BLOCK_NUMBERS // (iterations * n + base_rows.size))
     uniforms = np.empty((min(block, len(seeds)), iterations, n))  # reused by every block
-    workers = _slices(len(uniforms), iterations, n, workers)  # the largest block's
-    if workers > 1:  # an unsplit fit leaves concurrent.futures unimported
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for start in range(0, len(seeds), block):
-            chunk = seeds[start : start + block]
-            z = np.empty((len(chunk), n), dtype=np.int32)
-            for j, seed in enumerate(chunk):
-                rng = rng_from(seed)
-                z[j] = rng.integers(0, k, n, dtype=np.int32)
-                rng.random(out=uniforms[j])
-            td, wt, n_t = lda.fit_batch(local_tokens, z, base_rows, model.n_t, v, alpha, beta,
-                                        uniforms[: len(chunk)], phi_mode != "locked", pool,
-                                        _slices(len(chunk), iterations, n, workers))
-            thetas = (td + alpha) / (n + k * alpha)
-            yield thetas, np.array([
-                lda.perplexity_from_distributions(theta, (rows + beta) / (t + v * beta),
-                                                  [local_tokens])
-                for theta, rows, t in zip(thetas, wt, n_t)]), z
-
-
-def _slices(samples: int, iterations: int, n: int, workers: int) -> int:
-    """Worker slices for a block: at most one per worker and sample, and
-    at least `MIN_SLICE_UPDATES` token updates each (one slice if less)."""
-    return min(workers, samples, max(1, samples * iterations * n // MIN_SLICE_UPDATES))
+    for start in range(0, len(seeds), block):
+        chunk = seeds[start : start + block]
+        z = np.empty((len(chunk), n), dtype=np.int32)
+        for j, seed in enumerate(chunk):
+            rng = rng_from(seed)
+            z[j] = rng.integers(0, k, n, dtype=np.int32)
+            rng.random(out=uniforms[j])
+        td, wt, n_t = lda.fit_batch(local_tokens, z, base_rows, model.n_t, v, alpha, beta,
+                                    uniforms[: len(chunk)], phi_mode != "locked")
+        thetas = (td + alpha) / (n + k * alpha)
+        yield thetas, np.array([
+            lda.perplexity_from_distributions(theta, (rows + beta) / (t + v * beta),
+                                              [local_tokens])
+            for theta, rows, t in zip(thetas, wt, n_t)]), z
 
 
 def _extend_model(
@@ -184,8 +161,6 @@ class SampleEnsemble:
     phi_mode: str
     master_seed: int
     seeds: tuple[int, ...]
-    #: kernel calls made, one per worker slice of a block (0 if built by hand)
-    slices: int = 0
 
     def __post_init__(self):
         if self.thetas.shape[0] != self.perplexities.shape[0]:
@@ -213,20 +188,18 @@ def sample_ensemble(
     phi_mode: str = "drifting",
     master_seed: int = 0,
     doc_id: str = "query",
-    workers: int | None = None,
 ) -> SampleEnsemble:
     """Run `n_samples` independent fits of `doc`.
 
     Per-sample seeds are derived deterministically from `master_seed`
     (see :mod:`textforage.seeds`), so the ensemble is reproducible and
-    sample i is the same whether run serially or with `workers` > 1.
+    sample i is the same whatever the block size.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     tokens = _restrict_to_vocabulary(model, doc)
     seeds = tuple(derive_seed(master_seed, i, "ensemble") for i in range(n_samples))
-    workers = max(1, workers or 1)
-    blocks = [b[:2] for b in _fit_blocks(model, tokens, seeds, iterations, phi_mode, workers)]
+    blocks = [b[:2] for b in _fit_blocks(model, tokens, seeds, iterations, phi_mode)]
     return SampleEnsemble(
         doc_id=doc_id,
         thetas=np.vstack([b[0] for b in blocks]),
@@ -234,7 +207,6 @@ def sample_ensemble(
         phi_mode=phi_mode,
         master_seed=master_seed,
         seeds=seeds,
-        slices=sum(_slices(len(b[0]), iterations, tokens.size, workers) for b in blocks),
     )
 
 

@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 import yaml
 
 import textforage
-from textforage import _gibbs, cli, lda, modelcompare, nullmodels, querysample
+from textforage import _gibbs, cli, lda, modelcompare, nullmodels
 from textforage.corpus import Corpus
 from textforage.errors import ConfigError
 from textforage.measures import surprise_series, surprise_values
@@ -668,7 +669,6 @@ class TestPipelineHandsProductsForward:
 
     def test_thread_counts_write_the_same_files(self, staged_fixture):
         _, runs = staged_fixture
-        assert "in 2 worker slice(s)" in runs["2"][2]  # the fixture's query fit is split
         assert_same_files(runs["1"][0], runs["2"][0])
 
     def test_pipeline_reads_nothing_back(self, staged_fixture, tmp_path, monkeypatch):
@@ -700,6 +700,21 @@ class TestTrainReport:
             f"trained k=2: log joint {trace[0]:.2f} (sweep 1) -> {trace[19]:.2f} "
             f"(sweep 20), relative change {change:+.2e} over the last 2 sweeps"
         )
+
+    def test_two_threads_train_the_ks_together(self, tmp_path, monkeypatch):
+        # each k's training waits at a barrier until the other k's starts,
+        # which a k-by-k loop never reaches
+        config = small_pipeline(tmp_path, training={"ks": [2, 3], "iterations": 3})
+        assert run_cli("prepare", "--config", config) == 0
+        barrier = threading.Barrier(2, timeout=10)
+        train = lda.train
+
+        def train_at_the_barrier(*args):
+            barrier.wait()
+            return train(*args)
+
+        monkeypatch.setattr(lda, "train", train_at_the_barrier)
+        assert run_cli("train", "--config", config, "--threads", "2") == 0
 
 
 PIPELINE = ("import sys\nfrom textforage import cli\n"
@@ -869,22 +884,17 @@ class TestGibbsBackend:
                 library = Path(re.fullmatch(r"\w+: Gibbs backend C \((.+)\)", line).group(1))
                 assert library.is_file() and tmp_path not in library.parents
 
-    def test_fit_reports_its_work(self, tmp_path, capsys, monkeypatch):
+    def test_fit_reports_its_work(self, tmp_path, capsys):
         config = small_pipeline(tmp_path, training={"ks": [2], "iterations": 3}, fit=self.FIT)
         for stage in ("prepare", "train"):
             assert run_cli(stage, "--config", config) == 0
-        # 4 x 5 x (a few) token updates are too few to split across 3 threads
-        for slices in (1, 3):
-            if slices > 1:
-                monkeypatch.setattr(querysample, "MIN_SLICE_UPDATES", 1)
-            capsys.readouterr()
-            assert run_cli("fit", "--config", config, "--threads", "3") == 0
-            captured = capsys.readouterr()
-            work = re.search(r"^fit query_0: 4 samples x 5 iterations x (\d+) tokens = (\d+) "
-                             rf"token updates in {slices} worker slice\(s\)$", captured.err,
-                             re.M)
-            assert work and int(work[1]) > 0 and int(work[2]) == 4 * 5 * int(work[1])
-            assert "token updates" not in captured.out
+        capsys.readouterr()
+        assert run_cli("fit", "--config", config, "--threads", "3") == 0
+        captured = capsys.readouterr()
+        work = re.search(r"^fit query_0: 4 samples x 5 iterations x (\d+) tokens = (\d+) "
+                         r"token updates$", captured.err, re.M)
+        assert work and int(work[1]) > 0 and int(work[2]) == 4 * 5 * int(work[1])
+        assert "token updates" not in captured.out
 
     def test_fallback_names_the_reason(self, tmp_path, capsys, monkeypatch):
         def no_compiler(src, target):
@@ -978,9 +988,11 @@ class TestConfigValidation:
         ("training", {"beta": -1}, "training.beta"),
         ("measure", {"modes": []}, "measure.modes"),
         ("fit", {"documents": "query_0.txt"}, "fit.documents"),
+        # their fits would write the same fit_q_k*.json and share a seed
+        ("fit", {"documents": ["a/q.txt", "b/q.txt"]}, "fit.documents"),
     ], ids=["strategy", "merge", "smoothing", "ascii_fold", "merge_hyphens", "top_mass",
             "bottom_mass", "min_count", "max_count", "stopwords", "stopword", "alpha", "beta",
-            "modes", "documents"])
+            "modes", "documents", "repeated-stem"])
     def test_bad_field_is_named_before_any_artifact(self, tmp_path, capsys, section, value,
                                                      field):
         sections = {"training": {"ks": [2, 3], "iterations": 5}}

@@ -195,9 +195,9 @@ def test_fit_is_one_call_on_the_per_iteration_stream(phi_mode):
 
 @pytest.mark.parametrize("phi_mode", querysample.PHI_MODES)
 def test_racing_threads_load_once_and_keep_the_serial_bits(monkeypatch, phi_mode):
-    """More workers than cores, a short switch interval, and the library
-    resolved for the first time by the racing workers: it loads once, and
-    every fit keeps the bits of the serial run."""
+    """More threads than cores, a short switch interval, and the library
+    resolved for the first time by racing `sample_ensemble` calls: it
+    loads once, and every thread's fit keeps the bits of the serial run."""
     compiled()
     rng = np.random.default_rng(21)
     corpus = build_corpus([rng.integers(0, 15, 40).tolist() for _ in range(6)],
@@ -208,28 +208,28 @@ def test_racing_threads_load_once_and_keep_the_serial_bits(monkeypatch, phi_mode
                                          phi_mode=phi_mode, master_seed=5)
     opened = []
     real_open = _gibbs._open
-    monkeypatch.setattr(querysample, "MIN_SLICE_UPDATES", 1)  # six slices of this small fit
     monkeypatch.setattr(_gibbs, "_loaded", None)
     monkeypatch.setattr(_gibbs, "_open", lambda path: opened.append(path) or real_open(path))
-    result = {}
+    results = [None] * 6
 
-    def threaded():
-        result["ensemble"] = querysample.sample_ensemble(
-            model, doc, n_samples=24, iterations=20, phi_mode=phi_mode, master_seed=5,
-            workers=6)
+    def fit(i):
+        results[i] = querysample.sample_ensemble(model, doc, n_samples=24, iterations=20,
+                                                 phi_mode=phi_mode, master_seed=5)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runner = threading.Thread(target=threaded)
-        runner.start()
-        runner.join(timeout=120)
+        runners = [threading.Thread(target=fit, args=(i,)) for i in range(len(results))]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    assert not runner.is_alive() and len(opened) == 1
-    assert result["ensemble"].slices == 6
-    npt.assert_array_equal(result["ensemble"].thetas, serial.thetas)
-    npt.assert_array_equal(result["ensemble"].perplexities, serial.perplexities)
+    assert not any(runner.is_alive() for runner in runners) and len(opened) == 1
+    for ensemble in results:
+        npt.assert_array_equal(ensemble.thetas, serial.thetas)
+        npt.assert_array_equal(ensemble.perplexities, serial.perplexities)
 
 
 def sweep_args(n=5, v=4, k=3, n_docs=2):

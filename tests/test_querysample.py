@@ -127,18 +127,6 @@ class TestSampleEnsemble:
         npt.assert_array_equal(a.thetas, b.thetas)
         npt.assert_array_equal(a.perplexities, b.perplexities)
 
-    def test_workers_do_not_change_results(self, reading_model, monkeypatch):
-        monkeypatch.setattr(querysample, "MIN_SLICE_UPDATES", 1)  # split this small fit
-        doc = ["w0", "w3", "w8", "w2"]
-        serial = querysample.sample_ensemble(
-            reading_model, doc, n_samples=6, iterations=10, master_seed=3
-        )
-        threaded = querysample.sample_ensemble(
-            reading_model, doc, n_samples=6, iterations=10, master_seed=3, workers=3
-        )
-        assert (serial.slices, threaded.slices) == (1, 3)
-        npt.assert_array_equal(serial.thetas, threaded.thetas)
-
     def test_mixed_document_spreads_between_samples(self, reading_model):
         # a document written entirely in the shared words is torn
         # between the planted topics: restarts reach different
@@ -158,9 +146,9 @@ class TestSampleEnsemble:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_blocked_fits_match_the_per_sample_reference(data):
-    """Blocked, sliced fits over the query's own rows give the bits of
-    the per-sample loop over the full counts: in every phi mode, at any
-    worker count, block size and backend, on documents of few terms."""
+    """Blocked fits over the query's own rows give the bits of the
+    per-sample loop over the full counts: in every phi mode, at any
+    block size and backend, on documents of few terms."""
     v, k = data.draw(st.integers(2, 25), "v"), data.draw(st.integers(2, 6), "k")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
     corpus = build_corpus([rng.integers(0, v, 20).tolist() for _ in range(4)],
@@ -174,11 +162,9 @@ def test_blocked_fits_match_the_per_sample_reference(data):
     phi_mode = data.draw(st.sampled_from(querysample.PHI_MODES), "phi_mode")
     iterations = data.draw(st.integers(0, 30), "iterations")
     n_samples = data.draw(st.integers(1, 12), "n_samples")
-    workers = data.draw(st.integers(1, 4), "workers")
     per_block = data.draw(st.sampled_from([None, 1, 2, 3]), "samples per block")
     fallback = data.draw(st.booleans(), "fallback")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(querysample, "MIN_SLICE_UPDATES", 1)  # every worker gets a slice
         if per_block is not None:
             one = iterations * doc.size + np.unique(doc).size * k
             patch.setattr(querysample, "BLOCK_NUMBERS", per_block * one)
@@ -186,7 +172,7 @@ def test_blocked_fits_match_the_per_sample_reference(data):
             patch.setattr(_gibbs, "load", lambda: (None, "pure Python (forced)"))
         ensemble = querysample.sample_ensemble(
             model, doc, n_samples, iterations=iterations, phi_mode=phi_mode,
-            master_seed=7, workers=workers)
+            master_seed=7)
         fit = querysample.fit_document(model, doc, iterations, phi_mode, ensemble.seeds[0])
         thetas, perplexities = reference_sample_ensemble(
             model, doc, n_samples, iterations, phi_mode, master_seed=7)
