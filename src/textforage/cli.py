@@ -453,9 +453,8 @@ def stage_train(run: _Run) -> None:
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(at_once) as pool:
-            futures = [pool.submit(train, k) for k in ks]
-        models = [future.result() for future in futures]
+        with ThreadPoolExecutor(at_once) as pool:  # map re-raises in ks order
+            models = list(pool.map(train, ks))
     for k, model in zip(ks, models):
         model.check_invariants()
         model.save(run.out / f"model_k{k}.json", metadata=run.metadata_dict())
