@@ -196,8 +196,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
         if _require(cfg, field, None, where) < minimum:
             raise ConfigError(f"{where}: field '{field}' must be >= {minimum}")
     for field in ("training.alpha", "training.beta"):
-        if not _require(cfg, field, None, where) > 0:
-            raise ConfigError(f"{where}: field '{field}' must be > 0")
+        if not 0 < _require(cfg, field, None, where) < float("inf"):
+            raise ConfigError(f"{where}: field '{field}' must be finite and > 0")
     span = cfg["fit"]["cluster_range"]
     if (not isinstance(span, list) or len(span) != 2
             or not all(isinstance(x, int) for x in span)

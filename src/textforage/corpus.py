@@ -250,10 +250,6 @@ class Vocabulary:
             "frequencies": [int(c) for c in self.corpus_frequency],
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Vocabulary":
-        return cls(payload["terms"], payload["frequencies"])
-
 
 def _mass_classes(counts: Counter, total: int, mass: float, highest_first: bool) -> set[str]:
     """Terms removed by a cumulative-mass filter, by whole frequency class."""
@@ -436,7 +432,8 @@ class Corpus:
 
         Raises ValueError for a file of another kind or format version,
         and, naming the field, for a `settings` value that is not a
-        mapping or null, or a `documents` value that is not a mapping of
+        mapping or null, a `vocabulary` entry of the wrong type (naming
+        the entry too), or a `documents` value that is not a mapping of
         equal-length columns or has an entry of the wrong type (naming
         the document too).
         """
@@ -450,7 +447,13 @@ class Corpus:
         settings = payload.get("settings")
         if settings is not None and not isinstance(settings, dict):
             raise ValueError("field 'settings' must be a mapping")
-        vocab = Vocabulary.from_payload(payload["vocabulary"])
+        vocabulary = payload["vocabulary"]
+        terms, frequencies = vocabulary["terms"], vocabulary["frequencies"]
+        vocab = Vocabulary(
+            _read_column("vocabulary.terms", terms, _string, "a string", terms),
+            _read_column("vocabulary.frequencies", frequencies, _count,
+                         "a non-negative integer", frequencies),
+        )
         columns = payload["documents"]
         if not isinstance(columns, dict):
             raise ValueError("field 'documents' must be a mapping of columns")
@@ -485,9 +488,11 @@ class Corpus:
                 token_ids=tokens,
                 dropped=dropped,
             )
-            for doc_id, read_date, pub_date, order_index, tokens, dropped in zip(
-                *(_read_column(columns, name, readers[name]) for name in _DOCUMENT_COLUMNS)
-            )
+            for doc_id, read_date, pub_date, order_index, tokens, dropped in zip(*(
+                _read_column(f"documents.{name}", columns[name], readers[name], kind,
+                             columns["id"])
+                for name, kind in _DOCUMENT_COLUMNS.items()
+            ))
         )
         return cls(
             vocabulary=vocab,
@@ -514,19 +519,16 @@ def _count(entry) -> int:
     return entry
 
 
-def _read_column(columns: dict, name: str, reader) -> list:
-    """Column `name` of a corpus file's `documents`, each entry through
-    `reader`; a ValueError names the field and the document of the first
-    entry that `reader` rejects with TypeError or ValueError."""
+def _read_column(field: str, entries: list, reader, kind: str, labels: list) -> list:
+    """A column of a corpus file, each entry through `reader`; a
+    ValueError names `field` and the index and label of the first entry
+    that `reader` rejects with TypeError or ValueError."""
     values = []
-    for i, entry in enumerate(columns[name]):
+    for i, entry in enumerate(entries):
         try:
             values.append(reader(entry))
         except (TypeError, ValueError):
-            raise ValueError(
-                f"field 'documents.{name}' entry {i} ({columns['id'][i]}) "
-                f"is not {_DOCUMENT_COLUMNS[name]}"
-            ) from None
+            raise ValueError(f"field '{field}' entry {i} ({labels[i]}) is not {kind}") from None
     return values
 
 

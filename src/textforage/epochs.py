@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "SegmentFit",
     "segment_loglik",
     "EpochModel",
     "fit_epochs",
@@ -64,18 +63,28 @@ def _check_boundaries(boundaries: Sequence[int], length: int) -> tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class SegmentFit:
-    """Per-segment Gaussian fits for a fixed set of boundaries."""
+class EpochModel:
+    """Per-epoch Gaussian fits for one set of boundaries; those of
+    `fit_epochs` are the maximum-likelihood ones."""
 
-    boundaries: tuple[int, ...]
-    means: tuple[float, ...]
-    variances: tuple[float, ...]
+    boundaries: tuple[int, ...]  # e_1 = 0 .. e_{n+1} = series length
+    means: tuple[float, ...]  # bits
+    variances: tuple[float, ...]  # bits^2
     log_likelihood: float  # nats
     degenerate: tuple[bool, ...]  # variance hit the floor
+    variance_mode: str
 
     @property
-    def any_degenerate(self) -> bool:
-        return any(self.degenerate)
+    def n_epochs(self) -> int:
+        return len(self.boundaries) - 1
+
+    @property
+    def param_count(self) -> int:
+        return param_count(self.n_epochs)
+
+    @property
+    def interior_boundaries(self) -> tuple[int, ...]:
+        return self.boundaries[1:-1]
 
 
 def segment_loglik(
@@ -83,7 +92,7 @@ def segment_loglik(
     boundaries: Sequence[int],
     variance_mode: str = "mle",
     var_floor: float = DEFAULT_VAR_FLOOR,
-) -> SegmentFit:
+) -> EpochModel:
     """Gaussian log-likelihood of `values` under fixed segment boundaries.
 
     Boundaries are half-open cut points 0 = e_1 < ... < e_{n+1} = len;
@@ -112,34 +121,14 @@ def segment_loglik(
         means.append(mu)
         variances.append(var)
         flags.append(degenerate)
-    return SegmentFit(
+    return EpochModel(
         boundaries=bounds,
         means=tuple(means),
         variances=tuple(variances),
         log_likelihood=total,
         degenerate=tuple(flags),
+        variance_mode=variance_mode,
     )
-
-
-@dataclass(frozen=True)
-class EpochModel:
-    """A maximum-likelihood segmentation into `n_epochs` epochs."""
-
-    n_epochs: int
-    boundaries: tuple[int, ...]  # e_1 = 0 .. e_{n+1} = series length
-    means: tuple[float, ...]  # bits
-    variances: tuple[float, ...]  # bits^2
-    log_likelihood: float  # nats
-    degenerate: tuple[bool, ...]
-    variance_mode: str
-
-    @property
-    def param_count(self) -> int:
-        return param_count(self.n_epochs)
-
-    @property
-    def interior_boundaries(self) -> tuple[int, ...]:
-        return self.boundaries[1:-1]
 
 
 def _cost_matrix(
@@ -257,17 +246,8 @@ def _fit_counts(
             bounds.append(j)
         bounds.append(0)
         bounds.reverse()
-        fit = segment_loglik(x, bounds, variance_mode=variance_mode, var_floor=var_floor)
         models.append(
-            EpochModel(
-                n_epochs=n_epochs,
-                boundaries=fit.boundaries,
-                means=fit.means,
-                variances=fit.variances,
-                log_likelihood=fit.log_likelihood,
-                degenerate=fit.degenerate,
-                variance_mode=variance_mode,
-            )
+            segment_loglik(x, bounds, variance_mode=variance_mode, var_floor=var_floor)
         )
     return models
 

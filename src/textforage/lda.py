@@ -337,17 +337,25 @@ class TopicModel:
     # -- likelihood
 
     def log_joint(self) -> float:
-        """Collapsed log p(w, z) in nats, used for the likelihood trace."""
+        """Collapsed log p(w, z) in nats, used for the likelihood trace;
+        NumericalDegeneracyError when the priors carry it out of float range."""
         k, a, b = self.config.k, self.config.alpha, self.config.beta
         v = self.n_terms
-        return math.fsum((
-            self.n_docs * (math.lgamma(k * a) - k * math.lgamma(a)),
-            _lgamma_sum(self.n_td, a),
-            -_lgamma_sum(self.n_d, k * a),
-            k * (math.lgamma(v * b) - v * math.lgamma(b)),
-            _lgamma_sum(self.n_wt, b),
-            -_lgamma_sum(self.n_t, v * b),
-        ))
+        try:
+            total = math.fsum((
+                self.n_docs * (math.lgamma(k * a) - k * math.lgamma(a)),
+                _lgamma_sum(self.n_td, a),
+                -_lgamma_sum(self.n_d, k * a),
+                k * (math.lgamma(v * b) - v * math.lgamma(b)),
+                _lgamma_sum(self.n_wt, b),
+                -_lgamma_sum(self.n_t, v * b),
+            ))
+        except (OverflowError, ValueError):  # lgamma past the float range; inf - inf
+            total = math.nan
+        if not math.isfinite(total):
+            raise NumericalDegeneracyError(f"log joint is out of float range at k={k}, "
+                                           f"alpha={a!r}, beta={b!r}")
+        return total
 
     # -- persistence
 

@@ -22,6 +22,7 @@ __all__ = [
     "kl_divergence_rows",
     "js_divergence",
     "js_distance",
+    "js_distance_pairs",
     "js_distance_matrix",
     "Enclosure",
     "encloses",
@@ -144,16 +145,30 @@ def _js_divergence_one_to_many(p: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
     return np.maximum(0.5 * p_terms.sum(axis=1) + 0.5 * q_terms.sum(axis=1), 0.0)
 
 
+def js_distance_pairs(a, b, first, second) -> np.ndarray:
+    """JS distance, in bits, of rows `a[first[s]]` and `b[second[s]]`
+    for each pair s; rows are float distributions, taken as given.
+
+    Each block of pairs gathers its rows into new arrays, so every
+    distance has the bits of `js_distance` of its two rows whatever the
+    memory layout of `a` and `b`.  A block's temporaries hold at most
+    2**13 floats: 64 KB, under glibc's 128 KB mmap threshold, so blocks
+    reuse heap memory.
+    """
+    out = np.empty(len(first))
+    step = max(1, 2**13 // a.shape[1])
+    for s in range(0, len(first), step):
+        block = slice(s, s + step)
+        out[block] = _js_divergence_one_to_many(a[first[block]], b[second[block]])
+    return np.sqrt(out, out=out)
+
+
 def js_distance_matrix(rows) -> np.ndarray:
     """Pairwise JS distance matrix for a stack of distributions."""
     theta = np.asarray(rows, dtype=np.float64)
     out = np.zeros((len(theta), len(theta)))
     first, second = np.triu_indices(len(theta), 1)
-    # each pair i < j once, in steps whose temporaries hold <= 2**13 floats
-    step = max(1, 2**13 // theta.shape[1])
-    for s in range(0, first.size, step):
-        i, j = first[s : s + step], second[s : s + step]
-        out[i, j] = out[j, i] = np.sqrt(_js_divergence_one_to_many(theta[i], theta[j]))
+    out[first, second] = out[second, first] = js_distance_pairs(theta, theta, first, second)
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import _js_divergence_one_to_many
+from .measures import js_distance_pairs
 
 __all__ = [
     "merge_vocabulary",
@@ -93,12 +93,9 @@ def _js_distance_columns(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
     intersect strategy where columns may sum below 1 (the shortfall is
     simply mass on unshared terms).
     """
-    a = phi_a.T  # (kA, V)
-    b = phi_b.T  # (kB, V)
-    out = np.empty((a.shape[0], b.shape[0]))
-    for i in range(a.shape[0]):
-        out[i] = np.sqrt(_js_divergence_one_to_many(a[i], b))
-    return out
+    first, second = np.indices((phi_a.shape[1], phi_b.shape[1])).reshape(2, -1)
+    dist = js_distance_pairs(phi_a.T, phi_b.T, first, second)
+    return dist.reshape(phi_a.shape[1], phi_b.shape[1])
 
 
 @dataclass(frozen=True)
@@ -209,14 +206,9 @@ def topic_drift(phi_before: np.ndarray, phi_after: np.ndarray) -> AlignmentResul
     """
     if phi_before.shape != phi_after.shape:
         raise ValueError("snapshots differ in shape")
-    k = phi_before.shape[1]
-    a = np.asarray(phi_before, float).T
-    b = np.asarray(phi_after, float).T
-    div = np.array(
-        [_js_divergence_one_to_many(a[t], b[t : t + 1])[0] for t in range(k)]
-    )
-    dist = np.sqrt(div)
-    pairs = tuple((t, t, float(dist[t])) for t in range(k))
+    topics = np.arange(phi_before.shape[1])
+    dist = js_distance_pairs(phi_before.T, phi_after.T, topics, topics)
+    pairs = tuple((t, t, float(d)) for t, d in enumerate(dist))
     return AlignmentResult(
         strategy="identity",
         pairs=pairs,

@@ -512,8 +512,12 @@ class TestStaleArtifacts:
         (lambda payload: payload["documents"]["token_ids"][1].append(
             len(payload["vocabulary"]["terms"])),
          "field 'documents.token_ids' entry 1 (doc001) is not a list of token ids in [0, V)"),
+        (lambda payload: payload["vocabulary"]["terms"].__setitem__(0, 7),
+         "field 'vocabulary.terms' entry 0 (7) is not a string"),
+        (lambda payload: payload["vocabulary"]["frequencies"].__setitem__(1, -1),
+         "field 'vocabulary.frequencies' entry 1 (-1) is not a non-negative integer"),
     ], ids=["format-1", "missing-column", "short-column", "order-index-not-a-number",
-            "token-id-out-of-range"])
+            "token-id-out-of-range", "term-not-a-string", "negative-frequency"])
     def test_malformed_corpus_names_the_file(self, tmp_path, capsys, tamper, named):
         config = small_pipeline(tmp_path)
         assert run_cli("prepare", "--config", config) == 0
@@ -715,6 +719,17 @@ class TestTrainReport:
 
         monkeypatch.setattr(lda, "train", train_at_the_barrier)
         assert run_cli("train", "--config", config, "--threads", "2") == 0
+
+    @pytest.mark.parametrize("prior", ["alpha", "beta"])
+    def test_log_joint_past_the_float_range_is_a_degeneracy(self, tmp_path, capsys, prior):
+        config = small_pipeline(tmp_path, training={"ks": [2], "iterations": 2, prior: 1e308})
+        assert run_cli("prepare", "--config", config) == 0
+        capsys.readouterr()
+        assert run_cli("train", "--config", config) == 3
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("numerical degeneracy: log joint is out of float range")
+        assert f"{prior}=1e+308" in last
+        assert not (tmp_path / "out" / "model_k2.json").exists()
 
 
 PIPELINE = ("import sys\nfrom textforage import cli\n"
@@ -986,13 +1001,15 @@ class TestConfigValidation:
         ("filter", {"stopwords": ["the", 3]}, "filter.stopwords"),
         ("training", {"alpha": 0}, "training.alpha"),
         ("training", {"beta": -1}, "training.beta"),
+        ("training", {"alpha": float("inf")}, "training.alpha"),
+        ("training", {"beta": float("inf")}, "training.beta"),
         ("measure", {"modes": []}, "measure.modes"),
         ("fit", {"documents": "query_0.txt"}, "fit.documents"),
         # their fits would write the same fit_q_k*.json and share a seed
         ("fit", {"documents": ["a/q.txt", "b/q.txt"]}, "fit.documents"),
     ], ids=["strategy", "merge", "smoothing", "ascii_fold", "merge_hyphens", "top_mass",
             "bottom_mass", "min_count", "max_count", "stopwords", "stopword", "alpha", "beta",
-            "modes", "documents", "repeated-stem"])
+            "alpha-inf", "beta-inf", "modes", "documents", "repeated-stem"])
     def test_bad_field_is_named_before_any_artifact(self, tmp_path, capsys, section, value,
                                                      field):
         sections = {"training": {"ks": [2, 3], "iterations": 5}}

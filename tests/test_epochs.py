@@ -40,6 +40,7 @@ class TestSegmentLoglik:
     def test_closed_form_two_points(self):
         # segment {0, 2}: mean 1, MLE variance 1
         fit = segment_loglik([0.0, 2.0], [0, 2])
+        assert fit.n_epochs == 1 and fit.variance_mode == "mle"
         assert fit.means == (1.0,)
         assert fit.variances == (1.0,)
         assert fit.log_likelihood == pytest.approx(-(1 + math.log(2 * math.pi)), rel=1e-12)

@@ -14,6 +14,7 @@ from textforage.measures import (
     entropy,
     js_distance,
     js_distance_matrix,
+    js_distance_pairs,
     js_divergence,
     kl_divergence,
     kl_divergence_rows,
@@ -152,6 +153,22 @@ class TestJensenShannon:
     def test_distance_matrix_is_the_row_loop_bit_for_bit(self, rows):
         matrix = js_distance_matrix(rows)
         assert matrix.tobytes() == reference_js_distance_matrix(rows).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=tied_ensembles(min_n=1, max_n=30, max_width=300),
+           pair_seed=st.integers(0, 2**32 - 1), n_pairs=st.integers(0, 250))
+    # 250 pairs of width 80: two blocks of 102 pairs and a part block
+    @example(rows=np.random.default_rng(1).dirichlet(np.full(80, 0.3), size=10),
+             pair_seed=0, n_pairs=250)
+    # rows longer than a block's 2**13 floats: one pair per block
+    @example(rows=np.random.default_rng(2).dirichlet(np.full(9000, 0.3), size=3),
+             pair_seed=0, n_pairs=5)
+    def test_pairs_are_js_distance_bit_for_bit(self, rows, pair_seed, n_pairs):
+        # `b` in another memory layout, as topic columns of a (V, k) matrix
+        a, b = rows, np.asfortranarray(rows[::-1])
+        first, second = np.random.default_rng(pair_seed).integers(0, len(rows), (2, n_pairs))
+        dist = js_distance_pairs(a, b, first, second)
+        assert dist.tolist() == [js_distance(a[i], b[j]) for i, j in zip(first, second)]
 
     def test_distance_matrix_memory_stays_near_its_output(self):
         # one (pairs, k) temporary for all 499,500 pairs at k = 200 would

@@ -193,6 +193,20 @@ class TestDistanceMatrix:
                 )
 
 
+    def test_merged_columns_are_js_distance_bit_for_bit(self):
+        # merge_vocabulary hands align_topics C-ordered (V, k) matrices,
+        # whose topic columns are strided
+        rng = np.random.default_rng(17)
+        terms = [f"w{i}" for i in range(300)]
+        merged_a, merged_b, _ = merge_vocabulary(
+            random_phi(rng, 300, 4), terms, random_phi(rng, 300, 6), terms,
+            strategy="expand_epsilon")
+        assert merged_a.flags.c_contiguous and merged_b.flags.c_contiguous
+        dist = modelcompare._js_distance_columns(merged_a, merged_b)
+        for a, b in itertools.product(range(4), range(6)):
+            assert dist[a, b] == js_distance(merged_a[:, a], merged_b[:, b])
+
+
 class TestTopicDrift:
     def test_no_drift_is_zero(self):
         rng = np.random.default_rng(15)
