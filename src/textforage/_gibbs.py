@@ -6,9 +6,11 @@ fused multiply-add changes the rounding, so the C kernel gives the same
 bits as the pure-Python one in `lda`, with word-topic counts frozen or
 not.  It is cached in ``$XDG_CACHE_HOME/textforage/`` (default
 ``~/.cache/textforage/``) under a name keyed by the SHA-256 of the
-source and the flags.  A build writes
+source, the flags and the platform.  A build writes
 to a temporary name and renames it into place, so concurrent builds are
-safe.  ctypes releases the GIL during each call.
+safe.  A cached library that will not load (damaged, or built for
+another machine) is built again once.  ctypes releases the GIL during
+each call.
 
 Without gcc, or when the build or the load fails, `load` gives no library,
 one warning goes to stderr, and `lda` runs the pure-Python kernel.
@@ -35,9 +37,12 @@ def source() -> bytes:
 
 
 def library_path(src: bytes) -> Path:
-    """Where the library built from `src` with `FLAGS` is cached."""
+    """Where the library built from `src` with `FLAGS` for this platform
+    is cached."""
+    import sysconfig
+
     root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    key = hashlib.sha256(src + " ".join(FLAGS).encode()).hexdigest()
+    key = hashlib.sha256(src + " ".join([*FLAGS, sysconfig.get_platform()]).encode()).hexdigest()
     return Path(root) / "textforage" / f"_gibbs-{key[:16]}.so"
 
 
@@ -79,8 +84,12 @@ def _resolve() -> tuple[object | None, str]:
     try:
         src = source()
         path = library_path(src)
-        if not path.is_file():
-            _build(src, path)
+        if path.is_file():
+            try:
+                return _open(path), f"C ({path})"
+            except OSError:  # damaged, or built for another machine: build it again
+                pass
+        _build(src, path)
         return _open(path), f"C ({path})"
     except OSError as exc:
         return None, f"pure Python ({exc})"

@@ -56,45 +56,63 @@ from .measures import surprise_series, surprise_values
 from .nullmodels import ReadingOrder
 from .seeds import derive_seed
 
-SUBCOMMANDS = (
-    "prepare", "train", "measure", "null", "epochs", "fit", "compare", "pipeline", "fixture",
-)
-
-_DEFAULTS = {
-    "threads": 1,
-    "filter": {"min_count": None, "max_count": None, "top_mass": None,
-               "bottom_mass": None, "stopwords": []},
-    "tokenizer": {"merge_hyphens": True, "ascii_fold": True},
-    # paper-reported settings: symmetric priors 0.1/0.01, 500 sweeps,
-    # coarse and fine topic counts, 1000 null permutations
-    "training": {"ks": [80, 200], "alpha": 0.1, "beta": 0.01,
-                 "iterations": 500},
-    "measure": {"modes": ["t2t", "t2p"], "smoothing": True},
-    "null_model": {"permutations": 1000},
-    "epochs": {"max_epochs": 3, "min_len": 10, "variance_mode": "mle"},
-    "fit": {"documents": [], "iterations": 100, "samples": 100,
-            "phi_mode": "drifting", "cluster_range": [2, 10]},
-    "compare": {"merge": "expand_epsilon", "strategy": "basic"},
-}
-
-
 # ---------------------------------------------------------------------------
 # Configuration
 
+_REQUIRED = object()  # the default of a field that the config must give
 
-def _require(cfg: dict, path: str, kind, where: str):
-    value = cfg
-    for part in path.split("."):
-        if not isinstance(value, dict) or part not in value:
-            raise ConfigError(f"{where}: missing required field '{path}'")
-        value = value[part]
-    # YAML's true/false load as bool, which is an int: only a bool field takes one
-    if kind is not None and (isinstance(value, bool) and kind is not bool
-                             or not isinstance(value, kind)):
-        names = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
-        raise ConfigError(f"{where}: field '{path}' has wrong type "
-                          f"(expected {' or '.join(names)})")
-    return value
+
+def _at_least(minimum: int) -> tuple:
+    return f"must be >= {minimum}", lambda v: v >= minimum
+
+
+def _one_of(allowed: tuple) -> tuple:
+    return f"must be one of {allowed}", lambda v: v in allowed
+
+
+_STRINGS = "must list strings", lambda v: all(isinstance(w, str) for w in v)
+_SHARE = "must be in [0, 1]", lambda v: 0 <= v <= 1
+_POSITIVE = "must be finite and > 0", lambda v: 0 < v < float("inf")
+
+# Every config field, by its dotted name: (default or _REQUIRED, the
+# types it takes, rule or None), a rule being (the words of its error,
+# the test a value passes).  A field whose default is None may be null.
+_FIELDS = {
+    "manifest": (_REQUIRED, str, None),
+    "output_dir": (_REQUIRED, str, None),
+    "seed": (_REQUIRED, int, None),
+    "threads": (1, int, _at_least(1)),
+    "filter.min_count": (None, int, None),
+    "filter.max_count": (None, int, None),
+    "filter.top_mass": (None, (int, float), _SHARE),
+    "filter.bottom_mass": (None, (int, float), _SHARE),
+    "filter.stopwords": ([], list, _STRINGS),
+    "tokenizer.merge_hyphens": (True, bool, None),
+    "tokenizer.ascii_fold": (True, bool, None),
+    # paper-reported settings: symmetric priors 0.1/0.01, 500 sweeps,
+    # coarse and fine topic counts, 1000 null permutations
+    "training.ks": ([80, 200], list, ("must list integers >= 2", lambda v: v and all(
+        isinstance(k, int) and k >= 2 for k in v))),
+    "training.alpha": (0.1, (int, float), _POSITIVE),
+    "training.beta": (0.01, (int, float), _POSITIVE),
+    "training.iterations": (500, int, _at_least(0)),
+    "measure.modes": (["t2t", "t2p"], list, ("must list one or more of ('t2t', 't2p')",
+                                            lambda v: v and all(m in ("t2t", "t2p") for m in v))),
+    "measure.smoothing": (True, bool, None),
+    "null_model.permutations": (1000, int, _at_least(1)),
+    "epochs.max_epochs": (3, int, _at_least(1)),
+    "epochs.min_len": (10, int, _at_least(2)),
+    "epochs.variance_mode": ("mle", str, _one_of(epochs.VARIANCE_MODES)),
+    "fit.documents": ([], list, _STRINGS),
+    "fit.iterations": (100, int, _at_least(0)),
+    "fit.samples": (100, int, _at_least(3)),
+    "fit.phi_mode": ("drifting", str, _one_of(querysample.PHI_MODES)),
+    "fit.cluster_range": ([2, 10], list, ("must be [lo, hi] with 2 <= lo <= hi", lambda v: (
+        len(v) == 2 and all(isinstance(x, int) for x in v) and 2 <= v[0] <= v[1]))),
+    "compare.merge": ("expand_epsilon", str, _one_of(modelcompare.MERGE_STRATEGIES)),
+    "compare.strategy": ("basic", str, _one_of(modelcompare.ALIGN_STRATEGIES)),
+}
+_SECTIONS = {field.partition(".")[0] for field in _FIELDS if "." in field}
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> dict:
@@ -106,106 +124,55 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
     validation and become part of the config hash.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
 
-    cfg = {}
-    for key, default in _DEFAULTS.items():
-        if not isinstance(default, dict):
-            cfg[key] = raw.get(key, default)
-            continue
-        merged = dict(default)
-        user = raw.get(key, {})
-        if user is None:
-            user = {}
-        if not isinstance(user, dict):
-            raise ConfigError(f"{path}: field '{key}' must be a mapping")
-        unknown = set(user) - set(default)
-        if unknown:
-            raise ConfigError(f"{path}: unknown field '{key}.{sorted(unknown)[0]}'")
-        merged.update(user)
-        cfg[key] = merged
-    for key in ("manifest", "output_dir", "seed"):
-        if key in raw:
-            cfg[key] = raw[key]
-    unknown = set(raw) - set(_DEFAULTS) - {"manifest", "output_dir", "seed"}
+    given = {}  # each field the file sets, by its dotted name
+    for key, value in raw.items():
+        if key in _FIELDS and "." not in key:
+            given[key] = value
+        elif key not in _SECTIONS:
+            raise ConfigError(f"{path}: unknown field '{key}'")
+        elif value is not None:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path}: field '{key}' must be a mapping")
+            given.update((f"{key}.{name}", v) for name, v in value.items())
+    unknown = set(given) - set(_FIELDS)
     if unknown:
-        raise ConfigError(f"{path}: unknown field '{sorted(unknown)[0]}'")
+        raise ConfigError(f"{path}: unknown field '{min(unknown)}'")
+    given.update((key, v) for key, v in (overrides or {}).items() if v is not None)
 
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            cfg[key] = value
+    cfg: dict = {}
+    for field, (default, kind, rule) in _FIELDS.items():
+        value = given.get(field, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{path}: missing required field '{field}'")
+        if value is not None or default is not None:  # a null default allows null
+            # YAML's true/false load as bool, which is an int: only a bool field takes one
+            if isinstance(value, bool) and kind is not bool or not isinstance(value, kind):
+                names = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
+                raise ConfigError(f"{path}: field '{field}' has wrong type "
+                                  f"(expected {' or '.join(names)})")
+            if rule and not rule[1](value):
+                raise ConfigError(f"{path}: field '{field}' {rule[0]}")
+        section, _, name = field.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[name] = value
 
-    where = str(path)
-    _require(cfg, "manifest", str, where)
-    _require(cfg, "output_dir", str, where)
-    _require(cfg, "seed", int, where)
-    ks = _require(cfg, "training.ks", list, where)
-    if not ks or not all(isinstance(k, int) and k >= 2 for k in ks):
-        raise ConfigError(f"{where}: field 'training.ks' must list integers >= 2")
-    if len(set(ks)) != len(ks):
-        raise ConfigError(f"{where}: field 'training.ks' has duplicates")
-    for field, kind in (
-        ("training.alpha", (int, float)), ("training.beta", (int, float)),
-        ("training.iterations", int), ("null_model.permutations", int),
-        ("epochs.max_epochs", int), ("epochs.min_len", int),
-        ("fit.iterations", int), ("fit.samples", int), ("threads", int),
-        ("measure.smoothing", bool), ("tokenizer.merge_hyphens", bool),
-        ("tokenizer.ascii_fold", bool),
-    ):
-        _require(cfg, field, kind, where)
-    for field in ("filter.stopwords", "fit.documents"):
-        if not all(isinstance(w, str) for w in _require(cfg, field, list, where)):
-            raise ConfigError(f"{where}: field '{field}' must list strings")
+    if len(set(cfg["training"]["ks"])) != len(cfg["training"]["ks"]):
+        raise ConfigError(f"{path}: field 'training.ks' has duplicates")
     stems = [Path(p).stem for p in cfg["fit"]["documents"]]
     for stem in stems:  # a fit's artifacts and seed are named by its file's stem
         if stems.count(stem) > 1:
-            raise ConfigError(f"{where}: field 'fit.documents' names two files with the "
+            raise ConfigError(f"{path}: field 'fit.documents' names two files with the "
                               f"stem {stem!r}, whose fits would overwrite each other")
-    for name, kind in (("min_count", int), ("max_count", int),
-                       ("top_mass", (int, float)), ("bottom_mass", (int, float))):
-        if cfg["filter"][name] is not None:
-            _require(cfg, f"filter.{name}", kind, where)
-    for name in ("top_mass", "bottom_mass"):
-        if cfg["filter"][name] is not None and not 0 <= cfg["filter"][name] <= 1:
-            raise ConfigError(f"{where}: field 'filter.{name}' must be in [0, 1]")
-    for field, allowed in (
-        ("epochs.variance_mode", epochs.VARIANCE_MODES), ("fit.phi_mode", querysample.PHI_MODES),
-        ("compare.merge", modelcompare.MERGE_STRATEGIES),
-        ("compare.strategy", modelcompare.ALIGN_STRATEGIES),
-    ):
-        if _require(cfg, field, None, where) not in allowed:
-            raise ConfigError(f"{where}: field '{field}' must be one of {allowed}")
-    modes = _require(cfg, "measure.modes", list, where)
-    if not modes:
-        raise ConfigError(f"{where}: field 'measure.modes' must list at least one mode")
-    bad = [m for m in modes if m not in ("t2t", "t2p")]
-    if bad:
-        raise ConfigError(f"{where}: field 'measure.modes' has unknown mode {bad[0]!r}")
-    for field, minimum in (
-        ("training.iterations", 0), ("null_model.permutations", 1),
-        ("epochs.max_epochs", 1), ("epochs.min_len", 2),
-        ("fit.iterations", 0), ("fit.samples", 3), ("threads", 1),
-    ):
-        if _require(cfg, field, None, where) < minimum:
-            raise ConfigError(f"{where}: field '{field}' must be >= {minimum}")
-    for field in ("training.alpha", "training.beta"):
-        if not 0 < _require(cfg, field, None, where) < float("inf"):
-            raise ConfigError(f"{where}: field '{field}' must be finite and > 0")
-    span = cfg["fit"]["cluster_range"]
-    if (not isinstance(span, list) or len(span) != 2
-            or not all(isinstance(x, int) for x in span)
-            or not 2 <= span[0] <= span[1]):
-        raise ConfigError(f"{where}: field 'fit.cluster_range' must be [lo, hi] "
-                          "with 2 <= lo <= hi")
-    if span[0] >= cfg["fit"]["samples"]:
-        raise ConfigError(f"{where}: field 'fit.cluster_range' holds no cluster count "
+    if cfg["fit"]["cluster_range"][0] >= cfg["fit"]["samples"]:
+        raise ConfigError(f"{path}: field 'fit.cluster_range' holds no cluster count "
                           f"below fit.samples ({cfg['fit']['samples']})")
 
     cfg["config_sha256"] = config_hash(cfg)
@@ -315,8 +282,6 @@ class _Run:
 def stage_prepare(run: _Run) -> None:
     cfg = run.cfg
     manifest = Path(cfg["manifest"])
-    if not manifest.is_file():
-        raise ConfigError(f"manifest: file not found: {manifest}")
     try:
         specs = load_manifest(manifest)
     except (OSError, ValueError) as exc:
@@ -568,9 +533,11 @@ def stage_fit(run: _Run) -> None:
     lo, hi = cfg["fit"]["cluster_range"]
     for doc_path in cfg["fit"]["documents"]:
         path = Path(doc_path)
-        if not path.is_file():
-            raise ConfigError(f"fit.documents: file not found: {path}")
-        tokens = model.vocabulary.encode(tokenize(path.read_text(encoding="utf-8"), tok_cfg))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"fit.documents: {path}: {exc}") from exc
+        tokens = model.vocabulary.encode(tokenize(text, tok_cfg))
         name = path.stem
         ensemble = querysample.sample_ensemble(
             model,
@@ -684,7 +651,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="textforage",
         description="Information foraging analysis of reading histories.",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=[*_STAGES, "pipeline", "fixture"])
     parser.add_argument("--config", help="pipeline configuration file (YAML)")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--threads", type=int, default=None, help="cap worker threads")

@@ -523,6 +523,8 @@ def _read_column(field: str, entries: list, reader, kind: str, labels: list) -> 
     """A column of a corpus file, each entry through `reader`; a
     ValueError names `field` and the index and label of the first entry
     that `reader` rejects with TypeError or ValueError."""
+    if not isinstance(entries, list):
+        raise ValueError(f"field '{field}' is not a list")
     values = []
     for i, entry in enumerate(entries):
         try:

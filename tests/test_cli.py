@@ -516,8 +516,12 @@ class TestStaleArtifacts:
          "field 'vocabulary.terms' entry 0 (7) is not a string"),
         (lambda payload: payload["vocabulary"]["frequencies"].__setitem__(1, -1),
          "field 'vocabulary.frequencies' entry 1 (-1) is not a non-negative integer"),
+        (lambda payload: payload["vocabulary"].__setitem__(
+            "terms", {term: i for i, term in enumerate(payload["vocabulary"]["terms"])}),
+         "field 'vocabulary.terms' is not a list"),
     ], ids=["format-1", "missing-column", "short-column", "order-index-not-a-number",
-            "token-id-out-of-range", "term-not-a-string", "negative-frequency"])
+            "token-id-out-of-range", "term-not-a-string", "negative-frequency",
+            "terms-mapping"])
     def test_malformed_corpus_names_the_file(self, tmp_path, capsys, tamper, named):
         config = small_pipeline(tmp_path)
         assert run_cli("prepare", "--config", config) == 0
@@ -856,6 +860,16 @@ class TestFitConfig:
         # rejected by load_config, before any sampling time is spent
         assert not list((tmp_path / "out").glob("fit_*"))
 
+    def test_query_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        config = small_pipeline(tmp_path, fit={"documents": ["query_0.txt"], "samples": 4,
+                                               "iterations": 5, "cluster_range": [2, 3]})
+        (tmp_path / "query_0.txt").write_bytes(b"caf\xe9 au lait\n")
+        assert run_cli("pipeline", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            f"config error: fit.documents: {tmp_path / 'query_0.txt'}: ")
+
 
 class TestFitPayloads:
     # SHA-256 of each fit payload with its metadata removed, as the
@@ -1019,6 +1033,71 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith(f"config error: {config}: field '{field}'")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("changes, field", [
+        ({"epochs": {"variance_mode": "median"}}, "epochs.variance_mode"),
+        ({"fit": {"phi_mode": "frozen"}}, "fit.phi_mode"),
+        ({"epochs": {"max_epochs": 0}}, "epochs.max_epochs"),
+        ({"epochs": {"min_len": 1}}, "epochs.min_len"),
+        ({"fit": {"samples": 2}}, "fit.samples"),
+        ({"training": {"ks": [2], "iterations": -1}}, "training.iterations"),
+        ({"fit": {"iterations": -1}}, "fit.iterations"),
+        ({"null_model": {"permutations": 0}}, "null_model.permutations"),
+        ({"fit": {"cluster_range": [2]}}, "fit.cluster_range"),
+        ({"fit": {"cluster_range": [3, 2]}}, "fit.cluster_range"),
+        ({"fit": {"cluster_range": ["a", 3]}}, "fit.cluster_range"),
+        ({"manifest": 5}, "manifest"),
+        ({"training": [2]}, "training"),
+    ], ids=["variance_mode", "phi_mode", "max_epochs", "min_len", "samples",
+            "training-iterations", "fit-iterations", "permutations", "one-bound",
+            "reversed-bounds", "string-bound", "manifest", "section-as-list"])
+    def test_each_rule_names_its_field(self, tmp_path, capsys, changes, field):
+        config = small_pipeline(tmp_path, **changes)
+        assert run_cli("pipeline", "--config", config) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {config}: field '{field}' ")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"# caf\xe9\nmanifest: m.jsonl\noutput_dir: o\nseed: 1\n")
+        assert run_cli("pipeline", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err and "Traceback" not in err
+
+    # the hash identifies the procedure, so a refactor of the loader must
+    # keep it: the `fixture` config, and one that sets every field
+    EVERY_FIELD = {
+        "manifest": "in/manifest.jsonl", "output_dir": "o", "seed": 5, "threads": 2,
+        "filter": {"min_count": 1, "max_count": 900, "top_mass": 0.01, "bottom_mass": 0,
+                   "stopwords": ["the", "a"]},
+        "tokenizer": {"merge_hyphens": False, "ascii_fold": False},
+        "training": {"ks": [3, 5], "alpha": 0.5, "beta": 1, "iterations": 7},
+        "measure": {"modes": ["t2p"], "smoothing": False},
+        "null_model": {"permutations": 9},
+        "epochs": {"max_epochs": 4, "min_len": 3, "variance_mode": "legacy"},
+        "fit": {"documents": ["q/a.txt", "/abs/b.txt"], "iterations": 0, "samples": 3,
+                "phi_mode": "locked", "cluster_range": [2, 2]},
+        "compare": {"merge": "intersect", "strategy": "adversarial"},
+    }
+
+    def test_config_hashes_are_pinned(self, tmp_path):
+        assert run_cli("fixture", "--out", str(tmp_path / "fx"), "--seed", "3") == 0
+        fixture = cli.load_config(tmp_path / "fx" / "config.yaml")
+        assert fixture["config_sha256"] == (
+            "abdf1943c0bdbbc965cf126eb827a3bb9813a92e9a46d1d02dea75dc76751531")
+        path = tmp_path / "every.yaml"
+        path.write_text(yaml.safe_dump(self.EVERY_FIELD))
+        assert cli.load_config(path)["config_sha256"] == (
+            "63a0f1a987fc9af6776406cac285fcce24e0bdceb11efa51418ca50db12f2bb4")
+
+    def test_readme_lists_every_field_with_its_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        reference = readme.split("### Configuration reference")[1].split("\n## ")[0]
+        rows = dict(re.findall(r"^\| `([\w.]+)` \| ([^|]+?) \|", reference, re.M))
+        assert set(rows) == set(cli._FIELDS)
+        for field, (default, _, _) in cli._FIELDS.items():
+            shown = "required" if default is cli._REQUIRED else f"`{json.dumps(default)}`"
+            assert rows[field] == shown, field
+
     def test_boolean_fields_take_booleans(self, tmp_path):
         config = small_pipeline(tmp_path, measure={"smoothing": False},
                                 tokenizer={"merge_hyphens": False, "ascii_fold": False})
@@ -1052,6 +1131,8 @@ class TestBadInputs:
                               "manifest.jsonl:3: 'text' must be a string"),
         "exhausted-vocabulary": (lambda root: None, {"filter": {"min_count": 100000}},
                                  "filter: vocabulary exhausted"),
+        "missing-manifest": (lambda root: (root / "manifest.jsonl").unlink(), {},
+                             "manifest.jsonl"),
     }
 
     @pytest.mark.parametrize("case", CASES)

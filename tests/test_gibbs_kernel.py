@@ -61,6 +61,23 @@ def test_compiled_kernel_is_built_into_the_cache(kernel_cache):
     assert path.parent == kernel_cache / "textforage" and path.is_file()
 
 
+def test_a_cached_library_that_will_not_load_is_rebuilt(tmp_path, monkeypatch, capsys):
+    """A damaged library, or one built for another machine, in the
+    cache is built again, not a reason to fall back to pure Python."""
+    compiled()
+    monkeypatch.setattr(_gibbs, "_loaded", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    path = _gibbs.library_path(_gibbs.source())
+    path.parent.mkdir(parents=True)
+    path.write_bytes(b"not a shared library")
+    library, backend = _gibbs.load()
+    assert library is not None and backend == f"C ({path})"
+    assert "warning" not in capsys.readouterr().err
+    # a library built for another platform is cached under another name
+    monkeypatch.setattr("sysconfig.get_platform", lambda: "another-platform")
+    assert _gibbs.library_path(_gibbs.source()) != path
+
+
 @st.composite
 def sampler_states(draw):
     """A random corpus state: tokens, documents, z and the counts they
