@@ -46,7 +46,7 @@ print("one constrained permutation starts:", perm[:10].tolist())
 comparison = null_ensemble(order, dists, n=1000, seed=42)
 for mode in ("t2t", "t2p"):
     actual = comparison.actual_mean[mode]
-    nulls = comparison.ensemble.mean_by_mode[mode]
+    nulls = comparison.mean_by_mode[mode]
     lo, hi = comparison.null_ci[mode]
     print(f"\n{mode}: actual {actual:.3f} bits/step vs null "
           f"{nulls.mean():.3f} [{lo:.3f}, {hi:.3f}]")
@@ -64,7 +64,7 @@ print(f"\ngreedy nearest-neighbor path: {greedy_mean:.3f} bits/step "
       f"(actual {comparison.actual_mean['t2t']:.3f})")
 
 # --- rank distribution -------------------------------------------------------
-ranks = rank_distribution(dists, np.arange(n), comparison.ensemble.permutations)
+ranks = rank_distribution(dists, np.arange(n), comparison.permutations)
 print("\nrank of each chosen next reading among the remaining candidates")
 print("bin      observed   null mean   ratio")
 for label, obs, null_mean, ratio in zip(

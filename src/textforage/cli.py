@@ -393,9 +393,11 @@ def _load_model(run: _Run, k: int) -> lda.TopicModel:
 
 def _convergence(trace: list[float]) -> str:
     """First and last log joint, and the relative change over the last
-    tenth of the sweeps."""
+    tenth of the sweeps; after one sweep, its log joint alone."""
     n = len(trace)
-    window = min(max(n // 10, 1), n - 1)
+    if n == 1:
+        return f"log joint {trace[0]:.2f} (sweep 1)"
+    window = max(n // 10, 1)
     base = trace[n - 1 - window]
     change = (trace[-1] - base) / abs(base)
     return (f"log joint {trace[0]:.2f} (sweep 1) -> {trace[-1]:.2f} (sweep {n}), "
@@ -469,13 +471,13 @@ def stage_null(run: _Run) -> None:
             modes=tuple(modes), d=d,
         )
         columns = sorted(modes)
-        means = [comparison.ensemble.mean_by_mode[m] for m in columns]
+        means = [comparison.mean_by_mode[m] for m in columns]
         run.write_csv(f"null_k{k}_means.csv",
                       ["permutation"] + [f"{m}_mean_bits" for m in columns],
                       ([i] + [repr(float(c[i])) for c in means] for i in range(n)))
         # the null's mean per step; the cumulative curve of a mode is
         # np.cumsum(series_k{k}_{mode}.csv bits - this column)
-        steps = [comparison.ensemble.null_series_by_mode[m] for m in columns]
+        steps = [comparison.null_series_by_mode[m] for m in columns]
         run.write_csv(f"null_k{k}_series.csv",
                       ["position", "item_id"] + [f"{m}_null_mean_bits" for m in columns],
                       ([pos, order.item_ids[pos]] + [repr(float(c[pos - 1])) for c in steps]
@@ -488,7 +490,7 @@ def stage_null(run: _Run) -> None:
             summary[objective]["greedy_mean_bits"] = float(values.mean())
         run.write_json(f"null_k{k}_summary.json", {"modes": summary})
         ranks = nullmodels.rank_distribution(
-            theta, np.arange(len(order)), comparison.ensemble.permutations, d=d
+            theta, np.arange(len(order)), comparison.permutations, d=d
         )
         run.write_json(f"null_k{k}_ranks.json", ranks.to_payload())
         shown = {m: round(v, 5) for m, v in comparison.p_value.items()}

@@ -585,9 +585,10 @@ def encode_corpus(
 def load_manifest(path: str | Path) -> list[DocumentSpec]:
     """Read a JSON-lines manifest of documents.
 
-    Each line is an object with fields id, text_path (or inline text),
-    read_date, pub_date, and order_index; order_index defaults to the
-    line number, so manifest order is the reading order unless stated.
+    Each line is an object with fields id (a string), text_path (or
+    inline text), read_date, pub_date, and order_index (an integer);
+    order_index defaults to the line number, so manifest order is the
+    reading order unless stated.
     """
     specs = []
     with open(path, encoding="utf-8") as fh:
@@ -601,21 +602,26 @@ def load_manifest(path: str | Path) -> list[DocumentSpec]:
                 raise ValueError(f"{path}:{lineno + 1}: invalid JSON: {exc}") from exc
             if not isinstance(entry, dict) or "id" not in entry:
                 raise ValueError(f"{path}:{lineno + 1}: missing 'id'")
+            if not isinstance(entry["id"], str):
+                raise ValueError(f"{path}:{lineno + 1}: 'id' must be a string")
             for name in ("text", "text_path"):
                 if entry.get(name) is not None and not isinstance(entry[name], str):
                     raise ValueError(f"{path}:{lineno + 1}: '{name}' must be a string")
+            order_index = entry.get("order_index", lineno)
+            if type(order_index) is not int:  # bool is an int subclass
+                raise ValueError(f"{path}:{lineno + 1}: 'order_index' must be an integer")
             try:
                 specs.append(
                     DocumentSpec(
-                        id=str(entry["id"]),
+                        id=entry["id"],
                         text=entry.get("text"),
                         text_path=entry.get("text_path"),
                         read_date=entry.get("read_date"),
                         pub_date=entry.get("pub_date"),
-                        order_index=int(entry.get("order_index", lineno)),
+                        order_index=order_index,
                     )
                 )
-            except (TypeError, ValueError) as exc:  # a date or order_index
+            except (TypeError, ValueError) as exc:  # a date or a negative order_index
                 raise ValueError(f"{path}:{lineno + 1}: {exc}") from exc
     ids = [s.id for s in specs]
     if len(set(ids)) != len(ids):

@@ -287,8 +287,7 @@ class TopicModel:
         self._rng = rng
         self.n_docs = len(self.doc_ids)
         self.n_terms = len(vocabulary)
-        self.sweeps_done = 0
-        self.log_likelihood_trace: list[float] = []
+        self.log_likelihood_trace: list[float] = []  # one log joint per sweep
         self._rebuild_counts()
 
     # -- construction helpers
@@ -310,6 +309,10 @@ class TopicModel:
             z=z,
             rng=rng,
         )
+
+    @property
+    def sweeps_done(self) -> int:
+        return len(self.log_likelihood_trace)
 
     def doc_tokens(self) -> list[np.ndarray]:
         """Each document's term ids, in reading order."""
@@ -394,8 +397,9 @@ class TopicModel:
         """Read a model file and rebuild its counts from z.
 
         Raises ValueError, naming the field, for a file of another kind
-        or format version, another vocabulary, a malformed field, or
-        tokens and z that do not hash to `assignments_sha256`.
+        or format version, another vocabulary, a malformed field, tokens
+        and z that do not hash to `assignments_sha256`, or a
+        `sweeps_done` that is not the trace's length.
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or payload.get("kind") != "topic_model":
@@ -417,8 +421,10 @@ class TopicModel:
         )
         if payload["assignments_sha256"] != model.assignments_sha256():
             raise ValueError(f"{path}: tokens or z do not match assignments_sha256")
-        model.sweeps_done = payload["sweeps_done"]
         model.log_likelihood_trace = list(payload.get("log_likelihood_trace", ()))
+        if payload["sweeps_done"] != model.sweeps_done:
+            raise ValueError(f"{path}: sweeps_done {payload['sweeps_done']!r} is not the "
+                             f"log_likelihood_trace length {model.sweeps_done}")
         return model
 
 
@@ -444,7 +450,6 @@ def gibbs_sweep(model: TopicModel) -> TopicModel:
         model.config.beta,
         model._rng.random((1, model.tokens.size)),
     )
-    model.sweeps_done += 1
     model.log_likelihood_trace.append(model.log_joint())
     return model
 

@@ -104,8 +104,14 @@ class AlignmentResult:
 
     strategy: str
     pairs: tuple[tuple[int, int, float], ...]  # (topic_a, topic_b, js_distance)
-    mean_distance: float
-    total_distance: float
+
+    @property
+    def mean_distance(self) -> float:
+        return float(np.mean([d for _, _, d in self.pairs]))
+
+    @property
+    def total_distance(self) -> float:
+        return float(np.sum([d for _, _, d in self.pairs]))
 
     @property
     def mapping(self) -> dict[int, int]:
@@ -118,15 +124,8 @@ class AlignmentResult:
 
 
 def _result(strategy: str, assignment: Sequence[int], dist: np.ndarray) -> AlignmentResult:
-    pairs = tuple(
-        (a, int(b), float(dist[a, b])) for a, b in enumerate(assignment)
-    )
-    distances = np.array([d for _, _, d in pairs])
     return AlignmentResult(
-        strategy=strategy,
-        pairs=pairs,
-        mean_distance=float(distances.mean()),
-        total_distance=float(distances.sum()),
+        strategy, tuple((a, int(b), float(dist[a, b])) for a, b in enumerate(assignment))
     )
 
 
@@ -208,10 +207,4 @@ def topic_drift(phi_before: np.ndarray, phi_after: np.ndarray) -> AlignmentResul
         raise ValueError("snapshots differ in shape")
     topics = np.arange(phi_before.shape[1])
     dist = js_distance_pairs(phi_before.T, phi_after.T, topics, topics)
-    pairs = tuple((t, t, float(d)) for t, d in enumerate(dist))
-    return AlignmentResult(
-        strategy="identity",
-        pairs=pairs,
-        mean_distance=float(dist.mean()),
-        total_distance=float(dist.sum()),
-    )
+    return AlignmentResult("identity", tuple((t, t, float(d)) for t, d in enumerate(dist)))

@@ -58,7 +58,6 @@ from .seeds import derive_seed, rng_from
 __all__ = [
     "ReadingOrder",
     "constrained_permutation",
-    "NullEnsemble",
     "NullComparison",
     "null_ensemble",
     "greedy_shortest_path",
@@ -140,14 +139,6 @@ class ReadingOrder:
             pub_dates=tuple(d.spec.pub_date for d in docs),
         )
 
-    def violations(self) -> list[int]:
-        """Slots whose own item is published after the slot date."""
-        return [
-            i
-            for i in range(len(self))
-            if self.pub_dates[i] > self.slot_dates[i]
-        ]
-
     @cached_property
     def schedule(self) -> SlotSchedule:
         """The slot schedule, computed once per order.
@@ -208,43 +199,52 @@ def _constrained_permutations(schedule: SlotSchedule, rngs) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NullEnsemble:
-    """Permutations plus their surprise statistics."""
+class NullComparison:
+    """An actual reading order measured against its permutation null.
+
+    Stores the permutations and the series; every statistic is derived
+    on first access, per mode of `actual_series`.
+    """
 
     permutations: np.ndarray  # (n_permutations, n_items), item index per slot
+    actual_series: dict[str, np.ndarray]
     mean_by_mode: dict[str, np.ndarray]  # per-permutation mean surprise
-    null_series_by_mode: dict[str, np.ndarray]  # per-position ensemble mean
-    master_seed: int
+    null_series_by_mode: dict[str, np.ndarray]  # per-position null mean
 
-    @property
+    @cached_property
     def n_permutations(self) -> int:
         return int(self.permutations.shape[0])
 
+    @cached_property
+    def actual_mean(self) -> dict[str, float]:
+        return {m: float(s.mean()) for m, s in self.actual_series.items()}
 
-@dataclass(frozen=True)
-class NullComparison:
-    """An actual reading order measured against its null ensemble."""
+    @cached_property
+    def p_value(self) -> dict[str, float]:
+        n = self.n_permutations
+        return {m: float((1 + np.sum(self.mean_by_mode[m] <= s.mean())) / (n + 1))
+                for m, s in self.actual_series.items()}
 
-    ensemble: NullEnsemble
-    actual_mean: dict[str, float]
-    actual_series: dict[str, np.ndarray]
-    p_value: dict[str, float]
-    cumulative_relative: dict[str, np.ndarray]
-    null_ci: dict[str, tuple[float, float]]  # 95% band of per-permutation means
+    @cached_property
+    def cumulative_relative(self) -> dict[str, np.ndarray]:
+        return {m: np.cumsum(s - self.null_series_by_mode[m])
+                for m, s in self.actual_series.items()}
+
+    @cached_property
+    def null_ci(self) -> dict[str, tuple[float, float]]:  # 95% band of per-permutation means
+        return {m: (float(_percentile(means, 2.5)), float(_percentile(means, 97.5)))
+                for m, means in self.mean_by_mode.items()}
 
     def summary_payload(self) -> dict:
         out = {}
-        for mode in self.actual_mean:
-            means = self.ensemble.mean_by_mode[mode]
+        for mode in self.actual_series:
             out[mode] = {
                 "actual_mean_bits": self.actual_mean[mode],
-                "null_mean_bits": float(means.mean()),
+                "null_mean_bits": float(self.mean_by_mode[mode].mean()),
                 "null_ci95_bits": list(self.null_ci[mode]),
                 "p_value": self.p_value[mode],
-                "n_permutations": self.ensemble.n_permutations,
-                "cumulative_relative_final_bits": float(
-                    self.cumulative_relative[mode][-1]
-                ),
+                "n_permutations": self.n_permutations,
+                "cumulative_relative_final_bits": float(self.cumulative_relative[mode][-1]),
             }
         return out
 
@@ -304,34 +304,11 @@ def null_ensemble(
             for row in values:
                 series_sums[m] += row
 
-    null_series = {m: series_sums[m] / n for m in modes}
-    ensemble = NullEnsemble(
-        permutations=permutations,
-        mean_by_mode=per_perm_means,
-        null_series_by_mode=null_series,
-        master_seed=seed,
-    )
-    p_values = {
-        m: float((1 + np.sum(per_perm_means[m] <= actual_series[m].mean())) / (n + 1))
-        for m in modes
-    }
-    cumulative = {
-        m: np.cumsum(actual_series[m] - null_series[m]) for m in modes
-    }
-    ci = {
-        m: (
-            float(_percentile(per_perm_means[m], 2.5)),
-            float(_percentile(per_perm_means[m], 97.5)),
-        )
-        for m in modes
-    }
     return NullComparison(
-        ensemble=ensemble,
-        actual_mean={m: float(actual_series[m].mean()) for m in modes},
+        permutations=permutations,
         actual_series=actual_series,
-        p_value=p_values,
-        cumulative_relative=cumulative,
-        null_ci=ci,
+        mean_by_mode=per_perm_means,
+        null_series_by_mode={m: series_sums[m] / n for m in modes},
     )
 
 
@@ -512,15 +489,24 @@ class RankDistribution:
     """Log-binned rank histogram, optionally against a null ensemble.
 
     Bins are powers of two: {1}, {2,3}, {4..7}, ...  `ratio` is the
-    observed bin mass over the null's mean bin mass; `null_ci` is the
-    2.5/97.5 percentile band of the per-permutation masses.
+    observed bin mass over the null's mean bin mass (inf where only the
+    null's is 0, NaN where both are, None without a null); `null_ci` is
+    the 2.5/97.5 percentile band of the per-permutation masses.
     """
 
     bin_labels: tuple[str, ...]
     observed_mass: np.ndarray
     null_mean_mass: np.ndarray | None = None
     null_ci: np.ndarray | None = None  # (n_bins, 2)
-    ratio: np.ndarray | None = None
+
+    @cached_property
+    def ratio(self) -> np.ndarray | None:
+        if self.null_mean_mass is None:
+            return None
+        observed, null_mean = self.observed_mass, self.null_mean_mass
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(null_mean > 0, observed / null_mean, np.inf)
+            return np.where((null_mean == 0) & (observed == 0), np.nan, ratio)
 
     def to_payload(self) -> dict:
         payload = {
@@ -544,7 +530,7 @@ def rank_distribution(
 ) -> RankDistribution:
     """Distribution of reading-choice ranks, log-binned.
 
-    With `null_permutations` (e.g. from a :class:`NullEnsemble`), the
+    With `null_permutations` (e.g. a :class:`NullComparison`'s), the
     observed bin masses are compared against the permutations' mean
     masses to give per-bin ratios with a 95% null band.  The divergence
     matrix of the module docstring is built once, in O(n^2) memory, and
@@ -567,15 +553,10 @@ def rank_distribution(
     null_masses = np.vstack(
         [_bin_masses(_ranks_from_matrix(table, perm), n_bins) for perm in null_permutations]
     )
-    null_mean = null_masses.mean(axis=0)
     ci = np.stack([_percentile(null_masses, 2.5), _percentile(null_masses, 97.5)], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(null_mean > 0, observed / null_mean, np.inf)
-        ratio = np.where((null_mean == 0) & (observed == 0), np.nan, ratio)
     return RankDistribution(
         bin_labels=labels,
         observed_mass=observed,
-        null_mean_mass=null_mean,
+        null_mean_mass=null_masses.mean(axis=0),
         null_ci=ci,
-        ratio=ratio,
     )

@@ -160,7 +160,6 @@ class SampleEnsemble:
     perplexities: np.ndarray  # (n_samples,)
     phi_mode: str
     master_seed: int
-    seeds: tuple[int, ...]
 
     def __post_init__(self):
         if self.thetas.shape[0] != self.perplexities.shape[0]:
@@ -191,7 +190,7 @@ def sample_ensemble(
 ) -> SampleEnsemble:
     """Run `n_samples` independent fits of `doc`.
 
-    Per-sample seeds are derived deterministically from `master_seed`
+    Sample i is fitted from ``derive_seed(master_seed, i, "ensemble")``
     (see :mod:`textforage.seeds`), so the ensemble is reproducible and
     sample i is the same whatever the block size.
     """
@@ -206,7 +205,6 @@ def sample_ensemble(
         perplexities=np.concatenate([b[1] for b in blocks]),
         phi_mode=phi_mode,
         master_seed=master_seed,
-        seeds=seeds,
     )
 
 
@@ -228,11 +226,14 @@ class ClusterInfo:
 class ClusterReport:
     """k-medoids clustering of an ensemble under JS distance."""
 
-    n_clusters: int
     assignments: np.ndarray
     clusters: tuple[ClusterInfo, ...]
     silhouette_by_k: dict[int, float]
     note: str | None = None
+
+    @property
+    def n_clusters(self) -> int:
+        return len(self.clusters)
 
     def to_payload(self) -> dict:
         return {
@@ -332,7 +333,6 @@ def cluster_ensemble(
         assignments = np.zeros(n, dtype=int)
         clusters = (_cluster_info(ensemble, 0, assignments, 0),)
         return ClusterReport(
-            n_clusters=1,
             assignments=assignments,
             clusters=clusters,
             silhouette_by_k={},
@@ -367,7 +367,6 @@ def cluster_ensemble(
             "clusters; counts renumbered"
         )
     return ClusterReport(
-        n_clusters=len(occupied),
         assignments=assignments,
         clusters=clusters,
         silhouette_by_k=silhouettes,

@@ -103,11 +103,13 @@ def reference_constrained_permutation(order, rng):
 
 
 def reference_null_ensemble(order, dists, n, seed, modes=("t2t", "t2p")):
-    """`nullmodels.null_ensemble` one permutation at a time, each drawn by
+    """Every field and derived statistic of `nullmodels.null_ensemble`'s
+    comparison, one permutation at a time, each drawn by
     `reference_constrained_permutation`, each series measured by
     `surprise_values`, the CI by `np.percentile`."""
+    from types import SimpleNamespace
+
     from textforage.measures import surprise_values
-    from textforage.nullmodels import NullComparison, NullEnsemble
     from textforage.seeds import derive_seed, rng_from
 
     theta = np.asarray(dists, dtype=np.float64)
@@ -123,10 +125,12 @@ def reference_null_ensemble(order, dists, n, seed, modes=("t2t", "t2p")):
             per_perm_means[m][draw] = values.mean()
             series_sums[m] += values
     null_series = {m: series_sums[m] / n for m in modes}
-    return NullComparison(
-        ensemble=NullEnsemble(permutations, per_perm_means, null_series, seed),
-        actual_mean={m: float(actual_series[m].mean()) for m in modes},
+    return SimpleNamespace(
+        permutations=permutations,
         actual_series=actual_series,
+        mean_by_mode=per_perm_means,
+        null_series_by_mode=null_series,
+        actual_mean={m: float(actual_series[m].mean()) for m in modes},
         p_value={m: float((1 + np.sum(per_perm_means[m] <= actual_series[m].mean())) / (n + 1))
                  for m in modes},
         cumulative_relative={m: np.cumsum(actual_series[m] - null_series[m]) for m in modes},
@@ -189,16 +193,15 @@ def reference_rank_payload(theta, order, permutations):
     observed = masses(reference_step_ranks(theta, order))
     null = np.vstack([masses(reference_step_ranks(theta, p)) for p in permutations])
     null_mean = null.mean(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(null_mean > 0, observed / null_mean, np.inf)
-        ratio = np.where((null_mean == 0) & (observed == 0), np.nan, ratio)
-    return RankDistribution(
+    payload = RankDistribution(
         bin_labels=tuple(labels),
         observed_mass=observed,
         null_mean_mass=null_mean,
         null_ci=np.percentile(null, [2.5, 97.5], axis=0).T,
-        ratio=ratio,
     ).to_payload()
+    # a bin the null never reaches has no finite ratio
+    payload["ratio"] = [float(o / m) if m > 0 else None for o, m in zip(observed, null_mean)]
+    return payload
 
 
 def reference_pam(dist, k):

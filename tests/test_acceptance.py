@@ -285,7 +285,7 @@ def test_greedy_below_null():
     comparison = nullmodels.null_ensemble(order, dists, n=200, seed=5, modes=("t2t",))
     path = nullmodels.greedy_shortest_path(dists, start=0, objective="t2t")
     greedy_mean = surprise_values(dists[path], "t2t").mean()
-    null_mean = comparison.ensemble.mean_by_mode["t2t"].mean()
+    null_mean = comparison.mean_by_mode["t2t"].mean()
     assert greedy_mean <= null_mean, (greedy_mean, null_mean)
 
 

@@ -307,7 +307,7 @@ class TestSeriesConsistency:
         theta, order, null = small_pipeline_null(out, n=40)
         written = (out / "null_k2_ranks.json").read_text()
         payload = reference_rank_payload(
-            theta, np.arange(len(order)), null.ensemble.permutations
+            theta, np.arange(len(order)), null.permutations
         )
         body = {"metadata": json.loads(written)["metadata"], **payload}
         assert json.dumps(body, indent=2, sort_keys=True) + "\n" == written
@@ -383,6 +383,19 @@ class TestStageOrdering:
         err = capsys.readouterr().err
         assert "corpus.json" in err and "prepare" in err
 
+    def test_compare_alone_with_one_k_names_the_field(self, tmp_path, capsys):
+        config = small_pipeline(tmp_path)
+        assert run_cli("compare", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: training.ks") and "Traceback" not in err
+        assert not list(tmp_path.glob("out/*"))
+
+    def test_fit_alone_without_documents_skips(self, tmp_path, capsys):
+        config = small_pipeline(tmp_path)
+        assert run_cli("fit", "--config", config) == 0
+        assert capsys.readouterr().out == "fit: no documents configured; skipping\n"
+        assert not list(tmp_path.glob("out/*"))
+
 
 class TestStaleArtifacts:
     @pytest.mark.parametrize("tamper", ["z", "token", "truncated-z", "format-1",
@@ -409,6 +422,20 @@ class TestStaleArtifacts:
         assert run_cli("measure", "--config", config) == 2
         err = capsys.readouterr().err
         assert "model_k2.json" in err and "`train`" in err
+
+    def test_sweep_count_off_the_trace_length_is_stale(self, tmp_path, capsys):
+        config = small_pipeline(tmp_path)
+        assert run_cli("prepare", "--config", config) == 0
+        assert run_cli("train", "--config", config) == 0
+        path = tmp_path / "out" / "model_k2.json"
+        payload = json.loads(path.read_text())
+        payload["sweeps_done"] -= 1
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("null", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "model_k2.json" in err and "sweeps_done 19" in err and "`train`" in err
+        assert not list((tmp_path / "out").glob("null_*"))
 
     def test_model_of_another_reading_order_is_stale(self, tmp_path, capsys):
         config = small_pipeline(tmp_path)
@@ -708,6 +735,16 @@ class TestTrainReport:
             f"trained k=2: log joint {trace[0]:.2f} (sweep 1) -> {trace[19]:.2f} "
             f"(sweep 20), relative change {change:+.2e} over the last 2 sweeps"
         )
+
+    def test_one_sweep_prints_its_log_joint_alone(self, tmp_path, capsys):
+        config = small_pipeline(tmp_path, training={"ks": [2], "iterations": 1})
+        assert run_cli("prepare", "--config", config) == 0
+        capsys.readouterr()
+        assert run_cli("train", "--config", config) == 0
+        out = tmp_path / "out"
+        trace = json.loads((out / "model_k2.json").read_text())["log_likelihood_trace"]
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"trained k=2: log joint {trace[0]:.2f} (sweep 1)")
 
     def test_two_threads_train_the_ks_together(self, tmp_path, monkeypatch):
         # each k's training waits at a barrier until the other k's starts,
@@ -1124,7 +1161,14 @@ class TestBadInputs:
         "bad-date": (third_manifest_line(r'"read_date": "[^"]*"', '"read_date": "1830-13-15"'),
                      {}, "manifest.jsonl:3: month out of range in '1830-13-15'"),
         "bad-order-index": (third_manifest_line(r'"order_index": \d+', '"order_index": "x"'), {},
-                            "manifest.jsonl:3: invalid literal"),
+                            "manifest.jsonl:3: 'order_index' must be an integer"),
+        **{f"order-index-{name}": (third_manifest_line(r'"order_index": \d+',
+                                                       f'"order_index": {value}'), {},
+                                   "manifest.jsonl:3: 'order_index' must be an integer")
+           for name, value in (("float", "1.7"), ("bool", "true"), ("digit-string", '"4"'))},
+        **{f"id-{name}": (third_manifest_line(r'"id": "[^"]*"', f'"id": {value}'), {},
+                          "manifest.jsonl:3: 'id' must be a string")
+           for name, value in (("null", "null"), ("list", '["a"]'), ("number", "7"))},
         "missing-text": (third_manifest_line(r'"texts/[^"]*"', '"texts/missing.txt"'), {},
                          "document 'doc002': [Errno 2]"),
         "text-not-a-string": (third_manifest_line(r'"text_path": "[^"]*"', '"text": 5'), {},

@@ -173,11 +173,11 @@ def test_blocked_fits_match_the_per_sample_reference(data):
         ensemble = querysample.sample_ensemble(
             model, doc, n_samples, iterations=iterations, phi_mode=phi_mode,
             master_seed=7)
-        fit = querysample.fit_document(model, doc, iterations, phi_mode, ensemble.seeds[0])
+        first_seed = derive_seed(7, 0, "ensemble")
+        fit = querysample.fit_document(model, doc, iterations, phi_mode, first_seed)
         thetas, perplexities = reference_sample_ensemble(
             model, doc, n_samples, iterations, phi_mode, master_seed=7)
-        _, _, counts, z = reference_fit_document(model, doc, iterations, phi_mode,
-                                                 ensemble.seeds[0])
+        _, _, counts, z = reference_fit_document(model, doc, iterations, phi_mode, first_seed)
     assert ensemble.thetas.tobytes() == thetas.tobytes()
     assert ensemble.perplexities.tobytes() == perplexities.tobytes()
     assert fit.theta.tobytes() == thetas[0].tobytes()
@@ -227,7 +227,6 @@ def synthetic_ensemble(thetas, perplexities=None):
         perplexities=np.asarray(perplexities, dtype=np.float64),
         phi_mode="locked",
         master_seed=0,
-        seeds=tuple(range(len(thetas))),
     )
 
 
