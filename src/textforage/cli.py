@@ -80,7 +80,8 @@ _POSITIVE = "must be finite and > 0", lambda v: 0 < v < float("inf")
 _FIELDS = {
     "manifest": (_REQUIRED, str, None),
     "output_dir": (_REQUIRED, str, None),
-    "seed": (_REQUIRED, int, None),
+    # derive_seed reads a seed modulo 2**64: this range holds each residue once
+    "seed": (_REQUIRED, int, ("must be in [-2**63, 2**63)", lambda v: -2**63 <= v < 2**63)),
     "threads": (1, int, _at_least(1)),
     "filter.min_count": (None, int, None),
     "filter.max_count": (None, int, None),

@@ -4,10 +4,11 @@ Raw texts become lower-cased, ASCII-folded, punctuation- and
 numeral-free token streams; a frequency-filtered vocabulary maps the
 retained types to dense integer ids; documents are stored as id
 sequences alongside their reading/publication metadata.  A corpus file
-(format 2) holds the documents as six equal-length columns (id,
+(format 3) holds the documents as six equal-length columns (id,
 read_date, pub_date, order_index, token_ids, dropped) and the
 `settings` it was prepared with, written as JSON without separator
-whitespace.
+whitespace.  Each document's term ids are one string (`pack_ids`),
+which the model files use for their tokens and topics too.
 
 Stemming is deliberately not offered: collapsing inflected forms hurts
 topic quality, so the tokenizer exposes no option for it.
@@ -15,6 +16,7 @@ topic quality, so the tokenizer exposes no option for it.
 
 from __future__ import annotations
 
+import base64
 import calendar
 import datetime
 import hashlib
@@ -43,7 +45,7 @@ __all__ = [
     "load_manifest",
 ]
 
-CORPUS_FORMAT_VERSION = 2
+CORPUS_FORMAT_VERSION = 3
 # the columns of a corpus file's `documents`, one entry per document each,
 # and what each entry must be
 _DOCUMENT_COLUMNS = {
@@ -51,7 +53,7 @@ _DOCUMENT_COLUMNS = {
     "read_date": "a date string or null",
     "pub_date": "a date string or null",
     "order_index": "a non-negative integer",
-    "token_ids": "a list of token ids in [0, V)",
+    "token_ids": "base64 of term ids in [0, V)",
     "dropped": "a non-negative integer",
 }
 
@@ -417,7 +419,8 @@ class Corpus:
                 "read_date": [str(s.read_date) if s.read_date else None for s in specs],
                 "pub_date": [str(s.pub_date) if s.pub_date else None for s in specs],
                 "order_index": [s.order_index for s in specs],
-                "token_ids": [d.token_ids.tolist() for d in self.documents],
+                "token_ids": [pack_ids(d.token_ids, len(self.vocabulary))
+                              for d in self.documents],
                 "dropped": [d.dropped for d in self.documents],
             },
             "skipped_empty": list(self.skipped_empty),
@@ -432,10 +435,10 @@ class Corpus:
 
         Raises ValueError for a file of another kind or format version,
         and, naming the field, for a `settings` value that is not a
-        mapping or null, a `vocabulary` entry of the wrong type (naming
-        the entry too), or a `documents` value that is not a mapping of
-        equal-length columns or has an entry of the wrong type (naming
-        the document too).
+        mapping or null, a `vocabulary`, `skipped_empty` or `warnings`
+        entry of the wrong type (naming the entry too), or a `documents`
+        value that is not a mapping of equal-length columns or has an
+        entry of the wrong type (naming the document too).
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or payload.get("kind") != "corpus":
@@ -465,20 +468,9 @@ class Corpus:
                     f"field 'documents.{name}' has {len(columns[name])} entries, "
                     f"'documents.id' has {len(columns['id'])}"
                 )
-        v = len(vocab)
-
-        def token_ids(entry) -> np.ndarray:
-            if type(entry) is not list:
-                raise TypeError
-            ids = np.asarray(entry)  # nested lists of unequal lengths raise ValueError
-            if ids.ndim != 1 or ids.size and (
-                ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= v
-            ):
-                raise ValueError
-            return ids.astype(np.int32)
-
         readers = {"id": _string, "read_date": _date, "pub_date": _date,
-                   "order_index": _count, "token_ids": token_ids, "dropped": _count}
+                   "order_index": _count, "dropped": _count,
+                   "token_ids": lambda entry: unpack_ids(entry, len(vocab))}
         docs = tuple(
             EncodedDocument(
                 spec=DocumentSpec(
@@ -497,8 +489,10 @@ class Corpus:
         return cls(
             vocabulary=vocab,
             documents=docs,
-            skipped_empty=tuple(payload.get("skipped_empty", ())),
-            warnings=tuple(payload.get("warnings", ())),
+            skipped_empty=tuple(_read_column("skipped_empty", payload["skipped_empty"],
+                                             _string, "a string", payload["skipped_empty"])),
+            warnings=tuple(_read_column("warnings", payload["warnings"], _string, "a string",
+                                        payload["warnings"])),
             settings=settings,
         )
 
@@ -520,18 +514,55 @@ def _count(entry) -> int:
 
 
 def _read_column(field: str, entries: list, reader, kind: str, labels: list) -> list:
-    """A column of a corpus file, each entry through `reader`; a
-    ValueError names `field` and the index and label of the first entry
-    that `reader` rejects with TypeError or ValueError."""
+    """A column of a corpus or model file, each entry through `reader`;
+    a ValueError names `field` and the index and label of the first
+    entry that `reader` rejects with TypeError or ValueError, and adds
+    the reason the error gives, if any."""
     if not isinstance(entries, list):
         raise ValueError(f"field '{field}' is not a list")
     values = []
     for i, entry in enumerate(entries):
         try:
             values.append(reader(entry))
-        except (TypeError, ValueError):
-            raise ValueError(f"field '{field}' entry {i} ({labels[i]}) is not {kind}") from None
+        except (TypeError, ValueError) as exc:
+            reason = f": {exc}" if str(exc) else ""
+            raise ValueError(f"field '{field}' entry {i} ({labels[i]}) is not {kind}"
+                             f"{reason}") from None
     return values
+
+
+def _width(bound: int) -> int:
+    """Bytes per value of a packed array whose values lie in [0, bound)."""
+    return 1 if bound <= 1 << 8 else 2 if bound <= 1 << 16 else 4
+
+
+def pack_ids(values: np.ndarray, bound: int) -> str:
+    """`values`, each in [0, bound), as padded base64 of little-endian
+    unsigned integers 1, 2 or 4 bytes wide, the width set by `bound`."""
+    raw = values.astype(f"<u{_width(bound)}").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def unpack_ids(text: str, bound: int) -> np.ndarray:
+    """The int32 values that `pack_ids(values, bound)` wrote.
+
+    Raises ValueError, saying why, for a non-string, text that is not
+    padded base64, a byte count that is not a multiple of the width, or
+    a value not below `bound`.
+    """
+    if type(text) is not str:
+        raise ValueError("not a string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raise ValueError("bad base64") from None
+    width = _width(bound)
+    if len(raw) % width:
+        raise ValueError(f"{len(raw)} bytes, not a multiple of {width}")
+    values = np.frombuffer(raw, f"<u{width}")
+    if values.size and values.max() >= bound:
+        raise ValueError(f"holds {values.max()}, not below {bound}")
+    return values.astype(np.int32)
 
 
 def encode_corpus(

@@ -23,7 +23,8 @@ config); the sweep releases the GIL, so models of different k may train
 concurrently.
 A model file stores only what cannot be derived: the documents' tokens,
 the assignments z and the likelihood trace, as JSON without separator
-whitespace.  Loading rebuilds every count matrix from z.
+whitespace, the tokens and z packed as `corpus.pack_ids` strings.
+Loading rebuilds every count matrix from z.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _gibbs
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus, Vocabulary, _read_column, _string, pack_ids, unpack_ids
 from .errors import NumericalDegeneracyError
 from .seeds import derive_seed, rng_from
 
@@ -56,7 +57,7 @@ __all__ = [
     "corpus_mass_order",
 ]
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -376,7 +377,7 @@ class TopicModel:
 
     def save(self, path: str | Path, metadata: dict | None = None) -> None:
         """Write the underivable state as compact JSON: tokens per
-        document, z, trace."""
+        document and z, each packed by `pack_ids`, and the trace."""
         payload = {
             "format_version": MODEL_FORMAT_VERSION,
             "kind": "topic_model",
@@ -385,8 +386,8 @@ class TopicModel:
             "vocabulary_sha256": self.vocabulary.sha256(),
             "assignments_sha256": self.assignments_sha256(),
             "doc_ids": list(self.doc_ids),
-            "tokens": [doc.tolist() for doc in self.doc_tokens()],
-            "z": self.z.tolist(),
+            "tokens": [pack_ids(doc, self.n_terms) for doc in self.doc_tokens()],
+            "z": pack_ids(self.z, self.config.k),
             "sweeps_done": self.sweeps_done,
             "log_likelihood_trace": [float(x) for x in self.log_likelihood_trace],
         }
@@ -397,9 +398,10 @@ class TopicModel:
         """Read a model file and rebuild its counts from z.
 
         Raises ValueError, naming the field, for a file of another kind
-        or format version, another vocabulary, a malformed field, tokens
-        and z that do not hash to `assignments_sha256`, or a
-        `sweeps_done` that is not the trace's length.
+        or format version, another vocabulary, a malformed field (naming
+        the document too for a `tokens` entry), tokens and z that do not
+        hash to `assignments_sha256`, or a `sweeps_done` that is not the
+        trace's length.
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or payload.get("kind") != "topic_model":
@@ -411,21 +413,40 @@ class TopicModel:
         if payload["vocabulary_sha256"] != vocabulary.sha256():
             raise ValueError("vocabulary hash mismatch: wrong vocabulary for model")
         config = TrainingConfig(**payload["config"])
+        doc_ids = _read_column("doc_ids", payload["doc_ids"], _string, "a string",
+                               payload["doc_ids"])
+        packed = payload["tokens"]
+        if isinstance(packed, list) and len(packed) != len(doc_ids):  # ids label the entries
+            raise ValueError(f"tokens: {len(packed)} documents for {len(doc_ids)} doc_ids")
+        doc_tokens = _read_column("tokens", packed, lambda e: unpack_ids(e, len(vocabulary)),
+                                  "base64 of term ids in [0, V)", doc_ids)
+        try:
+            z = unpack_ids(payload["z"], config.k)
+        except ValueError as exc:
+            raise ValueError(f"field 'z' is not base64 of topics in [0, k): {exc}") from None
+        trace = _read_column("log_likelihood_trace", payload["log_likelihood_trace"],
+                             _number, "a number", payload["log_likelihood_trace"])
         model = cls(
             config=config,
             vocabulary=vocabulary,
-            doc_ids=payload["doc_ids"],
-            doc_tokens=[np.asarray(doc, dtype=np.int64) for doc in payload["tokens"]],
-            z=np.asarray(payload["z"], dtype=np.int64),
+            doc_ids=doc_ids,
+            doc_tokens=doc_tokens,
+            z=z,
             rng=rng_from(derive_seed(config.seed, payload["sweeps_done"], "resume")),
         )
         if payload["assignments_sha256"] != model.assignments_sha256():
             raise ValueError(f"{path}: tokens or z do not match assignments_sha256")
-        model.log_likelihood_trace = list(payload.get("log_likelihood_trace", ()))
+        model.log_likelihood_trace = trace
         if payload["sweeps_done"] != model.sweeps_done:
             raise ValueError(f"{path}: sweeps_done {payload['sweeps_done']!r} is not the "
                              f"log_likelihood_trace length {model.sweeps_done}")
         return model
+
+
+def _number(entry) -> float:
+    if type(entry) not in (int, float):  # `type`: a bool is not a number
+        raise TypeError
+    return float(entry)
 
 
 # ---------------------------------------------------------------------------

@@ -181,9 +181,10 @@ def align_topics(
         )
     if strategy == "basic":
         return _result(strategy, _basic_assignment(dist), dist)
-    # imported here: scipy.optimize adds about 0.55 s and 42 MB of peak
-    # RSS to `import textforage.cli` (2-core x86_64, scipy 1.17), and
-    # only this strategy needs it
+    # imported here: scipy.optimize adds about 0.39 s and 44 MB of peak
+    # RSS to `import textforage.cli` (medians of 30 interleaved fresh
+    # interpreters, 2-core x86_64, scipy 1.17), and only this strategy
+    # needs it
     from scipy.optimize import linear_sum_assignment
 
     _, assignment = linear_sum_assignment(dist)

@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -26,6 +28,17 @@ def build_corpus(doc_tokens, terms, dates=None):
             )
         )
     return Corpus(vocabulary=vocab, documents=tuple(docs))
+
+
+def packed(values, width: int = 1) -> str:
+    """Integers as the corpus and model files store them, written apart
+    from the library: base64 of little-endian unsigned `width`-byte ints."""
+    return base64.b64encode(np.asarray(values).astype(f"<u{width}").tobytes()).decode()
+
+
+def unpacked(text: str, width: int = 1) -> list[int]:
+    """The integers `packed` wrote."""
+    return np.frombuffer(base64.b64decode(text), f"<u{width}").tolist()
 
 
 @pytest.fixture(scope="session", autouse=True)

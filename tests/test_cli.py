@@ -26,7 +26,7 @@ from textforage.measures import surprise_series, surprise_values
 from textforage.seeds import derive_seed, rng_from
 from textforage.synthetic import FixtureSpec, make_fixture
 
-from conftest import reference_constrained_permutation, reference_rank_payload
+from conftest import packed, reference_constrained_permutation, reference_rank_payload, unpacked
 
 
 @pytest.fixture(scope="module")
@@ -399,24 +399,27 @@ class TestStageOrdering:
 
 class TestStaleArtifacts:
     @pytest.mark.parametrize("tamper", ["z", "token", "truncated-z", "format-1",
-                                        "config-not-a-mapping"])
+                                        "config-not-a-mapping", "format-2"])
     def test_tampered_model_names_the_file(self, tmp_path, capsys, tamper):
         config = small_pipeline(tmp_path)
         assert run_cli("prepare", "--config", config) == 0
         assert run_cli("train", "--config", config) == 0
         path = tmp_path / "out" / "model_k2.json"
         payload = json.loads(path.read_text())
+        z, doc = unpacked(payload["z"]), unpacked(payload["tokens"][0])  # V < 256
         if tamper == "z":
-            payload["z"][0] = 1 - payload["z"][0]
+            z[0] = 1 - z[0]
         elif tamper == "token":
-            doc = payload["tokens"][0]
             doc[0] = 1 if doc[0] == 0 else 0
         elif tamper == "truncated-z":
-            payload["z"].pop()
+            z.pop()
         elif tamper == "config-not-a-mapping":
             payload["config"] = [1]
         else:
-            payload["format_version"] = 1
+            payload["format_version"] = int(tamper[-1])
+        payload["z"], payload["tokens"][0] = packed(z), packed(doc)
+        if tamper == "format-2":  # term ids and topics as JSON numbers
+            payload.update(z=z, tokens=[unpacked(t) for t in payload["tokens"]])
         path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert run_cli("measure", "--config", config) == 2
@@ -536,9 +539,10 @@ class TestStaleArtifacts:
          "field 'documents.token_ids' has 19 entries, 'documents.id' has 20"),
         (lambda payload: payload["documents"]["order_index"].__setitem__(0, "x"),
          "field 'documents.order_index' entry 0 (doc000) is not a non-negative integer"),
-        (lambda payload: payload["documents"]["token_ids"][1].append(
-            len(payload["vocabulary"]["terms"])),
-         "field 'documents.token_ids' entry 1 (doc001) is not a list of token ids in [0, V)"),
+        (lambda payload: payload["documents"]["token_ids"].__setitem__(1, packed(  # V < 256
+            unpacked(payload["documents"]["token_ids"][1])
+            + [len(payload["vocabulary"]["terms"])])),
+         "field 'documents.token_ids' entry 1 (doc001) is not base64 of term ids in [0, V)"),
         (lambda payload: payload["vocabulary"]["terms"].__setitem__(0, 7),
          "field 'vocabulary.terms' entry 0 (7) is not a string"),
         (lambda payload: payload["vocabulary"]["frequencies"].__setitem__(1, -1),
@@ -546,9 +550,17 @@ class TestStaleArtifacts:
         (lambda payload: payload["vocabulary"].__setitem__(
             "terms", {term: i for i, term in enumerate(payload["vocabulary"]["terms"])}),
          "field 'vocabulary.terms' is not a list"),
+        (lambda payload: payload.__setitem__("warnings", "abc"),
+         "field 'warnings' is not a list"),
+        (lambda payload: payload.__setitem__("skipped_empty", "abc"),
+         "field 'skipped_empty' is not a list"),
+        (lambda payload: payload.update(format_version=2, documents={
+            **payload["documents"],
+            "token_ids": [unpacked(t) for t in payload["documents"]["token_ids"]]}),
+         "unsupported corpus format_version 2"),
     ], ids=["format-1", "missing-column", "short-column", "order-index-not-a-number",
             "token-id-out-of-range", "term-not-a-string", "negative-frequency",
-            "terms-mapping"])
+            "terms-mapping", "warnings-not-a-list", "skipped-not-a-list", "format-2"])
     def test_malformed_corpus_names_the_file(self, tmp_path, capsys, tamper, named):
         config = small_pipeline(tmp_path)
         assert run_cli("prepare", "--config", config) == 0
@@ -790,7 +802,9 @@ def modules_after(package, script, *args):
 
 
 class TestScipyImport:
-    """scipy adds about 0.24 s to start-up; only `adversarial` needs it."""
+    """scipy.optimize adds about 0.39 s and 44 MB of peak RSS to `import
+    textforage.cli` (see `modelcompare.align_topics`); only `adversarial`
+    needs it."""
 
     def test_import_loads_no_scipy(self):
         assert modules_after("scipy", "import textforage.cli") == []
@@ -1004,6 +1018,19 @@ class TestConfigValidation:
         path.write_text(yaml.safe_dump({"manifest": "m.jsonl", "output_dir": "o"}))
         assert run_cli("pipeline", "--config", str(path)) == 1
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-2**63 - 1, 2**63, 2**64])
+    def test_seed_outside_64_bits_is_named(self, tmp_path, capsys, seed):
+        """Seeds derive modulo 2**64, so 2**64 would rerun seed 0 under
+        another name; the range's own ends load."""
+        path = tmp_path / "bad.yaml"
+        config = {"manifest": "m.jsonl", "output_dir": "o", "seed": 1}
+        for given, flags in (({**config, "seed": seed}, ()), (config, ("--seed", str(seed)))):
+            path.write_text(yaml.safe_dump(given))
+            assert run_cli("pipeline", "--config", str(path), *flags) == 1
+            assert "field 'seed' must be in [-2**63, 2**63)" in capsys.readouterr().err
+        for edge in (-2**63, 2**63 - 1):
+            assert cli.load_config(path, overrides={"seed": edge})["seed"] == edge
 
     def test_hogwild_shards_is_not_a_field(self, tmp_path, capsys):
         config = small_pipeline(tmp_path, training={"ks": [2], "hogwild_shards": 2})

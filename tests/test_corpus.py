@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from textforage.corpus import (
     Corpus,
@@ -15,8 +17,12 @@ from textforage.corpus import (
     date_violations,
     encode_corpus,
     load_manifest,
+    pack_ids,
     tokenize,
+    unpack_ids,
 )
+
+from conftest import packed, unpacked
 
 
 class TestTokenize:
@@ -198,13 +204,13 @@ class TestEncodeCorpus:
     def test_documents_are_columns(self, tmp_path):
         corpus, path = self._saved(tmp_path)
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
         assert payload["documents"] == {
             "id": ['d, 0: "x"', "d1"],
             "read_date": ["1845-03", None],
             "pub_date": [None, "1841-02-01"],
             "order_index": [1, 0],
-            "token_ids": [[0, 0, 1], [0]],
+            "token_ids": ["AAAB", "AA=="],  # bytes 00 00 01 and 00: V = 2, one byte each
             "dropped": [1, 0],
         }
         loaded = Corpus.load(path)
@@ -220,6 +226,16 @@ class TestEncodeCorpus:
         payload["documents"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="unsupported corpus format_version 1"):
+            Corpus.load(path)
+
+    def test_format_2_rejected(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        columns = payload["documents"]
+        payload["format_version"] = 2
+        columns["token_ids"] = [unpacked(t) for t in columns["token_ids"]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported corpus format_version 2"):
             Corpus.load(path)
 
     @pytest.mark.parametrize("tamper, named", [
@@ -263,6 +279,37 @@ class TestEncodeCorpus:
         path.write_text(json.dumps(payload))
         doc = entry if name == "id" else "d1"
         with pytest.raises(ValueError, match=re.escape(f"field 'documents.{name}' entry 1 ({doc})")):
+            Corpus.load(path)
+
+    @pytest.mark.parametrize("entry, reason", [
+        (packed([0, 2]), "holds 2, not below 2"),
+        ("AA-=", "bad base64"),  # "-" is in the URL-safe alphabet only
+        ("AA\u00e9=", "bad base64"),
+        ([0, 1], "not a string"),  # format 2's entry
+    ])
+    def test_bad_token_ids_say_why(self, tmp_path, entry, reason):
+        _, path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["documents"]["token_ids"][1] = entry
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(
+                f"field 'documents.token_ids' entry 1 (d1) is not base64 of term ids "
+                f"in [0, V): {reason}")):
+            Corpus.load(path)
+
+    def test_odd_byte_count_at_width_2_rejected(self, tmp_path):
+        """Past 256 terms an id takes two bytes, so three bytes are no ids."""
+        terms = [f"t{i}" for i in range(300)]
+        corpus = encode_corpus([DocumentSpec(id="d0")], [["t299", "t0"]],
+                               Vocabulary(terms, [1] * 300))
+        path = tmp_path / "corpus.json"
+        corpus.save(path)
+        payload = json.loads(path.read_text())
+        assert unpacked(payload["documents"]["token_ids"][0], width=2) == [299, 0]
+        payload["documents"]["token_ids"][0] = packed([44, 1, 0])  # three bytes
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(
+                "entry 0 (d0) is not base64 of term ids in [0, V): 3 bytes, not a multiple of 2")):
             Corpus.load(path)
 
     def test_documents_must_be_a_mapping(self, tmp_path):
@@ -354,3 +401,17 @@ class TestManifest:
         path.write_text('{"id": "a"}\nnot json\n')
         with pytest.raises(ValueError, match=":2:"):
             load_manifest(path)
+
+
+@given(bound=st.sampled_from([256, 257, 65536, 65537]), data=st.data())
+def test_pack_ids_round_trip_at_the_width_bounds(bound, data):
+    """A bound up to 256 packs an id in one byte, up to 65,536 in two,
+    else in four."""
+    values = data.draw(st.lists(st.integers(0, bound - 1), max_size=20)) + [bound - 1]
+    width = {256: 1, 257: 2, 65536: 2, 65537: 4}[bound]
+    text = pack_ids(np.array(values), bound)
+    assert text == packed(values, width)
+    assert unpack_ids(text, bound).tolist() == values
+    if bound < 256 ** width:  # the width can hold `bound` itself: it is rejected
+        with pytest.raises(ValueError, match=f"holds {bound}, not below {bound}"):
+            unpack_ids(packed(values + [bound], width), bound)

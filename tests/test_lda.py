@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +14,7 @@ from textforage import lda
 from textforage.corpus import Vocabulary
 from textforage.errors import NumericalDegeneracyError
 
-from conftest import build_corpus
+from conftest import build_corpus, packed, unpacked
 
 
 def collapsed_log_joint(tokens, doc_of, z, n_docs, v, k, alpha, beta):
@@ -271,10 +272,19 @@ class TestPersistence:
         "z-in-range": "do not match assignments_sha256",
         "token-in-range": "do not match assignments_sha256",
         "z-truncated": r"^z: \d+ assignments for \d+ tokens",
-        "topic-out-of-range": r"^z: topic outside \[0, 3\)",
-        "token-out-of-vocabulary": r"^tokens: term id outside the vocabulary",
+        "topic-out-of-range": re.escape("field 'z' is not base64 of topics in [0, k): "
+                                        "holds 3, not below 3"),
+        "token-out-of-vocabulary": re.escape("field 'tokens' entry 0 (doc0) is not base64 of "
+                                             "term ids in [0, V): holds 12, not below 12"),
         "doc-ids-short": r"^tokens: 6 documents for 5 doc_ids",
         "format-1": "unsupported model format_version 1",
+        "format-2": "unsupported model format_version 2",
+        "z-outside-the-alphabet": re.escape("field 'z' is not base64 of topics in [0, k): "
+                                            "bad base64"),
+        "z-a-list": re.escape("field 'z' is not base64 of topics in [0, k): not a string"),
+        "doc-id-not-a-string": re.escape("field 'doc_ids' entry 2 (7) is not a string"),
+        "trace-not-numbers": re.escape("field 'log_likelihood_trace' entry 0 (True) is not "
+                                       "a number"),
     }
 
     @pytest.mark.parametrize("tamper", TAMPERED)
@@ -283,7 +293,7 @@ class TestPersistence:
         small_model.save(path)
         payload = json.loads(path.read_text())
         k, v = small_model.config.k, small_model.n_terms
-        z, first_doc = payload["z"], payload["tokens"][0]
+        z, first_doc = unpacked(payload["z"]), unpacked(payload["tokens"][0])
         if tamper == "z-in-range":
             z[0] = (z[0] + 1) % k
         elif tamper == "token-in-range":
@@ -296,19 +306,47 @@ class TestPersistence:
             first_doc[0] = v
         elif tamper == "doc-ids-short":
             payload["doc_ids"].pop()
-        else:
+        elif tamper == "doc-id-not-a-string":
+            payload["doc_ids"][2] = 7
+        elif tamper == "trace-not-numbers":
+            payload["log_likelihood_trace"][0] = True
+        elif tamper == "format-1":
             payload["format_version"] = 1
+        payload["z"], payload["tokens"][0] = packed(z), packed(first_doc)
+        if tamper == "format-2":  # term ids and topics as JSON numbers
+            payload.update(format_version=2, z=z,
+                           tokens=[unpacked(doc) for doc in payload["tokens"]])
+        elif tamper == "z-a-list":
+            payload["z"] = z
+        elif tamper == "z-outside-the-alphabet":
+            payload["z"] = "*" + payload["z"][1:]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=self.TAMPERED[tamper]):
             lda.TopicModel.load(path, small_model.vocabulary)
+
+    def test_odd_byte_count_at_width_2_rejected(self, tmp_path):
+        """Past 256 terms a term id takes two bytes, so three bytes are no ids."""
+        corpus = build_corpus([[299, 0, 5]], [f"w{i}" for i in range(300)])
+        model = lda.train(corpus, lda.TrainingConfig(k=2, seed=1, iterations=1))
+        path = tmp_path / "model.json"
+        model.save(path)
+        payload = json.loads(path.read_text())
+        assert unpacked(payload["tokens"][0], width=2) == [299, 0, 5]
+        payload["tokens"][0] = packed([43, 1, 0, 0, 5])  # five bytes
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(
+                "field 'tokens' entry 0 (doc0) is not base64 of term ids in [0, V): "
+                "5 bytes, not a multiple of 2")):
+            lda.TopicModel.load(path, model.vocabulary)
 
     def test_file_holds_no_derived_counts(self, small_model, tmp_path):
         path = tmp_path / "model.json"
         small_model.save(path)
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
         assert not {"doc_index", "n_wt", "n_td"} & set(payload)
-        assert [len(doc) for doc in payload["tokens"]] == small_model.n_d.tolist()
+        assert [len(unpacked(doc)) for doc in payload["tokens"]] == small_model.n_d.tolist()
+        assert unpacked(payload["z"]) == small_model.z.tolist()
 
 
 @st.composite
