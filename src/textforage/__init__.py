@@ -24,7 +24,7 @@ _SUBMODULE = {name: module for module, names in {
                 "kl_divergence surprise_series",
     "querysample": "ClusterReport SampleEnsemble cluster_ensemble fit_document sample_ensemble",
     "nullmodels": "NullComparison ReadingOrder constrained_permutation greedy_shortest_path "
-                  "null_ensemble rank_distribution step_ranks",
+                  "null_ensemble rank_distribution",
     "epochs": "EpochModel ModelScore fit_epochs param_count segment_loglik select_model",
     "modelcompare": "AlignmentResult align_topics merge_vocabulary model_distance topic_drift",
     "errors": "ConfigError MissingArtifactError NumericalDegeneracyError",

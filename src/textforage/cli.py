@@ -35,8 +35,15 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
+
+# Set before numpy loads OpenBLAS.  The pipeline's only BLAS call is the
+# query-sized matrix-vector product in `lda.perplexity_from_distributions`,
+# too small to gain from BLAS threads, and the pipeline's parallelism
+# comes from its own `threads` setting.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import yaml

@@ -4,11 +4,12 @@ Raw texts become lower-cased, ASCII-folded, punctuation- and
 numeral-free token streams; a frequency-filtered vocabulary maps the
 retained types to dense integer ids; documents are stored as id
 sequences alongside their reading/publication metadata.  A corpus file
-(format 3) holds the documents as six equal-length columns (id,
-read_date, pub_date, order_index, token_ids, dropped) and the
+(format 4) holds the documents as six equal-length columns (id,
+read_date, pub_date, order_index, length, dropped), the documents'
+term ids, concatenated, as one packed string `token_ids`, and the
 `settings` it was prepared with, written as JSON without separator
-whitespace.  Each document's term ids are one string (`pack_ids`),
-which the model files use for their tokens and topics too.
+whitespace.  `pack_ids` stores each value in the fewest bits its bound
+allows; the model files use it for their tokens and topics too.
 
 Stemming is deliberately not offered: collapsing inflected forms hurts
 topic quality, so the tokenizer exposes no option for it.
@@ -45,15 +46,15 @@ __all__ = [
     "load_manifest",
 ]
 
-CORPUS_FORMAT_VERSION = 3
+CORPUS_FORMAT_VERSION = 4
 # the columns of a corpus file's `documents`, one entry per document each,
-# and what each entry must be
+# and what each entry must be; `documents.token_ids` is one packed string
 _DOCUMENT_COLUMNS = {
     "id": "a string",
     "read_date": "a date string or null",
     "pub_date": "a date string or null",
     "order_index": "a non-negative integer",
-    "token_ids": "base64 of term ids in [0, V)",
+    "length": "a non-negative integer",
     "dropped": "a non-negative integer",
 }
 
@@ -407,7 +408,8 @@ class Corpus:
 
     def save(self, path: str | Path, metadata: dict | None = None) -> None:
         """Write the corpus as compact JSON, `documents` as one object of
-        equal-length columns in document order."""
+        equal-length columns in document order and the documents' term
+        ids, concatenated, as one `pack_ids` string."""
         specs = [d.spec for d in self.documents]
         payload = {
             "format_version": CORPUS_FORMAT_VERSION,
@@ -419,9 +421,11 @@ class Corpus:
                 "read_date": [str(s.read_date) if s.read_date else None for s in specs],
                 "pub_date": [str(s.pub_date) if s.pub_date else None for s in specs],
                 "order_index": [s.order_index for s in specs],
-                "token_ids": [pack_ids(d.token_ids, len(self.vocabulary))
-                              for d in self.documents],
+                "length": [d.retained for d in self.documents],
                 "dropped": [d.dropped for d in self.documents],
+                "token_ids": pack_ids(
+                    np.concatenate([np.zeros(0, np.int32), *(d.token_ids for d in self.documents)]),
+                    len(self.vocabulary)),
             },
             "skipped_empty": list(self.skipped_empty),
             "warnings": list(self.warnings),
@@ -436,9 +440,12 @@ class Corpus:
         Raises ValueError for a file of another kind or format version,
         and, naming the field, for a `settings` value that is not a
         mapping or null, a `vocabulary`, `skipped_empty` or `warnings`
-        entry of the wrong type (naming the entry too), or a `documents`
+        entry of the wrong type (naming the entry too), a `documents`
         value that is not a mapping of equal-length columns or has an
-        entry of the wrong type (naming the document too).
+        entry of the wrong type (naming the document too), or a
+        `documents.token_ids` that does not unpack to as many term ids
+        in [0, V) as `documents.length` sums to (naming the document
+        that holds an id at or above V).
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or payload.get("kind") != "corpus":
@@ -468,23 +475,26 @@ class Corpus:
                     f"field 'documents.{name}' has {len(columns[name])} entries, "
                     f"'documents.id' has {len(columns['id'])}"
                 )
+        ids = columns["id"]
         readers = {"id": _string, "read_date": _date, "pub_date": _date,
-                   "order_index": _count, "dropped": _count,
-                   "token_ids": lambda entry: unpack_ids(entry, len(vocab))}
+                   "order_index": _count, "length": _count, "dropped": _count}
+        values = {name: _read_column(f"documents.{name}", columns[name], readers[name], kind, ids)
+                  for name, kind in _DOCUMENT_COLUMNS.items()}
+        tokens = _read_packed("documents.token_ids", columns.get("token_ids"), len(vocab),
+                              "base64 of term ids in [0, V)", values["length"], ids)
         docs = tuple(
             EncodedDocument(
                 spec=DocumentSpec(
                     id=doc_id, read_date=read_date, pub_date=pub_date,
                     order_index=order_index,
                 ),
-                token_ids=tokens,
+                token_ids=token_ids,
                 dropped=dropped,
             )
-            for doc_id, read_date, pub_date, order_index, tokens, dropped in zip(*(
-                _read_column(f"documents.{name}", columns[name], readers[name], kind,
-                             columns["id"])
-                for name, kind in _DOCUMENT_COLUMNS.items()
-            ))
+            for doc_id, read_date, pub_date, order_index, token_ids, dropped in zip(
+                values["id"], values["read_date"], values["pub_date"], values["order_index"],
+                np.split(tokens, np.cumsum(values["length"])[:-1]), values["dropped"],
+            )
         )
         return cls(
             vocabulary=vocab,
@@ -531,24 +541,45 @@ def _read_column(field: str, entries: list, reader, kind: str, labels: list) -> 
     return values
 
 
-def _width(bound: int) -> int:
-    """Bytes per value of a packed array whose values lie in [0, bound)."""
-    return 1 if bound <= 1 << 8 else 2 if bound <= 1 << 16 else 4
+def _bits(bound: int) -> int:
+    """Bits per value of a packed array whose values lie in [0, bound)."""
+    return max(1, (bound - 1).bit_length())
 
 
 def pack_ids(values: np.ndarray, bound: int) -> str:
-    """`values`, each in [0, bound), as padded base64 of little-endian
-    unsigned integers 1, 2 or 4 bytes wide, the width set by `bound`."""
-    raw = values.astype(f"<u{_width(bound)}").tobytes()
-    return base64.b64encode(raw).decode("ascii")
+    """`values`, each in [0, bound), as padded base64 of one bit string:
+    `_bits(bound)` bits per value, least significant first, values in
+    order, and zero bits up to the next whole byte."""
+    width, n = _bits(bound), values.size
+    # eight values fill `width` bytes: one row of `lanes` is one such run,
+    # and one row of `words` its bytes, read as little-endian 64-bit words
+    lanes = np.zeros(-(-n // 8) * 8, np.uint64)
+    lanes[:n] = values
+    lanes = lanes.reshape(-1, 8)
+    words = np.zeros((len(lanes), -(-width // 8)), "<u8")
+    for j in range(8):
+        word, shift = divmod(j * width, 64)
+        words[:, word] |= lanes[:, j] << np.uint64(shift)
+        if shift + width > 64:
+            words[:, word + 1] |= lanes[:, j] >> np.uint64(64 - shift)
+    raw = words.view(np.uint8)[:, :width].reshape(-1)[:-(-n * width // 8)]
+    return base64.b64encode(raw.tobytes()).decode("ascii")
 
 
-def unpack_ids(text: str, bound: int) -> np.ndarray:
-    """The int32 values that `pack_ids(values, bound)` wrote.
+class _AboveBound(ValueError):
+    """A packed value at or above its bound, the `index`-th of its array."""
+
+    def __init__(self, index: int, value: int, bound: int):
+        super().__init__(f"holds {value}, not below {bound}")
+        self.index = index
+
+
+def unpack_ids(text: str, bound: int, count: int) -> np.ndarray:
+    """The `count` int32 values that `pack_ids(values, bound)` wrote.
 
     Raises ValueError, saying why, for a non-string, text that is not
-    padded base64, a byte count that is not a multiple of the width, or
-    a value not below `bound`.
+    padded base64, a byte count other than the one `count` values take,
+    a padding bit that is not zero, or a value not below `bound`.
     """
     if type(text) is not str:
         raise ValueError("not a string")
@@ -556,13 +587,45 @@ def unpack_ids(text: str, bound: int) -> np.ndarray:
         raw = base64.b64decode(text, validate=True)
     except ValueError:  # binascii.Error, or a character outside ASCII
         raise ValueError("bad base64") from None
-    width = _width(bound)
-    if len(raw) % width:
-        raise ValueError(f"{len(raw)} bytes, not a multiple of {width}")
-    values = np.frombuffer(raw, f"<u{width}")
-    if values.size and values.max() >= bound:
-        raise ValueError(f"holds {values.max()}, not below {bound}")
+    width = _bits(bound)
+    size = -(-count * width // 8)
+    if len(raw) != size:
+        raise ValueError(f"{len(raw)} bytes, not {size} for {count} values of {width} bits")
+    runs = np.zeros(-(-count // 8) * width, np.uint8)  # as in `pack_ids`
+    runs[:size] = np.frombuffer(raw, np.uint8)
+    words = np.zeros((len(runs) // width, 8 * -(-width // 8)), np.uint8)
+    words[:, :width] = runs.reshape(-1, width)
+    words = words.view("<u8")
+    lanes = np.empty((len(words), 8), np.uint64)
+    for j in range(8):
+        word, shift = divmod(j * width, 64)
+        lanes[:, j] = words[:, word] >> np.uint64(shift)
+        if shift + width > 64:
+            lanes[:, j] |= words[:, word + 1] << np.uint64(64 - shift)
+    values = lanes.reshape(-1) & np.uint64((1 << width) - 1)
+    if values[count:].any():  # the lanes past `count` hold every padding bit
+        raise ValueError("a padding bit is not zero")
+    values = values[:count]
+    above = np.flatnonzero(values >= bound)
+    if above.size:
+        raise _AboveBound(int(above[0]), int(values[above[0]]), bound)
     return values.astype(np.int32)
+
+
+def _read_packed(field: str, text, bound: int, kind: str, lengths: list[int],
+                 labels: list) -> np.ndarray:
+    """The values of a packed field of a corpus or model file, documents
+    of `lengths` concatenated; a ValueError names `field`, says why, and
+    names the document, by index and label, that holds a value at or
+    above `bound`."""
+    try:
+        return unpack_ids(text, bound, sum(lengths))
+    except _AboveBound as exc:
+        doc = int(np.searchsorted(np.cumsum(lengths), exc.index, side="right"))
+        raise ValueError(f"field '{field}' is not {kind}: document {doc} ({labels[doc]}) "
+                         f"{exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"field '{field}' is not {kind}: {exc}") from None
 
 
 def encode_corpus(

@@ -21,10 +21,11 @@ only freezes the word-topic counts.
 Each model trains on one thread and is bit-reproducible from (corpus,
 config); the sweep releases the GIL, so models of different k may train
 concurrently.
-A model file stores only what cannot be derived: the documents' tokens,
-the assignments z and the likelihood trace, as JSON without separator
-whitespace, the tokens and z packed as `corpus.pack_ids` strings.
-Loading rebuilds every count matrix from z.
+A model file (format 4) stores only what cannot be derived: the
+documents' lengths, their tokens, the assignments z and the likelihood
+trace, as JSON without separator whitespace, the tokens and z each one
+`corpus.pack_ids` string in the fewest bits V and k allow.  Loading
+rebuilds every count matrix from z.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _gibbs
-from .corpus import Corpus, Vocabulary, _read_column, _string, pack_ids, unpack_ids
+from .corpus import Corpus, Vocabulary, _count, _read_column, _read_packed, _string, pack_ids
 from .errors import NumericalDegeneracyError
 from .seeds import derive_seed, rng_from
 
@@ -54,10 +55,9 @@ __all__ = [
     "perplexity_from_distributions",
     "TopicSummary",
     "topic_summary",
-    "corpus_mass_order",
 ]
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -320,11 +320,12 @@ class TopicModel:
         return np.split(self.tokens, np.cumsum(self.n_d)[:-1])
 
     def _rebuild_counts(self) -> None:
-        k = self.config.k
-        self.n_wt = np.zeros((self.n_terms, k), dtype=np.int64)
-        self.n_td = np.zeros((k, self.n_docs), dtype=np.int64)
-        np.add.at(self.n_wt, (self.tokens, self.z), 1)
-        np.add.at(self.n_td, (self.z, self.doc_index), 1)
+        k, v, d = self.config.k, self.n_terms, self.n_docs
+        z = self.z.astype(np.intp)
+        self.n_wt = np.bincount(self.tokens.astype(np.intp) * k + z,
+                                minlength=v * k).astype(np.int64, copy=False).reshape(v, k)
+        self.n_td = np.bincount(z * d + self.doc_index,
+                                minlength=k * d).astype(np.int64, copy=False).reshape(k, d)
         self.n_t = self.n_wt.sum(axis=0)
         self.n_d = self.n_td.sum(axis=0)
 
@@ -376,8 +377,9 @@ class TopicModel:
         return h.hexdigest()
 
     def save(self, path: str | Path, metadata: dict | None = None) -> None:
-        """Write the underivable state as compact JSON: tokens per
-        document and z, each packed by `pack_ids`, and the trace."""
+        """Write the underivable state as compact JSON: the document
+        lengths, the tokens and z, each packed by `pack_ids` into one
+        string, and the trace."""
         payload = {
             "format_version": MODEL_FORMAT_VERSION,
             "kind": "topic_model",
@@ -386,7 +388,8 @@ class TopicModel:
             "vocabulary_sha256": self.vocabulary.sha256(),
             "assignments_sha256": self.assignments_sha256(),
             "doc_ids": list(self.doc_ids),
-            "tokens": [pack_ids(doc, self.n_terms) for doc in self.doc_tokens()],
+            "lengths": self.n_d.tolist(),
+            "tokens": pack_ids(self.tokens, self.n_terms),
             "z": pack_ids(self.z, self.config.k),
             "sweeps_done": self.sweeps_done,
             "log_likelihood_trace": [float(x) for x in self.log_likelihood_trace],
@@ -399,7 +402,9 @@ class TopicModel:
 
         Raises ValueError, naming the field, for a file of another kind
         or format version, another vocabulary, a malformed field (naming
-        the document too for a `tokens` entry), tokens and z that do not
+        the document too for a `lengths` entry, a term id at or above V
+        or a topic at or above k), `tokens` or `z` that do not unpack to
+        as many values as `lengths` sums to, tokens and z that do not
         hash to `assignments_sha256`, or a `sweeps_done` that is not the
         trace's length.
         """
@@ -415,22 +420,22 @@ class TopicModel:
         config = TrainingConfig(**payload["config"])
         doc_ids = _read_column("doc_ids", payload["doc_ids"], _string, "a string",
                                payload["doc_ids"])
-        packed = payload["tokens"]
-        if isinstance(packed, list) and len(packed) != len(doc_ids):  # ids label the entries
-            raise ValueError(f"tokens: {len(packed)} documents for {len(doc_ids)} doc_ids")
-        doc_tokens = _read_column("tokens", packed, lambda e: unpack_ids(e, len(vocabulary)),
-                                  "base64 of term ids in [0, V)", doc_ids)
-        try:
-            z = unpack_ids(payload["z"], config.k)
-        except ValueError as exc:
-            raise ValueError(f"field 'z' is not base64 of topics in [0, k): {exc}") from None
+        lengths = payload["lengths"]
+        if isinstance(lengths, list) and len(lengths) != len(doc_ids):  # ids label the entries
+            raise ValueError(f"field 'lengths' has {len(lengths)} entries, "
+                             f"'doc_ids' has {len(doc_ids)}")
+        lengths = _read_column("lengths", lengths, _count, "a non-negative integer", doc_ids)
+        tokens = _read_packed("tokens", payload["tokens"], len(vocabulary),
+                              "base64 of term ids in [0, V)", lengths, doc_ids)
+        z = _read_packed("z", payload["z"], config.k, "base64 of topics in [0, k)",
+                         lengths, doc_ids)
         trace = _read_column("log_likelihood_trace", payload["log_likelihood_trace"],
                              _number, "a number", payload["log_likelihood_trace"])
         model = cls(
             config=config,
             vocabulary=vocabulary,
             doc_ids=doc_ids,
-            doc_tokens=doc_tokens,
+            doc_tokens=np.split(tokens, np.cumsum(lengths)[:-1]),
             z=z,
             rng=rng_from(derive_seed(config.seed, payload["sweeps_done"], "resume")),
         )
@@ -608,12 +613,3 @@ def topic_summary(
         cross_document_entropy=max(cross_entropy, 0.0),
         mean_probability=float(col_theta.mean()),
     )
-
-
-def corpus_mass_order(model: TopicModel) -> np.ndarray:
-    """Topics ordered by total corpus mass, heaviest first.
-
-    A report-time relabelling ("topic 1 = most represented"); stored
-    models always keep positional labels.  Ties break by ascending id.
-    """
-    return np.lexsort((np.arange(model.config.k), -model.n_t))

@@ -62,7 +62,6 @@ __all__ = [
     "null_ensemble",
     "greedy_shortest_path",
     "kl_matrix",
-    "step_ranks",
     "RankDistribution",
     "rank_distribution",
 ]
@@ -438,7 +437,10 @@ def _rank_table(d: np.ndarray) -> _RankTable:
 
 
 def _ranks_from_matrix(table: _RankTable, order: Sequence[int]) -> np.ndarray:
-    """Competition ranks of an order's choices, read off a rank table.
+    """Competition ranks of an order's choices, read off a rank table:
+    step i's rank is 1 + the number of items not yet read that are
+    strictly nearer by t2t KL to the item read at step i than the one
+    read next, so rank 1 means the nearest was chosen.
 
     Row i of `costs` ranks every item against the item read at step i;
     its candidates are the items whose `position` in the order exceeds
@@ -463,19 +465,6 @@ def _ranks_from_matrix(table: _RankTable, order: Sequence[int]) -> np.ndarray:
     chosen = costs[steps, order[1:]]
     nearer = np.add.reduce((costs < chosen[:, None]) & unread, axis=1, dtype=small)
     return 1 + nearer.astype(np.int64)
-
-
-def step_ranks(dists: np.ndarray, order: Sequence[int]) -> np.ndarray:
-    """Rank of each reading choice among the remaining candidates.
-
-    At step i the candidates are the items not yet read; rank 1 means
-    the chosen item was the nearest by text-to-text KL from the current
-    item.  Ranks use competition ranking (1 + number of strictly nearer
-    candidates).  Builds the O(n^2) divergence matrix of the module
-    docstring; raises `NumericalDegeneracyError` when a step's current
-    item has no mass where a remaining candidate has some.
-    """
-    return _ranks_from_matrix(_rank_table(kl_matrix(dists)), order)
 
 
 def _bin_masses(ranks: np.ndarray, n_bins: int) -> np.ndarray:

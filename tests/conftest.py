@@ -30,15 +30,21 @@ def build_corpus(doc_tokens, terms, dates=None):
     return Corpus(vocabulary=vocab, documents=tuple(docs))
 
 
-def packed(values, width: int = 1) -> str:
-    """Integers as the corpus and model files store them, written apart
-    from the library: base64 of little-endian unsigned `width`-byte ints."""
-    return base64.b64encode(np.asarray(values).astype(f"<u{width}").tobytes()).decode()
+def packed(values, bound: int) -> str:
+    """Integers in [0, bound) as the corpus and model files store them,
+    written apart from the library: base64 of one little-endian integer
+    whose bits i*w to i*w + w - 1 hold values[i], w the bits of
+    `bound - 1` (at least one), in as few whole bytes as hold them."""
+    width = max(1, (bound - 1).bit_length())
+    number = sum(int(value) << (i * width) for i, value in enumerate(values))
+    return base64.b64encode(number.to_bytes(-(-len(values) * width // 8), "little")).decode()
 
 
-def unpacked(text: str, width: int = 1) -> list[int]:
-    """The integers `packed` wrote."""
-    return np.frombuffer(base64.b64decode(text), f"<u{width}").tolist()
+def unpacked(text: str, bound: int, count: int) -> list[int]:
+    """The `count` integers `packed(values, bound)` wrote."""
+    width = max(1, (bound - 1).bit_length())
+    number = int.from_bytes(base64.b64decode(text), "little")
+    return [(number >> (i * width)) & ((1 << width) - 1) for i in range(count)]
 
 
 @pytest.fixture(scope="session", autouse=True)

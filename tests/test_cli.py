@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import csv
 import filecmp
@@ -399,27 +400,32 @@ class TestStageOrdering:
 
 class TestStaleArtifacts:
     @pytest.mark.parametrize("tamper", ["z", "token", "truncated-z", "format-1",
-                                        "config-not-a-mapping", "format-2"])
+                                        "config-not-a-mapping", "format-2", "format-3"])
     def test_tampered_model_names_the_file(self, tmp_path, capsys, tamper):
         config = small_pipeline(tmp_path)
         assert run_cli("prepare", "--config", config) == 0
         assert run_cli("train", "--config", config) == 0
         path = tmp_path / "out" / "model_k2.json"
         payload = json.loads(path.read_text())
-        z, doc = unpacked(payload["z"]), unpacked(payload["tokens"][0])  # V < 256
+        v = len(Corpus.load(tmp_path / "out" / "corpus.json").vocabulary)
+        n = sum(payload["lengths"])
+        z, tokens = unpacked(payload["z"], 2, n), unpacked(payload["tokens"], v, n)
         if tamper == "z":
             z[0] = 1 - z[0]
         elif tamper == "token":
-            doc[0] = 1 if doc[0] == 0 else 0
+            tokens[0] = 1 if tokens[0] == 0 else 0
         elif tamper == "truncated-z":
-            z.pop()
+            del z[-8:]  # one byte of 1-bit topics
         elif tamper == "config-not-a-mapping":
             payload["config"] = [1]
         else:
             payload["format_version"] = int(tamper[-1])
-        payload["z"], payload["tokens"][0] = packed(z), packed(doc)
+        payload["z"], payload["tokens"] = packed(z, 2), packed(tokens, v)
         if tamper == "format-2":  # term ids and topics as JSON numbers
-            payload.update(z=z, tokens=[unpacked(t) for t in payload["tokens"]])
+            payload.update(z=z, tokens=tokens)
+        elif tamper == "format-3":  # one byte per term id or topic (V < 256)
+            payload.update(z=base64.b64encode(bytes(z)).decode(),
+                           tokens=base64.b64encode(bytes(tokens)).decode())
         path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert run_cli("measure", "--config", config) == 2
@@ -526,6 +532,30 @@ class TestStaleArtifacts:
         assert "corpus.json" in err and "`prepare`" in err
 
     @staticmethod
+    def _term_ids(payload):
+        columns = payload["documents"]
+        v = len(payload["vocabulary"]["terms"])
+        return unpacked(columns["token_ids"], v, sum(columns["length"])), v
+
+    @staticmethod
+    def _with_v_first_in_document_1(payload):
+        """V, the first id out of range, as document 1's first term id."""
+        ids, v = TestStaleArtifacts._term_ids(payload)
+        ids[payload["documents"]["length"][0]] = v
+        payload["documents"]["token_ids"] = packed(ids, v)
+
+    @staticmethod
+    def _as_format(payload, version):
+        """Term ids as format 2 (a JSON list per document) or format 3 (a
+        string per document, a byte per id, V < 256), with no length."""
+        ids, _ = TestStaleArtifacts._term_ids(payload)
+        columns = payload["documents"]
+        docs = np.split(np.array(ids), np.cumsum(columns.pop("length"))[:-1])
+        payload["format_version"] = version
+        columns["token_ids"] = [doc.tolist() if version == 2 else
+                                base64.b64encode(bytes(doc.tolist())).decode() for doc in docs]
+
+    @staticmethod
     def _as_format_1(payload):
         columns = payload["documents"]
         payload["format_version"] = 1
@@ -535,14 +565,12 @@ class TestStaleArtifacts:
         (_as_format_1, "unsupported corpus format_version 1"),
         (lambda payload: payload["documents"].pop("pub_date"),
          "field 'documents.pub_date' is missing"),
-        (lambda payload: payload["documents"]["token_ids"].pop(),
-         "field 'documents.token_ids' has 19 entries, 'documents.id' has 20"),
+        (lambda payload: payload["documents"]["length"].pop(),
+         "field 'documents.length' has 19 entries, 'documents.id' has 20"),
         (lambda payload: payload["documents"]["order_index"].__setitem__(0, "x"),
          "field 'documents.order_index' entry 0 (doc000) is not a non-negative integer"),
-        (lambda payload: payload["documents"]["token_ids"].__setitem__(1, packed(  # V < 256
-            unpacked(payload["documents"]["token_ids"][1])
-            + [len(payload["vocabulary"]["terms"])])),
-         "field 'documents.token_ids' entry 1 (doc001) is not base64 of term ids in [0, V)"),
+        (_with_v_first_in_document_1,
+         "field 'documents.token_ids' is not base64 of term ids in [0, V): document 1 (doc001)"),
         (lambda payload: payload["vocabulary"]["terms"].__setitem__(0, 7),
          "field 'vocabulary.terms' entry 0 (7) is not a string"),
         (lambda payload: payload["vocabulary"]["frequencies"].__setitem__(1, -1),
@@ -554,13 +582,16 @@ class TestStaleArtifacts:
          "field 'warnings' is not a list"),
         (lambda payload: payload.__setitem__("skipped_empty", "abc"),
          "field 'skipped_empty' is not a list"),
-        (lambda payload: payload.update(format_version=2, documents={
-            **payload["documents"],
-            "token_ids": [unpacked(t) for t in payload["documents"]["token_ids"]]}),
+        (lambda payload: TestStaleArtifacts._as_format(payload, 2),
          "unsupported corpus format_version 2"),
+        (lambda payload: TestStaleArtifacts._as_format(payload, 3),
+         "unsupported corpus format_version 3"),
+        (lambda payload: payload["documents"]["length"].__setitem__(0, -1),
+         "field 'documents.length' entry 0 (doc000) is not a non-negative integer"),
     ], ids=["format-1", "missing-column", "short-column", "order-index-not-a-number",
             "token-id-out-of-range", "term-not-a-string", "negative-frequency",
-            "terms-mapping", "warnings-not-a-list", "skipped-not-a-list", "format-2"])
+            "terms-mapping", "warnings-not-a-list", "skipped-not-a-list", "format-2",
+            "format-3", "negative-length"])
     def test_malformed_corpus_names_the_file(self, tmp_path, capsys, tamper, named):
         config = small_pipeline(tmp_path)
         assert run_cli("prepare", "--config", config) == 0

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import re
@@ -22,7 +23,7 @@ from textforage.corpus import (
     unpack_ids,
 )
 
-from conftest import packed, unpacked
+from conftest import packed
 
 
 class TestTokenize:
@@ -204,14 +205,15 @@ class TestEncodeCorpus:
     def test_documents_are_columns(self, tmp_path):
         corpus, path = self._saved(tmp_path)
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == 3
+        assert payload["format_version"] == 4
         assert payload["documents"] == {
             "id": ['d, 0: "x"', "d1"],
             "read_date": ["1845-03", None],
             "pub_date": [None, "1841-02-01"],
             "order_index": [1, 0],
-            "token_ids": ["AAAB", "AA=="],  # bytes 00 00 01 and 00: V = 2, one byte each
+            "length": [3, 1],
             "dropped": [1, 0],
+            "token_ids": "BA==",  # ids 0 0 1 0 at one bit each (V = 2): byte 00000100
         }
         loaded = Corpus.load(path)
         assert [(d.spec, d.token_ids.tolist(), d.dropped) for d in loaded.documents] == [
@@ -233,15 +235,27 @@ class TestEncodeCorpus:
         payload = json.loads(path.read_text())
         columns = payload["documents"]
         payload["format_version"] = 2
-        columns["token_ids"] = [unpacked(t) for t in columns["token_ids"]]
+        columns["token_ids"] = [[0, 0, 1], [0]]
+        del columns["length"]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="unsupported corpus format_version 2"):
+            Corpus.load(path)
+
+    def test_format_3_rejected(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        columns = payload["documents"]
+        payload["format_version"] = 3  # one string per document, one byte per id
+        columns["token_ids"] = [base64.b64encode(bytes(ids)).decode() for ids in ([0, 0, 1], [0])]
+        del columns["length"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported corpus format_version 3"):
             Corpus.load(path)
 
     @pytest.mark.parametrize("tamper, named", [
         (lambda docs: docs.pop("dropped"), "'documents.dropped' is missing"),
         (lambda docs: docs["read_date"].pop(), "'documents.read_date' has 1 entries"),
-        (lambda docs: docs["token_ids"].append([0]), "'documents.token_ids' has 3 entries"),
+        (lambda docs: docs["length"].append(0), "'documents.length' has 3 entries"),
         (lambda docs: docs["id"].pop(), "'documents.read_date' has 2 entries, "
                                         "'documents.id' has 1"),
         (lambda docs: docs.update(order_index=None), "'documents.order_index' is missing"),
@@ -262,13 +276,11 @@ class TestEncodeCorpus:
         ("order_index", True),
         ("order_index", -1),
         ("order_index", 1.0),
-        ("token_ids", [0, 2]),  # V is 2
-        ("token_ids", [0, -1]),
-        ("token_ids", [0, 1.5]),
-        ("token_ids", [True]),
-        ("token_ids", [[0], [0, 1]]),
-        ("token_ids", [2**70]),
-        ("token_ids", "01"),
+        ("length", -1),
+        ("length", 1.0),
+        ("length", True),
+        ("length", "1"),
+        ("length", None),
         ("dropped", None),
         ("dropped", -1),
     ])
@@ -282,34 +294,54 @@ class TestEncodeCorpus:
             Corpus.load(path)
 
     @pytest.mark.parametrize("entry, reason", [
-        (packed([0, 2]), "holds 2, not below 2"),
+        (packed([0, 0, 1, 0, 0, 0, 0, 0, 0], 2), "2 bytes, not 1 for 4 values of 1 bits"),
         ("AA-=", "bad base64"),  # "-" is in the URL-safe alphabet only
         ("AA\u00e9=", "bad base64"),
-        ([0, 1], "not a string"),  # format 2's entry
+        ([0, 1], "not a string"),  # format 2's entry for one document
+        (None, "not a string"),
+        ("", "0 bytes, not 1 for 4 values of 1 bits"),
+        (packed([0, 0, 1, 0, 1], 2), "a padding bit is not zero"),
     ])
     def test_bad_token_ids_say_why(self, tmp_path, entry, reason):
         _, path = self._saved(tmp_path)
         payload = json.loads(path.read_text())
-        payload["documents"]["token_ids"][1] = entry
+        payload["documents"]["token_ids"] = entry
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(
-                f"field 'documents.token_ids' entry 1 (d1) is not base64 of term ids "
-                f"in [0, V): {reason}")):
+                f"field 'documents.token_ids' is not base64 of term ids in [0, V): {reason}")):
             Corpus.load(path)
 
-    def test_odd_byte_count_at_width_2_rejected(self, tmp_path):
-        """Past 256 terms an id takes two bytes, so three bytes are no ids."""
+    @pytest.mark.parametrize("lengths, reason", [
+        ([3, 9], "1 bytes, not 2 for 12 values of 1 bits"),
+        ([1, 1], "a padding bit is not zero"),  # the third id, 1, falls in the padding
+    ], ids=["sum-past-the-bytes", "sum-short-of-the-ids"])
+    def test_lengths_that_miss_the_token_ids_are_rejected(self, tmp_path, lengths, reason):
+        """`documents.length` sets how many ids `documents.token_ids`
+        holds; the byte count and the zero padding check the sum."""
+        _, path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["documents"]["length"] = lengths
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(
+                f"field 'documents.token_ids' is not base64 of term ids in [0, V): {reason}")):
+            Corpus.load(path)
+
+    def test_term_id_at_or_above_v_names_the_document(self, tmp_path):
+        """At V = 300 an id takes nine bits, which can hold 300 too; the
+        error names the document holding it."""
         terms = [f"t{i}" for i in range(300)]
-        corpus = encode_corpus([DocumentSpec(id="d0")], [["t299", "t0"]],
-                               Vocabulary(terms, [1] * 300))
+        corpus = encode_corpus([DocumentSpec(id="d0"), DocumentSpec(id="d1")],
+                               [["t299", "t0"], ["t5", "t6"]], Vocabulary(terms, [1] * 300))
         path = tmp_path / "corpus.json"
         corpus.save(path)
         payload = json.loads(path.read_text())
-        assert unpacked(payload["documents"]["token_ids"][0], width=2) == [299, 0]
-        payload["documents"]["token_ids"][0] = packed([44, 1, 0])  # three bytes
+        assert payload["documents"]["token_ids"] == packed([299, 0, 5, 6], 300)
+        assert Corpus.load(path).documents[1].token_ids.tolist() == [5, 6]
+        payload["documents"]["token_ids"] = packed([299, 0, 5, 300], 300)
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(
-                "entry 0 (d0) is not base64 of term ids in [0, V): 3 bytes, not a multiple of 2")):
+                "field 'documents.token_ids' is not base64 of term ids in [0, V): "
+                "document 1 (d1) holds 300, not below 300")):
             Corpus.load(path)
 
     def test_documents_must_be_a_mapping(self, tmp_path):
@@ -403,15 +435,27 @@ class TestManifest:
             load_manifest(path)
 
 
-@given(bound=st.sampled_from([256, 257, 65536, 65537]), data=st.data())
+# each power of two up to 2**16 and its neighbours: the width grows by a
+# bit from 2**j to 2**j + 1
+_WIDTH_BOUNDS = sorted({70_000} | {2**j + d for j in range(17) for d in (-1, 0, 1)} - {0})
+
+
+@given(bound=st.one_of(st.sampled_from(_WIDTH_BOUNDS), st.integers(1, 70_000)),
+       data=st.data())
 def test_pack_ids_round_trip_at_the_width_bounds(bound, data):
-    """A bound up to 256 packs an id in one byte, up to 65,536 in two,
-    else in four."""
-    values = data.draw(st.lists(st.integers(0, bound - 1), max_size=20)) + [bound - 1]
-    width = {256: 1, 257: 2, 65536: 2, 65537: 4}[bound]
-    text = pack_ids(np.array(values), bound)
-    assert text == packed(values, width)
-    assert unpack_ids(text, bound).tolist() == values
-    if bound < 256 ** width:  # the width can hold `bound` itself: it is rejected
-        with pytest.raises(ValueError, match=f"holds {bound}, not below {bound}"):
-            unpack_ids(packed(values + [bound], width), bound)
+    """Each id takes the bits of `bound - 1`, at least one: eight at a
+    bound of 256 and nine at 257.  The string is the reference packing,
+    unpacks to the ids, and an id at the bound is rejected wherever the
+    width can hold it."""
+    values = data.draw(st.lists(st.integers(0, bound - 1), max_size=200))
+    width = max(1, (bound - 1).bit_length())
+    text = pack_ids(np.array(values, dtype=np.int32), bound)
+    assert text == packed(values, bound)
+    assert len(base64.b64decode(text)) == -(-len(values) * width // 8)
+    got = unpack_ids(text, bound, len(values))
+    assert got.dtype == np.int32 and got.tolist() == values
+    if values and bound < 1 << width:  # `bound` itself fits in the width
+        i = data.draw(st.integers(0, len(values) - 1))
+        above = values[:i] + [bound] + values[i + 1:]
+        with pytest.raises(ValueError, match=f"^holds {bound}, not below {bound}$"):
+            unpack_ids(packed(above, bound), bound, len(values))

@@ -1,3 +1,4 @@
+import base64
 import itertools
 import json
 import math
@@ -244,11 +245,6 @@ class TestTopicSummary:
         summary = lda.topic_summary(model, 0, top_n=4, smoothing=False)
         assert [t for t, _ in summary.top_terms] == ["a", "b", "c", "d"]
 
-    def test_corpus_mass_order(self, small_model):
-        order = lda.corpus_mass_order(small_model)
-        masses = small_model.n_t[order]
-        assert all(masses[i] >= masses[i + 1] for i in range(len(masses) - 1))
-
 
 class TestPersistence:
     def test_roundtrip(self, small_model, tmp_path):
@@ -267,18 +263,27 @@ class TestPersistence:
         with pytest.raises(ValueError, match="hash mismatch"):
             lda.TopicModel.load(path, other)
 
-    # each edit of a saved file and the error message loading must give
+    # each edit of a saved file and the error message loading must give;
+    # the model has 6 documents of 30 tokens, V = 12 (4 bits) and k = 3 (2 bits)
     TAMPERED = {
         "z-in-range": "do not match assignments_sha256",
         "token-in-range": "do not match assignments_sha256",
-        "z-truncated": r"^z: \d+ assignments for \d+ tokens",
+        "z-truncated": re.escape("field 'z' is not base64 of topics in [0, k): "
+                                 "44 bytes, not 45 for 180 values of 2 bits"),
         "topic-out-of-range": re.escape("field 'z' is not base64 of topics in [0, k): "
-                                        "holds 3, not below 3"),
-        "token-out-of-vocabulary": re.escape("field 'tokens' entry 0 (doc0) is not base64 of "
-                                             "term ids in [0, V): holds 12, not below 12"),
-        "doc-ids-short": r"^tokens: 6 documents for 5 doc_ids",
+                                        "document 0 (doc0) holds 3, not below 3"),
+        "token-out-of-vocabulary": re.escape("field 'tokens' is not base64 of term ids in "
+                                             "[0, V): document 1 (doc1) holds 12, not below 12"),
+        "doc-ids-short": re.escape("field 'lengths' has 6 entries, 'doc_ids' has 5"),
+        "lengths-not-counts": re.escape("field 'lengths' entry 1 (doc1) is not a "
+                                        "non-negative integer"),
+        "lengths-sum-long": re.escape("field 'tokens' is not base64 of term ids in [0, V): "
+                                      "90 bytes, not 91 for 181 values of 4 bits"),
+        "lengths-sum-short": re.escape("field 'tokens' is not base64 of term ids in [0, V): "
+                                       "a padding bit is not zero"),
         "format-1": "unsupported model format_version 1",
         "format-2": "unsupported model format_version 2",
+        "format-3": "unsupported model format_version 3",
         "z-outside-the-alphabet": re.escape("field 'z' is not base64 of topics in [0, k): "
                                             "bad base64"),
         "z-a-list": re.escape("field 'z' is not base64 of topics in [0, k): not a string"),
@@ -292,30 +297,43 @@ class TestPersistence:
         path = tmp_path / "model.json"
         small_model.save(path)
         payload = json.loads(path.read_text())
-        k, v = small_model.config.k, small_model.n_terms
-        z, first_doc = unpacked(payload["z"]), unpacked(payload["tokens"][0])
+        k, v, n = small_model.config.k, small_model.n_terms, small_model.tokens.size
+        z, tokens = unpacked(payload["z"], k, n), unpacked(payload["tokens"], v, n)
         if tamper == "z-in-range":
             z[0] = (z[0] + 1) % k
         elif tamper == "token-in-range":
-            first_doc[0] = (first_doc[0] + 1) % v
+            tokens[0] = (tokens[0] + 1) % v
         elif tamper == "z-truncated":
-            z.pop()
+            del z[-4:]  # one byte of 2-bit topics
         elif tamper == "topic-out-of-range":
-            z[0] = k
+            z[29] = k  # the last token of document 0
         elif tamper == "token-out-of-vocabulary":
-            first_doc[0] = v
+            tokens[30] = v  # the first token of document 1
         elif tamper == "doc-ids-short":
             payload["doc_ids"].pop()
+        elif tamper == "lengths-not-counts":
+            payload["lengths"][1] = 1.5
+        elif tamper == "lengths-sum-long":
+            payload["lengths"][0] += 1
+        elif tamper == "lengths-sum-short":
+            payload["lengths"][0] -= 1
+            tokens[-1] = 1  # the id that falls in the padding
         elif tamper == "doc-id-not-a-string":
             payload["doc_ids"][2] = 7
         elif tamper == "trace-not-numbers":
             payload["log_likelihood_trace"][0] = True
         elif tamper == "format-1":
             payload["format_version"] = 1
-        payload["z"], payload["tokens"][0] = packed(z), packed(first_doc)
+        payload["z"], payload["tokens"] = packed(z, k), packed(tokens, v)
+        doc_tokens = small_model.doc_tokens()
         if tamper == "format-2":  # term ids and topics as JSON numbers
-            payload.update(format_version=2, z=z,
-                           tokens=[unpacked(doc) for doc in payload["tokens"]])
+            del payload["lengths"]
+            payload.update(format_version=2, z=z, tokens=[doc.tolist() for doc in doc_tokens])
+        elif tamper == "format-3":  # a string per document, a byte per term id or topic
+            del payload["lengths"]
+            payload.update(format_version=3, z=base64.b64encode(bytes(z)).decode(),
+                           tokens=[base64.b64encode(bytes(doc.tolist())).decode()
+                                   for doc in doc_tokens])
         elif tamper == "z-a-list":
             payload["z"] = z
         elif tamper == "z-outside-the-alphabet":
@@ -324,29 +342,17 @@ class TestPersistence:
         with pytest.raises(ValueError, match=self.TAMPERED[tamper]):
             lda.TopicModel.load(path, small_model.vocabulary)
 
-    def test_odd_byte_count_at_width_2_rejected(self, tmp_path):
-        """Past 256 terms a term id takes two bytes, so three bytes are no ids."""
-        corpus = build_corpus([[299, 0, 5]], [f"w{i}" for i in range(300)])
-        model = lda.train(corpus, lda.TrainingConfig(k=2, seed=1, iterations=1))
-        path = tmp_path / "model.json"
-        model.save(path)
-        payload = json.loads(path.read_text())
-        assert unpacked(payload["tokens"][0], width=2) == [299, 0, 5]
-        payload["tokens"][0] = packed([43, 1, 0, 0, 5])  # five bytes
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=re.escape(
-                "field 'tokens' entry 0 (doc0) is not base64 of term ids in [0, V): "
-                "5 bytes, not a multiple of 2")):
-            lda.TopicModel.load(path, model.vocabulary)
-
     def test_file_holds_no_derived_counts(self, small_model, tmp_path):
         path = tmp_path / "model.json"
         small_model.save(path)
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == 3
+        assert payload["format_version"] == 4
         assert not {"doc_index", "n_wt", "n_td"} & set(payload)
-        assert [len(unpacked(doc)) for doc in payload["tokens"]] == small_model.n_d.tolist()
-        assert unpacked(payload["z"]) == small_model.z.tolist()
+        assert payload["lengths"] == small_model.n_d.tolist() == [30] * 6
+        n = small_model.tokens.size
+        assert unpacked(payload["tokens"], 12, n) == small_model.tokens.tolist()
+        assert unpacked(payload["z"], 3, n) == small_model.z.tolist()
+        assert len(payload["tokens"]) == 4 * -(-n * 4 // 24)  # 4 bits an id at V = 12
 
 
 @st.composite

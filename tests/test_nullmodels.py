@@ -19,7 +19,6 @@ from textforage.nullmodels import (
     greedy_shortest_path,
     null_ensemble,
     rank_distribution,
-    step_ranks,
 )
 from textforage.seeds import rng_from
 
@@ -32,6 +31,13 @@ from conftest import (
     reference_rank_payload,
     reference_step_ranks,
 )
+
+
+def step_ranks(dists, order):
+    """Reading-choice ranks of `order` as `rank_distribution` takes them,
+    from the rank table of the full divergence matrix."""
+    return nullmodels._ranks_from_matrix(nullmodels._rank_table(nullmodels.kl_matrix(dists)),
+                                         order)
 
 
 def order_from_days(pub_days, slot_days, base=datetime.date(1840, 1, 1)):
