@@ -8,8 +8,8 @@
  * the two give the same bits.  `uniforms` holds n_sweeps rows of
  * n_tokens draws: row s drives sweep s.  `probs` is k doubles of
  * scratch.  With `frozen` set, n_wt and n_t are read but never written
- * and only n_td moves.  `fit_batch` runs many fits of one query
- * document in one call.
+ * and only n_td moves.  `sweep` is the one exported function: a batch
+ * of query fits calls it once per sample.
  */
 
 #include <stdint.h>
@@ -73,23 +73,4 @@ void sweep(int64_t n_sweeps, int64_t n_tokens, const int32_t *tokens,
     else
         sweep_body(n_sweeps, n_tokens, tokens, docs, z, n_wt, n_td, n_t, v, k, n_docs,
                    alpha, beta, uniforms, probs, 0);
-}
-
-/* n_samples fits of one query document, each `sweep` on one document
- * (`docs` all 0) and on its own row of z, td and `uniforms`, the counts
- * already holding its initial z.  Tokens index the u rows of base_wt or
- * wt; v enters only v_beta.  With wt and n_t each sample moves its own
- * rows of them; without, it reads base_wt and base_t frozen. */
-void fit_batch(int64_t n_samples, int64_t n_sweeps, int64_t n_tokens,
-               const int32_t *tokens, const int32_t *docs, int32_t *z,
-               const int64_t *base_wt, const int64_t *base_t, int64_t *td,
-               int64_t *wt, int64_t *n_t, int64_t u, int64_t v, int64_t k,
-               double alpha, double beta, const double *uniforms, double *probs)
-{
-    int64_t frozen = !wt;
-    for (int64_t s = 0; s < n_samples; s++)
-        sweep(n_sweeps, n_tokens, tokens, docs, z + s * n_tokens,
-              frozen ? (int64_t *)base_wt : wt + s * u * k, td + s * k,
-              frozen ? (int64_t *)base_t : n_t + s * k, v, k, 1, alpha, beta,
-              uniforms + s * n_sweeps * n_tokens, probs, frozen);
 }

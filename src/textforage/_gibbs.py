@@ -74,9 +74,7 @@ def _open(path: Path):
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.sweep.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr, ptr,
                           i64, i64, i64, f64, f64, ptr, ptr, i64]
-    lib.fit_batch.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                              i64, i64, i64, f64, f64, ptr, ptr]
-    lib.sweep.restype = lib.fit_batch.restype = None
+    lib.sweep.restype = None
     return lib
 
 

@@ -4,12 +4,13 @@ Raw texts become lower-cased, ASCII-folded, punctuation- and
 numeral-free token streams; a frequency-filtered vocabulary maps the
 retained types to dense integer ids; documents are stored as id
 sequences alongside their reading/publication metadata.  A corpus file
-(format 4) holds the documents as six equal-length columns (id,
+(format 5) holds the documents as six equal-length columns (id,
 read_date, pub_date, order_index, length, dropped), the documents'
-term ids, concatenated, as one packed string `token_ids`, and the
-`settings` it was prepared with, written as JSON without separator
-whitespace.  `pack_ids` stores each value in the fewest bits its bound
-allows; the model files use it for their tokens and topics too.
+term ids, concatenated, as one packed string `token_ids`, a
+`tokens_sha256` over the lengths and the term ids, and the `settings`
+it was prepared with, written as JSON without separator whitespace.
+`pack_ids` stores each value in the fewest bits its bound allows; the
+model files use it for their tokens and topics too.
 
 Stemming is deliberately not offered: collapsing inflected forms hurts
 topic quality, so the tokenizer exposes no option for it.
@@ -46,7 +47,7 @@ __all__ = [
     "load_manifest",
 ]
 
-CORPUS_FORMAT_VERSION = 4
+CORPUS_FORMAT_VERSION = 5
 # the columns of a corpus file's `documents`, one entry per document each,
 # and what each entry must be; `documents.token_ids` is one packed string
 _DOCUMENT_COLUMNS = {
@@ -411,21 +412,22 @@ class Corpus:
         equal-length columns in document order and the documents' term
         ids, concatenated, as one `pack_ids` string."""
         specs = [d.spec for d in self.documents]
+        lengths = [d.retained for d in self.documents]
+        tokens = np.concatenate([np.zeros(0, np.int32), *(d.token_ids for d in self.documents)])
         payload = {
             "format_version": CORPUS_FORMAT_VERSION,
             "kind": "corpus",
             "metadata": metadata or {},
             "vocabulary": self.vocabulary.to_payload(),
+            "tokens_sha256": ids_sha256(np.array(lengths), tokens),
             "documents": {
                 "id": [s.id for s in specs],
                 "read_date": [str(s.read_date) if s.read_date else None for s in specs],
                 "pub_date": [str(s.pub_date) if s.pub_date else None for s in specs],
                 "order_index": [s.order_index for s in specs],
-                "length": [d.retained for d in self.documents],
+                "length": lengths,
                 "dropped": [d.dropped for d in self.documents],
-                "token_ids": pack_ids(
-                    np.concatenate([np.zeros(0, np.int32), *(d.token_ids for d in self.documents)]),
-                    len(self.vocabulary)),
+                "token_ids": pack_ids(tokens, len(self.vocabulary)),
             },
             "skipped_empty": list(self.skipped_empty),
             "warnings": list(self.warnings),
@@ -445,7 +447,8 @@ class Corpus:
         entry of the wrong type (naming the document too), or a
         `documents.token_ids` that does not unpack to as many term ids
         in [0, V) as `documents.length` sums to (naming the document
-        that holds an id at or above V).
+        that holds an id at or above V), or lengths and term ids that do
+        not hash to `tokens_sha256`.
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or payload.get("kind") != "corpus":
@@ -482,6 +485,9 @@ class Corpus:
                   for name, kind in _DOCUMENT_COLUMNS.items()}
         tokens = _read_packed("documents.token_ids", columns.get("token_ids"), len(vocab),
                               "base64 of term ids in [0, V)", values["length"], ids)
+        if payload["tokens_sha256"] != ids_sha256(np.array(values["length"]), tokens):
+            raise ValueError(f"{path}: documents.length or documents.token_ids do not match "
+                             "tokens_sha256")
         docs = tuple(
             EncodedDocument(
                 spec=DocumentSpec(
@@ -539,6 +545,17 @@ def _read_column(field: str, entries: list, reader, kind: str, labels: list) -> 
             raise ValueError(f"field '{field}' entry {i} ({labels[i]}) is not {kind}"
                              f"{reason}") from None
     return values
+
+
+def ids_sha256(*arrays: np.ndarray) -> str:
+    """SHA-256 over integer arrays, each entering as its size and then
+    its values, every number a little-endian int64, so the byte stream
+    fixes every array."""
+    h = hashlib.sha256()
+    for values in arrays:
+        h.update(values.size.to_bytes(8, "little"))
+        h.update(values.astype("<i8").tobytes())
+    return h.hexdigest()
 
 
 def _bits(bound: int) -> int:

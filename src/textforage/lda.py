@@ -30,7 +30,6 @@ rebuilds every count matrix from z.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -40,7 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _gibbs
-from .corpus import Corpus, Vocabulary, _count, _read_column, _read_packed, _string, pack_ids
+from .corpus import (Corpus, Vocabulary, _count, _read_column, _read_packed, _string,
+                     ids_sha256, pack_ids)
 from .errors import NumericalDegeneracyError
 from .seeds import derive_seed, rng_from
 
@@ -168,33 +168,27 @@ def sweep(tokens, docs, z, n_wt, n_td, n_t, alpha: float, beta: float, uniforms)
     _checked("z", z, np.int32, (n,), writeable=True)
     _, n_docs = _checked("n_td", n_td, np.int64, (k, -1), writeable=True)
     _checked("n_t", n_t, np.int64, (k,), writeable=True)
-    n_sweeps, _ = _checked("uniforms", uniforms, np.float64, (-1, n))
+    _checked("uniforms", uniforms, np.float64, (-1, n))
     _in_range("tokens", tokens, v)
     _in_range("docs", docs, n_docs)
     _in_range("z", z, k)
-    probs = np.empty(k, dtype=np.float64)
-    lib, _ = _gibbs.load()
-    if lib is None:
-        _sweep_kernel(tokens, docs, z, n_wt, n_td, n_t, v, alpha, beta, uniforms, probs)
-        return
-    lib.sweep(n_sweeps, n, tokens.ctypes.data, docs.ctypes.data, z.ctypes.data,
-              n_wt.ctypes.data, n_td.ctypes.data, n_t.ctypes.data, v, k, n_docs,
-              alpha, beta, uniforms.ctypes.data, probs.ctypes.data, 0)
+    _run_sweeps(tokens, docs, z[None], n_wt[None], n_td[None], n_t[None], v, alpha, beta,
+                uniforms[None], frozen=False)
 
 
 def fit_batch(tokens, z, base_wt, base_t, v: int, alpha: float, beta: float, uniforms,
               drifting: bool) -> tuple:
-    """m fits of one query document in one kernel call (`fit_batch` in
-    `_gibbs.c`): tokens (n,) index base_wt (u, k); z (m, n) goes from
-    initial to final topics; uniforms is (m, n_sweeps, n).  Returns the
-    topic counts (m, k), word-topic rows (m, u, k) and totals (m, k):
-    the final ones if `drifting`, else read-only views of the base.
-    Array rules as for `sweep`."""
+    """m fits of one query document, one kernel call each: tokens (n,)
+    index base_wt (u, k); z (m, n) goes from initial to final topics;
+    uniforms is (m, n_sweeps, n).  Returns the topic counts (m, k),
+    word-topic rows (m, u, k) and totals (m, k): the final ones if
+    `drifting`, else read-only views of the base.  Array rules as for
+    `sweep`."""
     (n,) = _checked("tokens", tokens, np.int32, (-1,))
     u, k = _checked("base_wt", base_wt, np.int64, (-1, -1))
     m, _ = _checked("z", z, np.int32, (-1, n), writeable=True)
     _checked("base_t", base_t, np.int64, (k,))
-    _, n_sweeps, _ = _checked("uniforms", uniforms, np.float64, (m, -1, n))
+    _checked("uniforms", uniforms, np.float64, (m, -1, n))
     _in_range("tokens", tokens, u)
     _in_range("z", z, k)
     sample = np.arange(m)[:, None]
@@ -203,19 +197,33 @@ def fit_batch(tokens, z, base_wt, base_t, v: int, alpha: float, beta: float, uni
     if drifting:  # each sample's own copy of the base counts plus its z
         hist = np.bincount(((sample * u + tokens) * k + z).ravel(), minlength=m * u * k)
         wt, n_t = base_wt + hist.reshape(m, u, k), base_t + td
-    docs = np.zeros(n, dtype=np.int32)
+    _run_sweeps(tokens, np.zeros(n, dtype=np.int32), z, wt, td[:, :, None], n_t, v, alpha,
+                beta, uniforms, frozen=not drifting)
+    return td, wt, n_t
+
+
+def _run_sweeps(tokens, docs, z, n_wt, n_td, n_t, v, alpha, beta, uniforms, frozen) -> None:
+    """For each s, the sweeps of `uniforms[s]` on z[s], n_wt[s], n_td[s]
+    and n_t[s], in the compiled kernel or, without it, in `_sweep_kernel`.
+    Arrays are as `sweep` checks them, with a leading sample axis; a
+    frozen sample's n_wt and n_t may be one array broadcast to all."""
+    m, n_sweeps, n = uniforms.shape
+    k, n_docs = n_td.shape[1:]
     probs = np.empty(k, dtype=np.float64)
     lib, _ = _gibbs.load()
     if lib is None:
         for s in range(m):
-            _sweep_kernel(tokens, docs, z[s], wt[s], td[s, :, None], n_t[s], v, alpha, beta,
-                          uniforms[s], probs, frozen=not drifting)
-        return td, wt, n_t
-    lib.fit_batch(m, n_sweeps, n, tokens.ctypes.data, docs.ctypes.data, z.ctypes.data,
-                  base_wt.ctypes.data, base_t.ctypes.data, td.ctypes.data,
-                  wt.ctypes.data if drifting else None, n_t.ctypes.data if drifting else None,
-                  u, v, k, alpha, beta, uniforms.ctypes.data, probs.ctypes.data)
-    return td, wt, n_t
+            _sweep_kernel(tokens, docs, z[s], n_wt[s], n_td[s], n_t[s], v, alpha, beta,
+                          uniforms[s], probs, frozen)
+        return
+    # every address read once; sample s is at its array's s-th step along axis 0
+    tokens_p, docs_p, probs_p = tokens.ctypes.data, docs.ctypes.data, probs.ctypes.data
+    per_sample = (z, n_wt, n_td, n_t, uniforms)
+    bases, strides = [a.ctypes.data for a in per_sample], [a.strides[0] for a in per_sample]
+    for s in range(m):
+        z_s, wt_s, td_s, t_s, u_s = (base + s * stride for base, stride in zip(bases, strides))
+        lib.sweep(n_sweeps, n, tokens_p, docs_p, z_s, wt_s, td_s, t_s, v, k, n_docs, alpha,
+                  beta, u_s, probs_p, frozen)
 
 
 def gibbs_backend() -> str:
@@ -365,16 +373,8 @@ class TopicModel:
     # -- persistence
 
     def assignments_sha256(self) -> str:
-        """SHA-256 over the document lengths, the tokens and z.
-
-        Each array enters as its size and then its values, every number
-        a little-endian int64, so the byte stream fixes all three arrays.
-        """
-        h = hashlib.sha256()
-        for values in (self.n_d, self.tokens, self.z):
-            h.update(values.size.to_bytes(8, "little"))
-            h.update(values.astype("<i8").tobytes())
-        return h.hexdigest()
+        """`corpus.ids_sha256` over the document lengths, the tokens and z."""
+        return ids_sha256(self.n_d, self.tokens, self.z)
 
     def save(self, path: str | Path, metadata: dict | None = None) -> None:
         """Write the underivable state as compact JSON: the document

@@ -90,21 +90,32 @@ def kl_divergence_rows(q_rows: np.ndarray, p_rows: np.ndarray) -> np.ndarray:
     The last axis holds the distributions and is reduced; `q_rows` and
     `p_rows` broadcast against each other over any leading axes, so a
     single vector `p_rows` serves every row of `q_rows`.  Rows are
-    assumed already validated.  Terms with q_i = 0 contribute nothing;
-    q_i > 0 against p_i = 0 is an infinite divergence and raises rather
-    than clamping, because any upstream smoothing should have prevented
-    it.
+    assumed already validated.  Terms with q_i = 0 contribute nothing.
+    A row whose sum is infinite (q_i > 0 against p_i = 0, or a p_i so
+    small that q_i / p_i overflows) raises rather than clamping, because
+    any upstream smoothing should have prevented it; finite sums are
+    clamped at 0.
     """
     q = np.atleast_2d(np.asarray(q_rows, dtype=np.float64))
     p = np.atleast_2d(np.asarray(p_rows, dtype=np.float64))
+    return np.maximum(_finite(_kl_sums(q, p)), 0.0)
+
+
+def _kl_sums(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of q_i log2(q_i / p_i), terms with q_i = 0
+    taken as 0: infinite where some q_i > 0 meets p_i = 0 or where the
+    ratio overflows.  Unclamped, so rounding may leave a sum just below 0."""
     support = q > 0
-    if ((p <= 0) & support).any():
-        raise NumericalDegeneracyError(
-            "infinite divergence: q has mass where p has none"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.where(support, q * np.log2(np.where(support, q, 1.0) / p), 0.0)
-    return np.maximum(terms.sum(axis=-1), 0.0)
+    return terms.sum(axis=-1)
+
+
+def _finite(divergences: np.ndarray) -> np.ndarray:
+    """`divergences`, once none of them is infinite."""
+    if np.isinf(divergences).any():
+        raise NumericalDegeneracyError("infinite divergence: q has mass where p has none")
+    return divergences
 
 
 def js_divergence(p, q) -> float:
@@ -137,12 +148,7 @@ def _js_divergence_one_to_many(p: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
     that noise).
     """
     m = 0.5 * (q_rows + p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_terms = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0) / m), 0.0)
-        q_terms = np.where(
-            q_rows > 0, q_rows * np.log2(np.where(q_rows > 0, q_rows, 1.0) / m), 0.0
-        )
-    return np.maximum(0.5 * p_terms.sum(axis=1) + 0.5 * q_terms.sum(axis=1), 0.0)
+    return np.maximum(0.5 * _kl_sums(p, m) + 0.5 * _kl_sums(q_rows, m), 0.0)
 
 
 def js_distance_pairs(a, b, first, second) -> np.ndarray:

@@ -23,10 +23,10 @@ nearest-neighbor reading path, and log-binned rank distributions of
 reading choices.
 
 The null layer reads one divergence matrix per model, `kl_matrix`:
-entry ``[c, r]`` is KL(theta_r || theta_c), filled by
-`kl_divergence_rows` in blocks of rows, so every reading of it has the
-bits of the series it stands for.  The t2t series of the actual order
-and of every permutation are ``d[order[:-1], order[1:]]``, and the
+entry ``[c, r]`` is KL(theta_r || theta_c), filled in blocks of rows
+by the KL sum behind `kl_divergence_rows`, so every reading of it has
+the bits of the series it stands for.  The t2t series of the actual
+order and of every permutation are ``d[order[:-1], order[1:]]``, and the
 greedy t2t path takes the first minimum of ``d[current, remaining]``;
 t2p series are measured in blocks of permutations by `surprise_values`.
 Reading-choice ranks compare per-row competition ranks of the matrix,
@@ -34,9 +34,9 @@ built once (int16 while n < 2**15), so each order costs one n x n
 gather of small integers.  The matrix is O(n^2) in memory (2.9 MB of
 float64 at 600 items).  A pair where theta_r has mass where theta_c has
 none is stored as infinite, and only a series step, greedy step or rank
-that reads such an entry raises `NumericalDegeneracyError`.  Block
-temporaries hold about `BLOCK_NUMBERS` floats, which keeps peak memory
-flat.
+that reads such an entry raises `NumericalDegeneracyError`, as
+`kl_divergence_rows` would.  Block temporaries hold about
+`BLOCK_NUMBERS` floats, which keeps peak memory flat.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Corpus, as_earliest, as_latest
-from .errors import NumericalDegeneracyError
-from .measures import kl_divergence_rows, surprise_values
+from .measures import _finite, _kl_sums, kl_divergence_rows, surprise_values
 from .seeds import derive_seed, rng_from
 
 __all__ = [
@@ -281,7 +280,7 @@ def null_ensemble(
     def series(orders: np.ndarray, mode: str) -> np.ndarray:
         if mode == "t2p":
             return surprise_values(theta[orders], "t2p")
-        return _t2t_values(d, orders[..., :-1], orders[..., 1:])
+        return _finite(d[orders[..., :-1], orders[..., 1:]])
 
     actual_series = {m: series(np.arange(len(order)), m) for m in modes}
     schedule = order.schedule
@@ -366,7 +365,7 @@ def greedy_shortest_path(
     for _ in range(n - 1):
         remaining = np.flatnonzero(unvisited)
         if objective == "t2t":
-            costs = _t2t_values(d, path[-1], remaining)
+            costs = _finite(d[path[-1], remaining])
         else:
             reference = past_sum / len(path)
             costs = kl_divergence_rows(theta[remaining], reference / reference.sum())
@@ -378,34 +377,21 @@ def greedy_shortest_path(
 
 
 def kl_matrix(dists: np.ndarray) -> np.ndarray:
-    """``d[c, r] = KL(theta_r || theta_c)``; infinite where theta_r has
-    mass outside theta_c's support.
+    """``d[c, r] = KL(theta_r || theta_c)``, with the bits of
+    ``kl_divergence_rows(theta_r, theta_c)``; infinite exactly where that
+    call raises (theta_r has mass outside theta_c's support, or a ratio
+    overflows).
 
-    Built by `kl_divergence_rows` in blocks of rows; within a block a
-    pair with an infinite divergence is measured against theta_r itself
-    and then overwritten.
+    Filled by the same KL sum in blocks of rows, each entry clamped at 0.
     """
     theta = np.asarray(dists, dtype=np.float64)
     n = theta.shape[0]
     d = np.empty((n, n))
     step = max(1, BLOCK_NUMBERS // theta.size)
     for start in range(0, n, step):
-        reference = theta[start : start + step, None, :]
-        infinite = np.any((theta > 0) & (reference <= 0), axis=-1)
-        if infinite.any():
-            reference = np.where(infinite[..., None], theta, reference)
-        d[start : start + step] = kl_divergence_rows(theta, reference)
-        d[start : start + step][infinite] = np.inf
+        d[start : start + step] = np.maximum(_kl_sums(theta, theta[start : start + step, None]),
+                                             0.0)
     return d
-
-
-def _t2t_values(d: np.ndarray, before, after) -> np.ndarray:
-    """t2t surprises ``d[before, after]``, raising where one is
-    infinite, as `kl_divergence_rows` would."""
-    values = d[before, after]
-    if np.isinf(values).any():
-        raise NumericalDegeneracyError("infinite divergence: q has mass where p has none")
-    return values
 
 
 class _RankTable(NamedTuple):
@@ -457,10 +443,7 @@ def _ranks_from_matrix(table: _RankTable, order: Sequence[int]) -> np.ndarray:
     current = order[:-1]
     unread = position > steps[:, None]
     risky = np.flatnonzero(table.inf_rows[current])
-    if risky.size and np.isinf(table.d[current[risky]])[unread[risky]].any():
-        raise NumericalDegeneracyError(
-            "infinite divergence: q has mass where p has none"
-        )
+    _finite(table.d[current[risky]][unread[risky]])
     costs = table.ranks[current]
     chosen = costs[steps, order[1:]]
     nearer = np.add.reduce((costs < chosen[:, None]) & unread, axis=1, dtype=small)

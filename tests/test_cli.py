@@ -21,7 +21,7 @@ import yaml
 
 import textforage
 from textforage import _gibbs, cli, lda, modelcompare, nullmodels
-from textforage.corpus import Corpus
+from textforage.corpus import Corpus, DocumentSpec, Vocabulary, encode_corpus
 from textforage.errors import ConfigError
 from textforage.measures import surprise_series, surprise_values
 from textforage.seeds import derive_seed, rng_from
@@ -586,12 +586,14 @@ class TestStaleArtifacts:
          "unsupported corpus format_version 2"),
         (lambda payload: TestStaleArtifacts._as_format(payload, 3),
          "unsupported corpus format_version 3"),
+        (lambda payload: payload.update(format_version=4) or payload.pop("tokens_sha256"),
+         "unsupported corpus format_version 4"),
         (lambda payload: payload["documents"]["length"].__setitem__(0, -1),
          "field 'documents.length' entry 0 (doc000) is not a non-negative integer"),
     ], ids=["format-1", "missing-column", "short-column", "order-index-not-a-number",
             "token-id-out-of-range", "term-not-a-string", "negative-frequency",
             "terms-mapping", "warnings-not-a-list", "skipped-not-a-list", "format-2",
-            "format-3", "negative-length"])
+            "format-3", "format-4", "negative-length"])
     def test_malformed_corpus_names_the_file(self, tmp_path, capsys, tamper, named):
         config = small_pipeline(tmp_path)
         assert run_cli("prepare", "--config", config) == 0
@@ -604,6 +606,24 @@ class TestStaleArtifacts:
         err = capsys.readouterr().err
         assert "corpus.json" in err and named in err and "`prepare`" in err
         assert not (tmp_path / "out" / "model_k2.json").exists()
+
+    def test_lengths_within_the_padding_name_the_digest(self, tmp_path, capsys):
+        """A two-term corpus saved with lengths [3, 1] and edited to
+        [3, 5]: the ids still fit `token_ids`' one byte, and the digest
+        stops `train` from reading its zero padding as term ids."""
+        config = small_pipeline(tmp_path)
+        vocab = Vocabulary(["a", "b"], [3, 1])
+        path = tmp_path / "out" / "corpus.json"
+        path.parent.mkdir()
+        encode_corpus([DocumentSpec(id="d0"), DocumentSpec(id="d1")],
+                      [["a", "a", "b"], ["a"]], vocab).save(path)
+        payload = json.loads(path.read_text())
+        payload["documents"]["length"] = [3, 5]
+        path.write_text(json.dumps(payload))
+        assert run_cli("train", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "corpus.json is stale or corrupt" in err and "tokens_sha256" in err
+        assert "rerun `prepare`" in err
 
     @pytest.mark.parametrize("name, producer, reader", [
         ("corpus.json", "prepare", "train"), ("model_k2.json", "train", "measure"),

@@ -1,7 +1,9 @@
 import base64
 import dataclasses
+import hashlib
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -205,7 +207,11 @@ class TestEncodeCorpus:
     def test_documents_are_columns(self, tmp_path):
         corpus, path = self._saved(tmp_path)
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == 4
+        assert payload["format_version"] == 5
+        digest = hashlib.sha256()  # each array's size, then its values, as <i8
+        for values in ([3, 1], [0, 0, 1, 0]):
+            digest.update(struct.pack(f"<{len(values) + 1}q", len(values), *values))
+        assert payload["tokens_sha256"] == digest.hexdigest()
         assert payload["documents"] == {
             "id": ['d, 0: "x"', "d1"],
             "read_date": ["1845-03", None],
@@ -240,6 +246,29 @@ class TestEncodeCorpus:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="unsupported corpus format_version 2"):
             Corpus.load(path)
+
+    def test_format_4_rejected(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 4  # no tokens_sha256
+        del payload["tokens_sha256"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported corpus format_version 4"):
+            Corpus.load(path)
+
+    def test_lengths_within_the_padding_do_not_match_the_digest(self, tmp_path):
+        """Lengths [3, 1] edited to [3, 5] still fit the one byte of
+        `token_ids`, whose zero padding would read as four more ids 0;
+        `tokens_sha256` rejects them, and a length moved between
+        documents too."""
+        _, path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        for lengths in ([3, 5], [2, 2]):
+            payload["documents"]["length"] = lengths
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match=re.escape(
+                    "documents.length or documents.token_ids do not match tokens_sha256")):
+                Corpus.load(path)
 
     def test_format_3_rejected(self, tmp_path):
         _, path = self._saved(tmp_path)

@@ -33,12 +33,13 @@ def compiled():
 
 
 def test_kernel_source_ships_as_package_data(monkeypatch):
-    """The source ships, and it exports exactly the functions `_open`
-    declares, each with one argtype per parameter."""
+    """The source ships, it exports one function, `sweep`, and `_open`
+    declares exactly that, with one argtype per parameter."""
     source = resources.files("textforage").joinpath("_gibbs.c")
     assert source.is_file()
     exported = {name.decode(): params.count(b",") + 1 for name, params in
                 re.findall(rb"^void (\w+)\(([^)]*)\)", source.read_bytes(), re.M)}
+    assert exported == {"sweep": 16}
 
     class Declared(dict):
         def __init__(self, path):

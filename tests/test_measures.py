@@ -76,6 +76,11 @@ class TestKLDivergence:
         with pytest.raises(NumericalDegeneracyError, match="infinite divergence"):
             kl_divergence([0.5, 0.5], [1.0, 0.0])
 
+    def test_subnormal_p_raises(self):
+        # 1 / 5e-324 overflows: an infinite divergence, raised with no warning
+        with pytest.raises(NumericalDegeneracyError, match="infinite divergence"):
+            kl_divergence([1, 0], [5e-324, 1])
+
     def test_zero_in_q_is_fine(self):
         assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0)
 

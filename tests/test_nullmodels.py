@@ -1,6 +1,7 @@
 import dataclasses
 import datetime
 import itertools
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +13,8 @@ from scipy import stats
 
 from textforage import nullmodels
 from textforage.errors import NumericalDegeneracyError
-from textforage.measures import kl_divergence, surprise_series, surprise_values
+from textforage.measures import (kl_divergence, kl_divergence_rows, surprise_series,
+                                 surprise_values)
 from textforage.nullmodels import (
     ReadingOrder,
     constrained_permutation,
@@ -388,6 +390,28 @@ def test_degenerate_pair_never_read_does_not_raise():
     # an already-read item off the current item's support is not a candidate
     theta = np.array([[0.4, 0.3, 0.3], [0.5, 0.5, 0.0], [0.3, 0.7, 0.0]])
     npt.assert_array_equal(step_ranks(theta, [0, 1, 2]), reference_step_ranks(theta, [0, 1, 2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 5)),
+                        elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                                           st.floats(5e-324, 2.2250738585072014e-308,
+                                                     allow_subnormal=True))),
+       block=st.integers(1, 48))
+@example(theta=np.array([[1.0, 0.0], [5e-324, 1.0], [0.5, 0.5]]), block=4)
+def test_kl_matrix_is_the_per_pair_divergence(theta, block):
+    """Rows holding zeros and positive subnormals, in blocks of any
+    size: every entry has the bits of `kl_divergence_rows` on its pair,
+    and is infinite exactly where that call raises."""
+    want = np.empty((len(theta), len(theta)))
+    for c, r in itertools.product(range(len(theta)), repeat=2):
+        try:
+            want[c, r] = kl_divergence_rows(theta[r], theta[c])[0]
+        except NumericalDegeneracyError:
+            want[c, r] = np.inf
+    with mock.patch.object(nullmodels, "BLOCK_NUMBERS", block):
+        got = nullmodels.kl_matrix(theta)
+    npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_bin_masses_follow_bit_length():
