@@ -59,7 +59,7 @@ from .corpus import (
     tokenize,
 )
 from .errors import ConfigError, MissingArtifactError, NumericalDegeneracyError
-from .measures import surprise_series, surprise_values
+from .measures import surprise_series
 from .nullmodels import ReadingOrder
 from .seeds import derive_seed
 
@@ -493,8 +493,7 @@ def stage_null(run: _Run) -> None:
         summary = comparison.summary_payload()
         for objective in modes:
             path = nullmodels.greedy_shortest_path(theta, start=0, objective=objective, d=d)
-            values = (d[path[:-1], path[1:]] if objective == "t2t"
-                      else surprise_values(theta[path], objective))
+            values = nullmodels.order_series(theta, d, path, objective)
             summary[objective]["greedy_mean_bits"] = float(values.mean())
         run.write_json(f"null_k{k}_summary.json", {"modes": summary})
         ranks = nullmodels.rank_distribution(

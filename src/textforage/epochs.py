@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .measures import BLOCK_NUMBERS
+
 __all__ = [
     "segment_loglik",
     "EpochModel",
@@ -35,9 +37,6 @@ __all__ = [
 DEFAULT_MIN_LEN = 10
 DEFAULT_VAR_FLOOR = 1e-9
 VARIANCE_MODES = ("mle", "legacy")
-# entries per block of the epoch DP's float temporaries (64 KB, under
-# glibc's 128 KB mmap threshold, so blocks reuse heap memory)
-_BLOCK = 2**13
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -143,15 +142,15 @@ def _cost_matrix(
     conditioning.  `legacy`'s segment mean sum / (m - 1) is not
     shift-equivariant, so there the raw values are summed, as
     `segment_loglik` scores them.  Rows are filled in blocks of at most
-    `_BLOCK` entries, each entry by the same elementwise expression as
-    one segment at a time.
+    `BLOCK_NUMBERS` entries, each entry by the same elementwise
+    expression as one segment at a time.
     """
     n = x.size
     y = x - x.mean() if variance_mode == "mle" else x
     s = np.concatenate([[0.0], np.cumsum(y)])
     q = np.concatenate([[0.0], np.cumsum(y**2)])
     cost = np.full((n + 1, n + 1), -np.inf)
-    step = max(_BLOCK // (n + 1), 1)
+    step = max(BLOCK_NUMBERS // (n + 1), 1)
     for lo in range(min_len, n + 1, step):
         hi = min(lo + step, n + 1)
         starts = hi - min_len  # every start some end in lo:hi can take
@@ -176,10 +175,10 @@ def _boundary_dp(cost: np.ndarray, most: int, min_len: int) -> np.ndarray:
     """back[e, j]: where the last of e epochs starts in the best cover of
     x[:j] by e = 2..most epochs, from `_cost_matrix`'s rows.
 
-    Ends are taken in blocks of at most `_BLOCK` candidates.  Starts
-    before the first feasible one are cut off, and those too close to
-    the end hold -inf, so each row's first maximum is the earliest best
-    boundary.
+    Ends are taken in blocks of at most `BLOCK_NUMBERS` candidates.
+    Starts before the first feasible one are cut off, and those too
+    close to the end hold -inf, so each row's first maximum is the
+    earliest best boundary.
     """
     n = cost.shape[0] - 1
     # dp[e][j]: best log-likelihood covering x[:j] with e epochs
@@ -188,7 +187,7 @@ def _boundary_dp(cost: np.ndarray, most: int, min_len: int) -> np.ndarray:
     dp[1] = cost[:, 0]
     for e in range(2, most + 1):
         lo = (e - 1) * min_len
-        step = max(_BLOCK // (n + 1 - lo), 1)
+        step = max(BLOCK_NUMBERS // (n + 1 - lo), 1)
         for j in range(e * min_len, n + 1, step):
             candidates = dp[e - 1, lo:] + cost[j : j + step, lo:]
             best = np.argmax(candidates, axis=1)

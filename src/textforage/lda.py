@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -73,19 +73,13 @@ class TrainingConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):  # NaN fails too
+            raise ValueError("alpha and beta must be positive and finite")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
 
     def to_payload(self) -> dict:
-        return {
-            "k": self.k,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "iterations": self.iterations,
-        }
+        return asdict(self)  # k, seed, alpha, beta, iterations, in that order
 
 
 # ---------------------------------------------------------------------------
@@ -174,32 +168,6 @@ def sweep(tokens, docs, z, n_wt, n_td, n_t, alpha: float, beta: float, uniforms)
     _in_range("z", z, k)
     _run_sweeps(tokens, docs, z[None], n_wt[None], n_td[None], n_t[None], v, alpha, beta,
                 uniforms[None], frozen=False)
-
-
-def fit_batch(tokens, z, base_wt, base_t, v: int, alpha: float, beta: float, uniforms,
-              drifting: bool) -> tuple:
-    """m fits of one query document, one kernel call each: tokens (n,)
-    index base_wt (u, k); z (m, n) goes from initial to final topics;
-    uniforms is (m, n_sweeps, n).  Returns the topic counts (m, k),
-    word-topic rows (m, u, k) and totals (m, k): the final ones if
-    `drifting`, else read-only views of the base.  Array rules as for
-    `sweep`."""
-    (n,) = _checked("tokens", tokens, np.int32, (-1,))
-    u, k = _checked("base_wt", base_wt, np.int64, (-1, -1))
-    m, _ = _checked("z", z, np.int32, (-1, n), writeable=True)
-    _checked("base_t", base_t, np.int64, (k,))
-    _checked("uniforms", uniforms, np.float64, (m, -1, n))
-    _in_range("tokens", tokens, u)
-    _in_range("z", z, k)
-    sample = np.arange(m)[:, None]
-    td = np.bincount((sample * k + z).ravel(), minlength=m * k).astype(np.int64).reshape(m, k)
-    wt, n_t = np.broadcast_to(base_wt, (m, u, k)), np.broadcast_to(base_t, (m, k))
-    if drifting:  # each sample's own copy of the base counts plus its z
-        hist = np.bincount(((sample * u + tokens) * k + z).ravel(), minlength=m * u * k)
-        wt, n_t = base_wt + hist.reshape(m, u, k), base_t + td
-    _run_sweeps(tokens, np.zeros(n, dtype=np.int32), z, wt, td[:, :, None], n_t, v, alpha,
-                beta, uniforms, frozen=not drifting)
-    return td, wt, n_t
 
 
 def _run_sweeps(tokens, docs, z, n_wt, n_td, n_t, v, alpha, beta, uniforms, frozen) -> None:
@@ -417,7 +385,12 @@ class TopicModel:
             )
         if payload["vocabulary_sha256"] != vocabulary.sha256():
             raise ValueError("vocabulary hash mismatch: wrong vocabulary for model")
-        config = TrainingConfig(**payload["config"])
+        config = payload["config"]  # a seed is a count too: PCG64 takes no negative one
+        readers = {"k": _count, "seed": _count, "alpha": _number, "beta": _number,
+                   "iterations": _count}
+        config = TrainingConfig(**{name: _field(f"config.{name}", config[name], read)
+                                   for name, read in readers.items()})
+        sweeps_done = _field("sweeps_done", payload["sweeps_done"], _count)
         doc_ids = _read_column("doc_ids", payload["doc_ids"], _string, "a string",
                                payload["doc_ids"])
         lengths = payload["lengths"]
@@ -437,13 +410,13 @@ class TopicModel:
             doc_ids=doc_ids,
             doc_tokens=np.split(tokens, np.cumsum(lengths)[:-1]),
             z=z,
-            rng=rng_from(derive_seed(config.seed, payload["sweeps_done"], "resume")),
+            rng=rng_from(derive_seed(config.seed, sweeps_done, "resume")),
         )
         if payload["assignments_sha256"] != model.assignments_sha256():
             raise ValueError(f"{path}: tokens or z do not match assignments_sha256")
         model.log_likelihood_trace = trace
-        if payload["sweeps_done"] != model.sweeps_done:
-            raise ValueError(f"{path}: sweeps_done {payload['sweeps_done']!r} is not the "
+        if sweeps_done != model.sweeps_done:
+            raise ValueError(f"{path}: sweeps_done {sweeps_done} is not the "
                              f"log_likelihood_trace length {model.sweeps_done}")
         return model
 
@@ -452,6 +425,14 @@ def _number(entry) -> float:
     if type(entry) not in (int, float):  # `type`: a bool is not a number
         raise TypeError
     return float(entry)
+
+
+def _field(name: str, value, reader):
+    """`value` through `reader`; a ValueError naming the field if it rejects it."""
+    try:
+        return reader(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"field '{name}' is {value!r}: wrong type or sign") from None
 
 
 # ---------------------------------------------------------------------------

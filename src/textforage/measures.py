@@ -33,6 +33,9 @@ __all__ = [
 
 #: Tolerated deviation of a probability vector's sum from 1.
 NORMALIZATION_TOL = 1e-9
+#: numbers per block here, in `nullmodels` and in `epochs`: 64 KB of float
+#: temporaries, under glibc's 128 KB mmap threshold, so blocks reuse heap memory
+BLOCK_NUMBERS = 2**13
 
 
 def as_distribution(values, tol: float = NORMALIZATION_TOL) -> np.ndarray:
@@ -145,10 +148,11 @@ def _js_divergence_one_to_many(p: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
 
     Uses the two-KL form so identical rows give exactly 0 (the entropy
     identity cancels imperfectly in float and the square root inflates
-    that noise).
+    that noise).  Each half, 0.5 KL(p | (p + q) / 2), is taken as
+    0.25 KL(2p | p + q): doubling is exact, halving a subnormal is not.
     """
-    m = 0.5 * (q_rows + p)
-    return np.maximum(0.5 * _kl_sums(p, m) + 0.5 * _kl_sums(q_rows, m), 0.0)
+    total = q_rows + p
+    return np.maximum(0.25 * _kl_sums(2 * p, total) + 0.25 * _kl_sums(2 * q_rows, total), 0.0)
 
 
 def js_distance_pairs(a, b, first, second) -> np.ndarray:
@@ -158,11 +162,10 @@ def js_distance_pairs(a, b, first, second) -> np.ndarray:
     Each block of pairs gathers its rows into new arrays, so every
     distance has the bits of `js_distance` of its two rows whatever the
     memory layout of `a` and `b`.  A block's temporaries hold at most
-    2**13 floats: 64 KB, under glibc's 128 KB mmap threshold, so blocks
-    reuse heap memory.
+    `BLOCK_NUMBERS` floats.
     """
     out = np.empty(len(first))
-    step = max(1, 2**13 // a.shape[1])
+    step = max(1, BLOCK_NUMBERS // a.shape[1])
     for s in range(0, len(first), step):
         block = slice(s, s + step)
         out[block] = _js_divergence_one_to_many(a[first[block]], b[second[block]])

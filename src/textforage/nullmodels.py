@@ -25,10 +25,11 @@ reading choices.
 The null layer reads one divergence matrix per model, `kl_matrix`:
 entry ``[c, r]`` is KL(theta_r || theta_c), filled in blocks of rows
 by the KL sum behind `kl_divergence_rows`, so every reading of it has
-the bits of the series it stands for.  The t2t series of the actual
-order and of every permutation are ``d[order[:-1], order[1:]]``, and the
-greedy t2t path takes the first minimum of ``d[current, remaining]``;
-t2p series are measured in blocks of permutations by `surprise_values`.
+the bits of the series it stands for.  `order_series` gives the series
+of the actual order, of every permutation and of the greedy paths: t2t
+is ``d[order[:-1], order[1:]]`` and t2p is measured, in blocks of
+permutations, by `surprise_values`.  The greedy t2t path takes the first
+minimum of ``d[current, remaining]``.
 Reading-choice ranks compare per-row competition ranks of the matrix,
 built once (int16 while n < 2**15), so each order costs one n x n
 gather of small integers.  The matrix is O(n^2) in memory (2.9 MB of
@@ -51,7 +52,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Corpus, as_earliest, as_latest
-from .measures import _finite, _kl_sums, kl_divergence_rows, surprise_values
+from .measures import BLOCK_NUMBERS, _finite, _kl_sums, kl_divergence_rows, surprise_values
 from .seeds import derive_seed, rng_from
 
 __all__ = [
@@ -59,17 +60,13 @@ __all__ = [
     "constrained_permutation",
     "NullComparison",
     "null_ensemble",
+    "order_series",
     "greedy_shortest_path",
     "kl_matrix",
     "RankDistribution",
     "rank_distribution",
 ]
 
-#: numbers per block: the float temporaries of one block of matrix rows
-#: or of permutations' series hold about this many (but at least one row
-#: or permutation), which keeps them under glibc's 128 KB mmap threshold,
-#: so they are reused from the heap instead of mapped afresh each block
-BLOCK_NUMBERS = 2**13
 #: pool items per block of permutations drawn in lockstep; a draw costs a
 #: few array operations per slot and block, so these blocks are wider
 DRAW_NUMBERS = 2**15
@@ -276,13 +273,7 @@ def null_ensemble(
         raise ValueError("dists and order are not aligned")
     if d is None and "t2t" in modes:
         d = kl_matrix(theta)
-
-    def series(orders: np.ndarray, mode: str) -> np.ndarray:
-        if mode == "t2p":
-            return surprise_values(theta[orders], "t2p")
-        return _finite(d[orders[..., :-1], orders[..., 1:]])
-
-    actual_series = {m: series(np.arange(len(order)), m) for m in modes}
+    actual_series = {m: order_series(theta, d, np.arange(len(order)), m) for m in modes}
     schedule = order.schedule
     per = max(1, DRAW_NUMBERS // len(order))
     permutations = np.vstack([
@@ -297,7 +288,7 @@ def null_ensemble(
     for start in range(0, n, step):
         block = permutations[start : start + step]
         for m in modes:
-            values = series(block, m)
+            values = order_series(theta, d, block, m)
             per_perm_means[m][start : start + step] = values.mean(axis=1)
             for row in values:
                 series_sums[m] += row
@@ -308,6 +299,15 @@ def null_ensemble(
         mean_by_mode=per_perm_means,
         null_series_by_mode={m: series_sums[m] / n for m in modes},
     )
+
+
+def order_series(theta: np.ndarray, d, orders: np.ndarray, mode: str) -> np.ndarray:
+    """The t2t or t2p series of the rows of `theta` read in `orders`
+    (one order, or a stack of them): t2t read off `d`, the
+    :func:`kl_matrix` of `theta`, t2p measured by `surprise_values`."""
+    if mode == "t2p":
+        return surprise_values(theta[orders], "t2p")
+    return _finite(d[orders[..., :-1], orders[..., 1:]])
 
 
 def _percentile(values: np.ndarray, q: float) -> np.ndarray:

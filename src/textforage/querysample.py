@@ -17,8 +17,8 @@ happens to the word-topic counts is governed by `phi_mode`:
 Because the sampler starts from a random assignment, repeated fits give
 different topic distributions; `sample_ensemble` collects them and
 `cluster_ensemble` groups the resulting interpretations.  It fits in
-blocks of samples on the calling thread: each sample's RNG set-up, then
-one kernel call for the block's sweeps, on the query's own rows only.
+blocks of samples on the calling thread: each sample's RNG set-up and
+counts, then one `lda._run_sweeps` call for the block's sweeps.
 """
 
 from __future__ import annotations
@@ -112,24 +112,33 @@ def fit_document(
 
 def _fit_blocks(model, tokens, seeds, iterations, phi_mode):
     """Fit `tokens` once per seed; yield (thetas, perplexities, final z)
-    per block of samples.  Each sample sweeps its own copy of just the
-    query's word-topic rows, all of a block's in one kernel call."""
+    per block of samples, on just the query's word-topic rows.  Locked
+    samples share the base rows and totals, broadcast with stride 0;
+    the others each sweep their own copy, plus their initial z."""
     if phi_mode not in PHI_MODES:
         raise ValueError(f"phi_mode must be one of {PHI_MODES}, got {phi_mode!r}")
     k, v, alpha, beta = model.config.k, model.n_terms, model.config.alpha, model.config.beta
     local_ids, local_tokens = np.unique(tokens, return_inverse=True)
     local_tokens, base_rows, n = local_tokens.astype(np.int32), model.n_wt[local_ids], tokens.size
+    locked, u, docs = phi_mode == "locked", local_ids.size, np.zeros(n, dtype=np.int32)
     block = max(1, BLOCK_NUMBERS // (iterations * n + base_rows.size))
     uniforms = np.empty((min(block, len(seeds)), iterations, n))  # reused by every block
     for start in range(0, len(seeds), block):
         chunk = seeds[start : start + block]
-        z = np.empty((len(chunk), n), dtype=np.int32)
+        m, z = len(chunk), np.empty((len(chunk), n), dtype=np.int32)
         for j, seed in enumerate(chunk):
             rng = rng_from(seed)
             z[j] = rng.integers(0, k, n, dtype=np.int32)
             rng.random(out=uniforms[j])
-        td, wt, n_t = lda.fit_batch(local_tokens, z, base_rows, model.n_t, v, alpha, beta,
-                                    uniforms[: len(chunk)], phi_mode != "locked")
+        sample = np.arange(m)[:, None]
+        td = np.bincount((sample * k + z).ravel(), minlength=m * k).astype(np.int64).reshape(m, k)
+        if locked:
+            wt, n_t = np.broadcast_to(base_rows, (m, u, k)), np.broadcast_to(model.n_t, (m, k))
+        else:
+            hist = np.bincount(((sample * u + local_tokens) * k + z).ravel(), minlength=m * u * k)
+            wt, n_t = base_rows + hist.reshape(m, u, k), model.n_t + td
+        lda._run_sweeps(local_tokens, docs, z, wt, td[:, :, None], n_t, v, alpha, beta,
+                        uniforms[:m], frozen=locked)
         thetas = (td + alpha) / (n + k * alpha)
         yield thetas, np.array([
             lda.perplexity_from_distributions(theta, (rows + beta) / (t + v * beta),

@@ -446,6 +446,34 @@ class TestStaleArtifacts:
         assert "model_k2.json" in err and "sweeps_done 19" in err and "`train`" in err
         assert not list((tmp_path / "out").glob("null_*"))
 
+    @pytest.mark.parametrize("tamper, named", [
+        (lambda p: p.update(sweeps_done=True, log_likelihood_trace=p["log_likelihood_trace"][:1]),
+         "field 'sweeps_done' is True: wrong type or sign"),
+        (lambda p: p["config"].update(iterations=True), "field 'config.iterations' is True:"),
+        (lambda p: p["config"].update(k=2.0), "field 'config.k' is 2.0:"),
+        (lambda p: p["config"].update(alpha="0.1"), "field 'config.alpha' is '0.1':"),
+        (lambda p: p["config"].update(seed=False), "field 'config.seed' is False:"),
+        (lambda p: p["config"].update(seed=-1), "field 'config.seed' is -1:"),
+        (lambda p: p["config"].update(beta=float("nan")), "must be positive and finite"),
+    ], ids=["sweeps-done-true", "iterations-true", "k-float", "alpha-string", "seed-false",
+            "seed-negative", "beta-nan"])
+    def test_malformed_model_field_is_named(self, tmp_path, capsys, tamper, named):
+        """A JSON bool is no count or seed and a string no number: `load`
+        names the field, so no stage reads `true` as 1.  A seed is a count:
+        PCG64 takes no negative seed, so no model was trained from one.
+        JSON's NaN is a number, but no prior."""
+        config = small_pipeline(tmp_path)
+        assert run_cli("prepare", "--config", config) == 0
+        assert run_cli("train", "--config", config) == 0
+        path = tmp_path / "out" / "model_k2.json"
+        payload = json.loads(path.read_text())
+        tamper(payload)
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("measure", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "model_k2.json is stale or corrupt" in err and named in err and "`train`" in err
+
     def test_model_of_another_reading_order_is_stale(self, tmp_path, capsys):
         config = small_pipeline(tmp_path)
         assert run_cli("prepare", "--config", config) == 0

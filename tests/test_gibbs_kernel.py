@@ -146,13 +146,16 @@ def test_full_kernel_is_bit_equal_to_the_oracle(state):
 def test_locked_kernel_is_bit_equal_to_the_oracle(state):
     """The full kernel on one document with `frozen` set, in Python and
     in C, is the locked sweep of `reference_sweep_locked`, and leaves the
-    word-topic counts as they were."""
+    word-topic counts as they were; so is `lda._run_sweeps` on samples
+    that share one base broadcast with stride 0, as locked query
+    sampling passes it."""
     compiled()
     tokens, _, z, v, _, k, alpha, beta, uniforms = state
     base_wt = np.random.default_rng(k).integers(0, 50, (v, k)).astype(np.int64)
     base_t = base_wt.sum(axis=0)
     docs = np.zeros(tokens.size, np.int32)
-    oracle = [z.copy(), np.bincount(z, minlength=k).astype(np.int64)]
+    start_td = np.bincount(z, minlength=k).astype(np.int64)
+    oracle = [z.copy(), start_td.copy()]
     # z, n_wt, n_td (k x 1) and n_t, in the order `sweep` takes them
     frozen = {name: [z.copy(), base_wt.copy(), oracle[1].reshape(k, 1).copy(), base_t.copy()]
               for name in ("python", "C")}
@@ -168,16 +171,19 @@ def test_locked_kernel_is_bit_equal_to_the_oracle(state):
         for name, probs in got.items():
             npt.assert_array_equal(probs.view(np.int64), want.view(np.int64),
                                    err_msg=f"{name} probs")
-    one_z = z[None].copy()
-    one_td, _, _ = lda.fit_batch(tokens, one_z, base_wt, base_t, v, alpha, beta,
-                                 uniforms[None].copy(), drifting=False)
+    batch_z, batch_td = np.stack([z, z]), np.stack([start_td, start_td])[:, :, None]
+    shared_wt, shared_t = np.broadcast_to(base_wt, (2, v, k)), np.broadcast_to(base_t, (2, k))
+    assert shared_wt.strides[0] == shared_t.strides[0] == 0
+    lda._run_sweeps(tokens, docs, batch_z, shared_wt, batch_td, shared_t, v, alpha, beta,
+                    np.stack([uniforms, uniforms]), frozen=True)
     for name, (z_run, wt_run, td_run, t_run) in frozen.items():
         npt.assert_array_equal(z_run, oracle[0], err_msg=f"{name} z")
         npt.assert_array_equal(td_run[:, 0], oracle[1], err_msg=f"{name} td")
         npt.assert_array_equal(wt_run, base_wt, err_msg=f"{name} n_wt")
         npt.assert_array_equal(t_run, base_t, err_msg=f"{name} n_t")
-    npt.assert_array_equal(one_z[0], oracle[0], err_msg="fit_batch z")
-    npt.assert_array_equal(one_td[0], oracle[1], err_msg="fit_batch td")
+    for s in range(2):
+        npt.assert_array_equal(batch_z[s], oracle[0], err_msg=f"batched z of sample {s}")
+        npt.assert_array_equal(batch_td[s, :, 0], oracle[1], err_msg=f"batched td of sample {s}")
     npt.assert_array_equal(base_wt, np.random.default_rng(k).integers(0, 50, (v, k)))
     npt.assert_array_equal(base_t, base_wt.sum(axis=0))
 
@@ -294,23 +300,6 @@ def test_sweep_rejects_arrays_it_cannot_take(case):
     args[name] = make(args)
     with pytest.raises(ValueError, match=f"^{name}: "):
         lda.sweep(**args)
-
-
-@pytest.mark.parametrize("name, bad", [
-    ("base_wt", np.zeros((4, 3), np.int32)),
-    ("base_t", np.zeros(2, np.int64)),
-    ("z", np.zeros((2, 10), np.int32)[:, ::2]),
-    ("uniforms", np.full((2, 1, 4), 0.5)),
-    ("z", np.full((2, 5), 3, np.int32)),
-])
-def test_locked_sweep_rejects_arrays_it_cannot_take(name, bad):
-    args = {"tokens": np.arange(5, dtype=np.int32) % 4, "z": np.zeros((2, 5), np.int32),
-            "base_wt": np.zeros((4, 3), np.int64), "base_t": np.zeros(3, np.int64),
-            "v": 4, "alpha": 0.1, "beta": 0.01, "uniforms": np.full((2, 1, 5), 0.5),
-            "drifting": False}
-    args[name] = bad
-    with pytest.raises(ValueError, match=f"^{name}: "):
-        lda.fit_batch(**args)
 
 
 FALLBACK_RUN = """

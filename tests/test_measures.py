@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -120,6 +121,15 @@ class TestJensenShannon:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             js_divergence([0.5, 0.5], [0.2, 0.3, 0.5])
+
+    def test_subnormal_against_zero_stays_finite(self):
+        # halving 5e-324 into the midpoint (p + q) / 2 rounds it to 0, which
+        # made p / m infinite; the divergence is about 1e-323, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert js_divergence([5e-324, 1], [0, 1]) == pytest.approx(0.0, abs=1e-300)
+            dist = js_distance_matrix([[5e-324, 1], [0, 1]])
+        npt.assert_allclose(dist, np.zeros((2, 2)), rtol=0, atol=1e-150)
 
     def test_metric_axioms_on_random_triples(self):
         # symmetry, identity, triangle inequality; high-dimensional to
