@@ -189,10 +189,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> dict:
                           if not Path(cfg["manifest"]).is_absolute() else Path(cfg["manifest"]))
     out_base = Path() if (overrides or {}).get("output_dir") is not None else base
     cfg["output_dir"] = str(out_base / cfg["output_dir"])
-    cfg["fit"]["documents"] = [
-        str((base / p) if not Path(p).is_absolute() else Path(p))
-        for p in cfg["fit"]["documents"]
-    ]
+    cfg["fit"]["documents"] = [str(base / p) for p in cfg["fit"]["documents"]]
     return cfg
 
 
@@ -383,8 +380,10 @@ def _load_model(run: _Run, k: int) -> lda.TopicModel:
             f"{path.name} is stale or corrupt ({exc}): rerun `train`"
         ) from exc
     docs = corpus.in_reading_order()
-    if model.doc_ids != tuple(d.spec.id for d in docs) or not all(
-        np.array_equal(tokens, d.token_ids) for tokens, d in zip(model.doc_tokens(), docs)
+    if model.doc_ids != tuple(d.spec.id for d in docs) or not (
+        np.array_equal(model.n_d, [d.token_ids.size for d in docs])
+        and np.array_equal(model.tokens,
+                           np.concatenate([np.zeros(0, np.int32), *(d.token_ids for d in docs)]))
     ):
         raise MissingArtifactError(
             f"{path.name} was trained on a different corpus: rerun `train`"

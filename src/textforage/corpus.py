@@ -2,7 +2,7 @@
 
 Raw texts become lower-cased, ASCII-folded, punctuation- and
 numeral-free token streams; a frequency-filtered vocabulary maps the
-retained types to dense integer ids; documents are stored as id
+kept types to dense integer ids; documents are stored as id
 sequences alongside their reading/publication metadata.  A corpus file
 (format 5) holds the documents as six equal-length columns (id,
 read_date, pub_date, order_index, length, dropped), the documents'
@@ -118,14 +118,6 @@ class PartialDate:
         return f"{self.year:04d}"
 
 
-def as_earliest(d) -> datetime.date:
-    return PartialDate.parse(d).earliest()
-
-
-def as_latest(d) -> datetime.date:
-    return PartialDate.parse(d).latest()
-
-
 # ---------------------------------------------------------------------------
 # Tokenization
 
@@ -209,7 +201,7 @@ class FilterConfig:
 
 
 class Vocabulary:
-    """A dense bijection between retained terms and ids 0..V-1.
+    """A dense bijection between kept terms and ids 0..V-1.
 
     Ids are assigned by descending corpus frequency, ties broken
     alphabetically; `corpus_frequency[i]` is the raw token count of
@@ -361,10 +353,6 @@ class EncodedDocument:
     token_ids: np.ndarray
     dropped: int  # out-of-vocabulary tokens discarded during encoding
 
-    @property
-    def retained(self) -> int:
-        return int(self.token_ids.size)
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -412,7 +400,7 @@ class Corpus:
         equal-length columns in document order and the documents' term
         ids, concatenated, as one `pack_ids` string."""
         specs = [d.spec for d in self.documents]
-        lengths = [d.retained for d in self.documents]
+        lengths = [d.token_ids.size for d in self.documents]
         tokens = np.concatenate([np.zeros(0, np.int32), *(d.token_ids for d in self.documents)])
         payload = {
             "format_version": CORPUS_FORMAT_VERSION,
@@ -444,7 +432,8 @@ class Corpus:
         mapping or null, a `vocabulary`, `skipped_empty` or `warnings`
         entry of the wrong type (naming the entry too), a `documents`
         value that is not a mapping of equal-length columns or has an
-        entry of the wrong type (naming the document too), or a
+        entry of the wrong type (naming the document too), a repeated
+        `documents.id` (naming the entry and the one it repeats), or a
         `documents.token_ids` that does not unpack to as many term ids
         in [0, V) as `documents.length` sums to (naming the document
         that holds an id at or above V), or lengths and term ids that do
@@ -483,6 +472,11 @@ class Corpus:
                    "order_index": _count, "length": _count, "dropped": _count}
         values = {name: _read_column(f"documents.{name}", columns[name], readers[name], kind, ids)
                   for name, kind in _DOCUMENT_COLUMNS.items()}
+        first = {}  # ids name the documents and the model's rows
+        for i, doc_id in enumerate(values["id"]):
+            if first.setdefault(doc_id, i) != i:
+                raise ValueError(f"field 'documents.id' entry {i} ({doc_id}) repeats entry "
+                                 f"{first[doc_id]}")
         tokens = _read_packed("documents.token_ids", columns.get("token_ids"), len(vocab),
                               "base64 of term ids in [0, V)", values["length"], ids)
         if payload["tokens_sha256"] != ids_sha256(np.array(values["length"]), tokens):

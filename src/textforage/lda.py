@@ -24,8 +24,8 @@ concurrently.
 A model file (format 4) stores only what cannot be derived: the
 documents' lengths, their tokens, the assignments z and the likelihood
 trace, as JSON without separator whitespace, the tokens and z each one
-`corpus.pack_ids` string in the fewest bits V and k allow.  Loading
-rebuilds every count matrix from z.
+`corpus.pack_ids` string in the fewest bits V and k allow.  A model,
+loaded or new, is built from these flat arrays, its counts from z.
 """
 
 from __future__ import annotations
@@ -223,14 +223,14 @@ def _lgamma_sum(counts: np.ndarray, shift: float) -> float:
 class TopicModel:
     """Topic assignments and count matrices for a trained corpus.
 
-    `doc_tokens` holds each document's term ids in reading order and
-    `z` one topic per token, documents concatenated; the flat `tokens`
-    and `doc_index` and every count matrix derive from them.  Count
-    matrices: n_wt (V, k) word-topic, n_td (k, D) topic-document,
-    n_t (k,) per-topic totals, n_d (D,) document lengths.  The three sum
-    identities (rows of n_td vs n_d, columns of n_wt vs n_t, rows of
-    n_td vs n_t) hold after every sweep; `check_invariants` asserts
-    them.
+    `tokens` holds the documents' term ids in reading order, one
+    document after another, `lengths` each document's token count and
+    `z` one topic per token; `doc_index` and every count matrix derive
+    from them.  Count matrices: n_wt (V, k) word-topic, n_td (k, D)
+    topic-document, n_t (k,) per-topic totals, n_d (D,) document
+    lengths.  The three sum identities (rows of n_td vs n_d, columns of
+    n_wt vs n_t, rows of n_td vs n_t) hold after every sweep;
+    `check_invariants` asserts them.
     """
 
     def __init__(
@@ -238,17 +238,15 @@ class TopicModel:
         config: TrainingConfig,
         vocabulary: Vocabulary,
         doc_ids: Sequence[str],
-        doc_tokens: Sequence[np.ndarray],
+        lengths: Sequence[int],
+        tokens: np.ndarray,
         z: np.ndarray,
         rng: np.random.Generator,
     ):
-        if len(doc_tokens) != len(doc_ids):
-            raise ValueError(
-                f"tokens: {len(doc_tokens)} documents for {len(doc_ids)} doc_ids"
-            )
-        lengths = [len(doc) for doc in doc_tokens]
-        tokens = np.concatenate([np.zeros(0, np.int32), *doc_tokens])
-        z = np.asarray(z)
+        tokens, z = np.asarray(tokens), np.asarray(z)
+        if len(lengths) != len(doc_ids) or sum(lengths) != tokens.size:
+            raise ValueError(f"lengths: {len(lengths)} documents of {sum(lengths)} tokens "
+                             f"for {len(doc_ids)} doc_ids and {tokens.size} tokens")
         if z.size != tokens.size:
             raise ValueError(f"z: {z.size} assignments for {tokens.size} tokens")
         if tokens.size and not (0 <= tokens.min() and tokens.max() < len(vocabulary)):
@@ -274,18 +272,13 @@ class TopicModel:
         if corpus.n_documents == 0:
             raise ValueError("empty corpus")
         docs = corpus.in_reading_order()
-        if min(d.token_ids.size for d in docs) == 0:
+        lengths = [d.token_ids.size for d in docs]
+        if min(lengths) == 0:
             raise ValueError("corpus contains an empty document")
         rng = rng_from(config.seed)
-        z = rng.integers(0, config.k, corpus.total_tokens(), dtype=np.int32)
-        return cls(
-            config=config,
-            vocabulary=corpus.vocabulary,
-            doc_ids=[d.spec.id for d in docs],
-            doc_tokens=[d.token_ids for d in docs],
-            z=z,
-            rng=rng,
-        )
+        z = rng.integers(0, config.k, sum(lengths), dtype=np.int32)
+        return cls(config, corpus.vocabulary, [d.spec.id for d in docs], lengths,
+                   np.concatenate([d.token_ids for d in docs]), z, rng)
 
     @property
     def sweeps_done(self) -> int:
@@ -373,8 +366,8 @@ class TopicModel:
         the document too for a `lengths` entry, a term id at or above V
         or a topic at or above k), `tokens` or `z` that do not unpack to
         as many values as `lengths` sums to, tokens and z that do not
-        hash to `assignments_sha256`, or a `sweeps_done` that is not the
-        trace's length.
+        hash to `assignments_sha256`, a trace entry that is not a finite
+        number, or a `sweeps_done` that is not the trace's length.
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or payload.get("kind") != "topic_model":
@@ -403,15 +396,9 @@ class TopicModel:
         z = _read_packed("z", payload["z"], config.k, "base64 of topics in [0, k)",
                          lengths, doc_ids)
         trace = _read_column("log_likelihood_trace", payload["log_likelihood_trace"],
-                             _number, "a number", payload["log_likelihood_trace"])
-        model = cls(
-            config=config,
-            vocabulary=vocabulary,
-            doc_ids=doc_ids,
-            doc_tokens=np.split(tokens, np.cumsum(lengths)[:-1]),
-            z=z,
-            rng=rng_from(derive_seed(config.seed, sweeps_done, "resume")),
-        )
+                             _finite_number, "a number", payload["log_likelihood_trace"])
+        model = cls(config, vocabulary, doc_ids, lengths, tokens, z,
+                    rng_from(derive_seed(config.seed, sweeps_done, "resume")))
         if payload["assignments_sha256"] != model.assignments_sha256():
             raise ValueError(f"{path}: tokens or z do not match assignments_sha256")
         model.log_likelihood_trace = trace
@@ -425,6 +412,12 @@ def _number(entry) -> float:
     if type(entry) not in (int, float):  # `type`: a bool is not a number
         raise TypeError
     return float(entry)
+
+
+def _finite_number(entry) -> float:
+    if not math.isfinite(value := _number(entry)):  # JSON reads NaN and Infinity
+        raise ValueError("not finite")
+    return value
 
 
 def _field(name: str, value, reader):

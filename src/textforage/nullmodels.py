@@ -51,7 +51,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, as_earliest, as_latest
+from .corpus import Corpus, PartialDate
 from .measures import BLOCK_NUMBERS, _finite, _kl_sums, kl_divergence_rows, surprise_values
 from .seeds import derive_seed, rng_from
 
@@ -110,10 +110,10 @@ class ReadingOrder:
         if len(set(self.item_ids)) != n:
             raise ValueError("duplicate item ids")
         object.__setattr__(
-            self, "slot_dates", tuple(as_latest(d) for d in self.slot_dates)
+            self, "slot_dates", tuple(PartialDate.parse(d).latest() for d in self.slot_dates)
         )
         object.__setattr__(
-            self, "pub_dates", tuple(as_earliest(d) for d in self.pub_dates)
+            self, "pub_dates", tuple(PartialDate.parse(d).earliest() for d in self.pub_dates)
         )
 
     def __len__(self) -> int:

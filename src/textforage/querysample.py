@@ -8,7 +8,7 @@ happens to the word-topic counts is governed by `phi_mode`:
   snapshot; fastest, and the base model is provably untouched.
 * ``extended`` -- the new document's assignments extend the counts and
   the result carries a joint model over the original documents plus the
-  new one, original topic-document rows retained.
+  new one, the original topic-document rows kept as they were.
 * ``drifting`` (default) -- the new document's assignments update a
   private copy of the word-topic counts, so repeated sampling lets the
   topics drift toward the new text; the drifted counts are returned for
@@ -154,7 +154,8 @@ def _extend_model(
         config=base.config,
         vocabulary=base.vocabulary,
         doc_ids=list(base.doc_ids) + [f"query-{seed}"],
-        doc_tokens=base.doc_tokens() + [tokens],
+        lengths=[*base.n_d, tokens.size],
+        tokens=np.concatenate([base.tokens, tokens]),
         z=np.concatenate([base.z, z]),
         rng=rng_from(derive_seed(seed, 0, "extended")),
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,26 +34,20 @@ def _word(index: int, width: int = 4) -> str:
     return "".join(reversed(chars))
 
 
+@dataclass(frozen=True)
 class FixtureSpec:
     """Parameters for the planted corpus; defaults run in seconds."""
 
-    def __init__(
-        self,
-        n_docs: int = 48,
-        n_topics: int = 4,
-        terms_per_topic: int = 40,
-        doc_len: tuple[int, int] = (60, 110),
-        n_query_docs: int = 1,
-        start_year: int = 1830,
-    ):
-        if n_docs < 4 or n_topics < 2:
+    n_docs: int = 48
+    n_topics: int = 4
+    terms_per_topic: int = 40
+    doc_len: tuple[int, int] = (60, 110)
+    n_query_docs: int = 1
+    start_year: int = 1830
+
+    def __post_init__(self):
+        if self.n_docs < 4 or self.n_topics < 2:
             raise ValueError("fixture needs at least 4 documents and 2 topics")
-        self.n_docs = n_docs
-        self.n_topics = n_topics
-        self.terms_per_topic = terms_per_topic
-        self.doc_len = doc_len
-        self.n_query_docs = n_query_docs
-        self.start_year = start_year
 
 
 def make_fixture(out_dir: str | Path, seed: int, spec: FixtureSpec | None = None) -> dict:

@@ -21,7 +21,8 @@ import yaml
 
 import textforage
 from textforage import _gibbs, cli, lda, modelcompare, nullmodels
-from textforage.corpus import Corpus, DocumentSpec, Vocabulary, encode_corpus
+from textforage.corpus import (CORPUS_FORMAT_VERSION, Corpus, DocumentSpec, Vocabulary,
+                               encode_corpus)
 from textforage.errors import ConfigError
 from textforage.measures import surprise_series, surprise_values
 from textforage.seeds import derive_seed, rng_from
@@ -455,13 +456,17 @@ class TestStaleArtifacts:
         (lambda p: p["config"].update(seed=False), "field 'config.seed' is False:"),
         (lambda p: p["config"].update(seed=-1), "field 'config.seed' is -1:"),
         (lambda p: p["config"].update(beta=float("nan")), "must be positive and finite"),
+        (lambda p: p["log_likelihood_trace"].__setitem__(0, float("nan")),
+         "field 'log_likelihood_trace' entry 0 (nan) is not a number: not finite"),
+        (lambda p: p["log_likelihood_trace"].__setitem__(-1, float("-inf")),
+         "field 'log_likelihood_trace' entry 19 (-inf) is not a number: not finite"),
     ], ids=["sweeps-done-true", "iterations-true", "k-float", "alpha-string", "seed-false",
-            "seed-negative", "beta-nan"])
+            "seed-negative", "beta-nan", "trace-nan", "trace-minus-inf"])
     def test_malformed_model_field_is_named(self, tmp_path, capsys, tamper, named):
         """A JSON bool is no count or seed and a string no number: `load`
         names the field, so no stage reads `true` as 1.  A seed is a count:
         PCG64 takes no negative seed, so no model was trained from one.
-        JSON's NaN is a number, but no prior."""
+        JSON's NaN is a number, but no prior and no log joint."""
         config = small_pipeline(tmp_path)
         assert run_cli("prepare", "--config", config) == 0
         assert run_cli("train", "--config", config) == 0
@@ -634,6 +639,24 @@ class TestStaleArtifacts:
         err = capsys.readouterr().err
         assert "corpus.json" in err and named in err and "`prepare`" in err
         assert not (tmp_path / "out" / "model_k2.json").exists()
+
+    def test_repeated_document_id_is_stale(self, tmp_path, capsys):
+        """`tokens_sha256` does not cover the ids: a repeated one exits 2 at
+        every stage that reads the corpus, not 1 at `null` blaming the
+        manifest."""
+        config = small_pipeline(tmp_path)
+        assert run_cli("prepare", "--config", config) == 0
+        assert run_cli("train", "--config", config) == 0
+        path = tmp_path / "out" / "corpus.json"
+        payload = json.loads(path.read_text())
+        payload["documents"]["id"][1] = payload["documents"]["id"][0]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        for stage in ("train", "measure", "null"):
+            assert run_cli(stage, "--config", config) == 2, stage
+            err = capsys.readouterr().err
+            assert "corpus.json is stale or corrupt" in err and "rerun `prepare`" in err
+            assert "field 'documents.id' entry 1 (doc000) repeats entry 0" in err
 
     def test_lengths_within_the_padding_name_the_digest(self, tmp_path, capsys):
         """A two-term corpus saved with lengths [3, 1] and edited to
@@ -1240,6 +1263,13 @@ class TestConfigValidation:
         for field, (default, _, _) in cli._FIELDS.items():
             shown = "required" if default is cli._REQUIRED else f"`{json.dumps(default)}`"
             assert rows[field] == shown, field
+
+    def test_readme_states_each_file_format(self):
+        """Each format bump must reach the README's description of the file."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        stated = dict(re.findall(r"\(`([^`]+)`, `format_version` (\d+)\)", readme))
+        assert stated == {"model_k{K}.json": str(lda.MODEL_FORMAT_VERSION),
+                          "corpus.json": str(CORPUS_FORMAT_VERSION)}
 
     def test_boolean_fields_take_booleans(self, tmp_path):
         config = small_pipeline(tmp_path, measure={"smoothing": False},

@@ -226,6 +226,17 @@ class TestEncodeCorpus:
             (d.spec, d.token_ids.tolist(), d.dropped) for d in corpus.documents
         ]
 
+    def test_repeated_id_rejected(self, tmp_path):
+        """`tokens_sha256` covers the lengths and term ids only; the ids
+        label the documents, so `load` checks them."""
+        _, path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["documents"]["id"][1] = payload["documents"]["id"][0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(
+                """field 'documents.id' entry 1 (d, 0: "x") repeats entry 0""")):
+            Corpus.load(path)
+
     def test_format_1_rejected(self, tmp_path):
         _, path = self._saved(tmp_path)
         payload = json.loads(path.read_text())

@@ -132,6 +132,27 @@ class TestTraining:
             assert base[key] == pytest.approx(permuted[key], rel=1e-10)
 
 
+class TestConstructor:
+    @staticmethod
+    def _rebuilt(model, lengths):
+        return lda.TopicModel(model.config, model.vocabulary, model.doc_ids, lengths,
+                              model.tokens, model.z, np.random.default_rng(0))
+
+    def test_flat_arrays_rebuild_the_counts(self, small_model):
+        model = self._rebuilt(small_model, small_model.n_d.tolist())
+        npt.assert_array_equal(model.doc_index, small_model.doc_index)
+        for name in ("n_wt", "n_td", "n_t", "n_d"):
+            npt.assert_array_equal(getattr(model, name), getattr(small_model, name))
+
+    @pytest.mark.parametrize("lengths", [[36] * 5, [30] * 5 + [29]],
+                             ids=["count-off-the-doc-ids", "sum-off-the-tokens"])
+    def test_lengths_must_fit_the_ids_and_tokens(self, small_model, lengths):
+        """Six documents of 30 tokens: five lengths, or six that sum to
+        179, name `lengths`."""
+        with pytest.raises(ValueError, match="^lengths: "):
+            self._rebuilt(small_model, lengths)
+
+
 class TestEstimates:
     def _model_with_counts(self):
         # one 10-token document over 2 terms; assignments pinned so that
@@ -290,6 +311,8 @@ class TestPersistence:
         "doc-id-not-a-string": re.escape("field 'doc_ids' entry 2 (7) is not a string"),
         "trace-not-numbers": re.escape("field 'log_likelihood_trace' entry 0 (True) is not "
                                        "a number"),
+        "trace-nan": re.escape("field 'log_likelihood_trace' entry 0 (nan) is not a number: "
+                               "not finite"),
     }
 
     @pytest.mark.parametrize("tamper", TAMPERED)
@@ -322,6 +345,8 @@ class TestPersistence:
             payload["doc_ids"][2] = 7
         elif tamper == "trace-not-numbers":
             payload["log_likelihood_trace"][0] = True
+        elif tamper == "trace-nan":  # JSON's NaN reads as a float
+            payload["log_likelihood_trace"][0] = math.nan
         elif tamper == "format-1":
             payload["format_version"] = 1
         payload["z"], payload["tokens"] = packed(z, k), packed(tokens, v)
