@@ -8,20 +8,20 @@ on different "interpretations"; clustering the ensemble surfaces them.
 import numpy as np
 
 from textforage import TrainingConfig, cluster_ensemble, fit_document, sample_ensemble, train
-from textforage.corpus import DocumentSpec, EncodedDocument, Corpus, Vocabulary
+from textforage.corpus import DocumentSpec, Corpus, Vocabulary
 
 rng = np.random.default_rng(44)
 
 # a corpus with two overlapping themes: words w4/w5 belong to both
 terms = [f"w{i}" for i in range(10)]
-doc_ids = []
-docs = []
-for i in range(12):
-    lo = 0 if i < 6 else 4
-    ids = rng.integers(lo, lo + 6, size=50).astype(np.int32)
-    docs.append(EncodedDocument(DocumentSpec(id=f"doc{i}", order_index=i), ids, 0))
-counts = np.bincount(np.concatenate([d.token_ids for d in docs]), minlength=10)
-corpus = Corpus(vocabulary=Vocabulary(terms, counts), documents=tuple(docs))
+tokens = np.concatenate([rng.integers(lo, lo + 6, size=50) for lo in [0] * 6 + [4] * 6])
+corpus = Corpus(
+    vocabulary=Vocabulary(terms, np.bincount(tokens, minlength=10)),
+    specs=tuple(DocumentSpec(id=f"doc{i}", order_index=i) for i in range(12)),
+    lengths=(50,) * 12,
+    dropped=(0,) * 12,
+    tokens=tokens,
+)
 
 model = train(corpus, TrainingConfig(k=2, seed=9, iterations=150))
 print("trained a 2-topic model on 12 documents")

@@ -19,19 +19,19 @@ from textforage import (
     model_distance,
     train,
 )
-from textforage.corpus import DocumentSpec, EncodedDocument, Corpus, Vocabulary
+from textforage.corpus import DocumentSpec, Corpus, Vocabulary
 
 
 def block_corpus(rng, terms, n_docs, themes):
-    docs = []
-    for i in range(n_docs):
-        lo, hi = themes[i % len(themes)]
-        ids = rng.integers(lo, hi, size=60).astype(np.int32)
-        docs.append(EncodedDocument(DocumentSpec(id=f"d{i}", order_index=i), ids, 0))
-    counts = np.bincount(
-        np.concatenate([d.token_ids for d in docs]), minlength=len(terms)
+    tokens = np.concatenate([rng.integers(*themes[i % len(themes)], size=60)
+                             for i in range(n_docs)])
+    return Corpus(
+        vocabulary=Vocabulary(terms, np.bincount(tokens, minlength=len(terms))),
+        specs=tuple(DocumentSpec(id=f"d{i}", order_index=i) for i in range(n_docs)),
+        lengths=(60,) * n_docs,
+        dropped=(0,) * n_docs,
+        tokens=tokens,
     )
-    return Corpus(vocabulary=Vocabulary(terms, counts), documents=tuple(docs))
 
 
 rng = np.random.default_rng(77)
@@ -76,13 +76,11 @@ print(f"\npermuted self-alignment recovers {self_aligned.mapping} "
 # under model B, then compare where the two drifted models end up.
 # Whether these coincide is an open empirical question, so this recipe
 # only reports the distance; it asserts nothing.
-flat_b = np.concatenate([d.token_ids for d in corpus_b.documents])
-tokens_b_in_a = [corpus_b.vocabulary.id_to_term[t] for t in flat_b]
+tokens_b_in_a = corpus_b.vocabulary.decode(corpus_b.tokens)
 fit_b_under_a = fit_document(model_a, tokens_b_in_a, iterations=60,
                              phi_mode="drifting", seed=4)
 
-flat_a = np.concatenate([d.token_ids for d in corpus_a.documents])
-tokens_a_in_b = [corpus_a.vocabulary.id_to_term[t] for t in flat_a]
+tokens_a_in_b = corpus_a.vocabulary.decode(corpus_a.tokens)
 fit_a_under_b = fit_document(model_b, tokens_a_in_b, iterations=60,
                              phi_mode="drifting", seed=5)
 

@@ -291,6 +291,9 @@ def stage_prepare(run: _Run) -> None:
         specs = load_manifest(manifest)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"manifest: {exc}") from exc
+    if len(specs) < 2:  # a series steps from one document to the next
+        raise ConfigError(f"manifest: {manifest}: a reading history needs at least 2 "
+                          f"documents, this one has {len(specs)}")
     tok_cfg = TokenizerConfig(**cfg["tokenizer"])
     token_docs = []
     for spec in specs:
@@ -379,11 +382,8 @@ def _load_model(run: _Run, k: int) -> lda.TopicModel:
         raise MissingArtifactError(
             f"{path.name} is stale or corrupt ({exc}): rerun `train`"
         ) from exc
-    docs = corpus.in_reading_order()
-    if model.doc_ids != tuple(d.spec.id for d in docs) or not (
-        np.array_equal(model.n_d, [d.token_ids.size for d in docs])
-        and np.array_equal(model.tokens,
-                           np.concatenate([np.zeros(0, np.int32), *(d.token_ids for d in docs)]))
+    if model.doc_ids != corpus.doc_ids or not (
+        np.array_equal(model.n_d, corpus.lengths) and np.array_equal(model.tokens, corpus.tokens)
     ):
         raise MissingArtifactError(
             f"{path.name} was trained on a different corpus: rerun `train`"
@@ -439,7 +439,7 @@ def stage_train(run: _Run) -> None:
 
 def stage_measure(run: _Run) -> None:
     cfg = run.cfg
-    item_ids = [d.spec.id for d in run.corpus().in_reading_order()]
+    item_ids = run.corpus().doc_ids
     for k in cfg["training"]["ks"]:
         for mode in cfg["measure"]["modes"]:
             run.write_csv(f"series_k{k}_{mode}.csv", ["position", "item_id", "bits"],
@@ -505,9 +505,8 @@ def stage_null(run: _Run) -> None:
 
 def stage_epochs(run: _Run) -> None:
     cfg = run.cfg
-    docs = run.corpus().in_reading_order()
-    labels = [str(d.spec.read_date) if d.spec.read_date else str(i)
-              for i, d in enumerate(docs)][1:]
+    labels = [str(s.read_date) if s.read_date else str(i)
+              for i, s in enumerate(run.corpus().specs)][1:]
     for k in cfg["training"]["ks"]:
         for mode in cfg["measure"]["modes"]:
             values = run.series(k, mode)

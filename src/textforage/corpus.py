@@ -2,11 +2,11 @@
 
 Raw texts become lower-cased, ASCII-folded, punctuation- and
 numeral-free token streams; a frequency-filtered vocabulary maps the
-kept types to dense integer ids; documents are stored as id
-sequences alongside their reading/publication metadata.  A corpus file
-(format 5) holds the documents as six equal-length columns (id,
-read_date, pub_date, order_index, length, dropped), the documents'
-term ids, concatenated, as one packed string `token_ids`, a
+kept types to dense integer ids; a corpus holds, in reading order, its
+documents' metadata, lengths and dropped counts as columns and all
+their term ids as one array.  A corpus file (format 5) stores these as
+six equal-length columns (id, read_date, pub_date, order_index,
+length, dropped), the term ids as one packed string `token_ids`, a
 `tokens_sha256` over the lengths and the term ids, and the `settings`
 it was prepared with, written as JSON without separator whitespace.
 `pack_ids` stores each value in the fewest bits its bound allows; the
@@ -40,7 +40,6 @@ __all__ = [
     "Vocabulary",
     "build_vocabulary",
     "DocumentSpec",
-    "EncodedDocument",
     "Corpus",
     "encode_corpus",
     "date_violations",
@@ -348,74 +347,77 @@ def date_violations(specs: Iterable[DocumentSpec]) -> list[str]:
 
 
 @dataclass(frozen=True)
-class EncodedDocument:
-    spec: DocumentSpec
-    token_ids: np.ndarray
-    dropped: int  # out-of-vocabulary tokens discarded during encoding
-
-
-@dataclass(frozen=True)
 class Corpus:
     """An encoded document collection sharing one vocabulary.
 
     Immutable after construction and safe to share across threads.
-    Documents reduced to zero in-vocabulary tokens are excluded from
-    `documents` and listed in `skipped_empty`.  `settings` records, as
-    a JSON mapping, what the corpus was prepared with; None when not
-    recorded.
+    The documents are held as columns in reading order (by
+    `order_index`, manifest order breaking ties): their `specs`, their
+    `lengths`, the out-of-vocabulary tokens `dropped` from each, and
+    their term ids one document after another in one read-only int32
+    array `tokens`.  Documents reduced to zero in-vocabulary tokens are
+    left out and listed, in manifest order, in `skipped_empty`.
+    `settings` records, as a JSON mapping, what the corpus was prepared
+    with; None when not recorded.
     """
 
     vocabulary: Vocabulary
-    documents: tuple[EncodedDocument, ...]
+    specs: tuple[DocumentSpec, ...]
+    lengths: tuple[int, ...]
+    dropped: tuple[int, ...]
+    tokens: np.ndarray
     skipped_empty: tuple[str, ...] = ()
     warnings: tuple[str, ...] = field(default_factory=tuple)
     settings: dict | None = None
 
     def __post_init__(self):
-        v = len(self.vocabulary)
-        for doc in self.documents:
-            if doc.token_ids.size and int(doc.token_ids.max()) >= v:
-                raise ValueError(f"document {doc.spec.id!r} has token id >= V")
+        n, v, tokens = len(self.specs), len(self.vocabulary), np.asarray(self.tokens)
+        if len(self.lengths) != n or len(self.dropped) != n or sum(self.lengths) != tokens.size:
+            raise ValueError(f"lengths: {len(self.lengths)} lengths and {len(self.dropped)} "
+                             f"dropped counts for {n} documents, summing to {sum(self.lengths)} "
+                             f"for {tokens.size} tokens")
+        if tokens.size and not (0 <= tokens.min() and tokens.max() < v):
+            raise ValueError(f"tokens: term id outside the vocabulary [0, {v})")
+        order = [s.order_index for s in self.specs]
+        for i in range(1, n):
+            if order[i] < order[i - 1]:
+                raise ValueError(f"document {i} ({self.specs[i].id}) has order_index {order[i]}, "
+                                 f"below the {order[i - 1]} before it: the documents are not "
+                                 "in reading order")
+        tokens = tokens.astype(np.int32, copy=False).view()
+        tokens.flags.writeable = False
+        object.__setattr__(self, "tokens", tokens)
 
     @property
     def n_documents(self) -> int:
-        return len(self.documents)
+        return len(self.specs)
 
     @property
     def doc_ids(self) -> tuple[str, ...]:
-        return tuple(d.spec.id for d in self.documents)
+        return tuple(s.id for s in self.specs)
 
     def total_tokens(self) -> int:
-        return int(sum(d.token_ids.size for d in self.documents))
-
-    def in_reading_order(self) -> tuple[EncodedDocument, ...]:
-        """Documents sorted by order_index, manifest order breaking ties."""
-        return tuple(sorted(
-            self.documents,
-            key=lambda d: d.spec.order_index,
-        ))
+        return self.tokens.size
 
     def save(self, path: str | Path, metadata: dict | None = None) -> None:
         """Write the corpus as compact JSON, `documents` as one object of
-        equal-length columns in document order and the documents' term
-        ids, concatenated, as one `pack_ids` string."""
-        specs = [d.spec for d in self.documents]
-        lengths = [d.token_ids.size for d in self.documents]
-        tokens = np.concatenate([np.zeros(0, np.int32), *(d.token_ids for d in self.documents)])
+        equal-length columns in reading order and `tokens` as one
+        `pack_ids` string."""
+        specs = self.specs
         payload = {
             "format_version": CORPUS_FORMAT_VERSION,
             "kind": "corpus",
             "metadata": metadata or {},
             "vocabulary": self.vocabulary.to_payload(),
-            "tokens_sha256": ids_sha256(np.array(lengths), tokens),
+            "tokens_sha256": ids_sha256(np.array(self.lengths, np.int64), self.tokens),
             "documents": {
                 "id": [s.id for s in specs],
                 "read_date": [str(s.read_date) if s.read_date else None for s in specs],
                 "pub_date": [str(s.pub_date) if s.pub_date else None for s in specs],
                 "order_index": [s.order_index for s in specs],
-                "length": lengths,
-                "dropped": [d.dropped for d in self.documents],
-                "token_ids": pack_ids(tokens, len(self.vocabulary)),
+                "length": list(self.lengths),
+                "dropped": list(self.dropped),
+                "token_ids": pack_ids(self.tokens, len(self.vocabulary)),
             },
             "skipped_empty": list(self.skipped_empty),
             "warnings": list(self.warnings),
@@ -437,7 +439,8 @@ class Corpus:
         `documents.token_ids` that does not unpack to as many term ids
         in [0, V) as `documents.length` sums to (naming the document
         that holds an id at or above V), or lengths and term ids that do
-        not hash to `tokens_sha256`.
+        not hash to `tokens_sha256`, or documents that are not in reading
+        order.
         """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or payload.get("kind") != "corpus":
@@ -482,23 +485,18 @@ class Corpus:
         if payload["tokens_sha256"] != ids_sha256(np.array(values["length"]), tokens):
             raise ValueError(f"{path}: documents.length or documents.token_ids do not match "
                              "tokens_sha256")
-        docs = tuple(
-            EncodedDocument(
-                spec=DocumentSpec(
-                    id=doc_id, read_date=read_date, pub_date=pub_date,
-                    order_index=order_index,
-                ),
-                token_ids=token_ids,
-                dropped=dropped,
-            )
-            for doc_id, read_date, pub_date, order_index, token_ids, dropped in zip(
-                values["id"], values["read_date"], values["pub_date"], values["order_index"],
-                np.split(tokens, np.cumsum(values["length"])[:-1]), values["dropped"],
-            )
+        specs = tuple(
+            DocumentSpec(id=doc_id, read_date=read_date, pub_date=pub_date,
+                         order_index=order_index)
+            for doc_id, read_date, pub_date, order_index in zip(
+                values["id"], values["read_date"], values["pub_date"], values["order_index"])
         )
         return cls(
             vocabulary=vocab,
-            documents=docs,
+            specs=specs,
+            lengths=tuple(values["length"]),
+            dropped=tuple(values["dropped"]),
+            tokens=tokens,
             skipped_empty=tuple(_read_column("skipped_empty", payload["skipped_empty"],
                                              _string, "a string", payload["skipped_empty"])),
             warnings=tuple(_read_column("warnings", payload["warnings"], _string, "a string",
@@ -560,8 +558,11 @@ def _bits(bound: int) -> int:
 def pack_ids(values: np.ndarray, bound: int) -> str:
     """`values`, each in [0, bound), as padded base64 of one bit string:
     `_bits(bound)` bits per value, least significant first, values in
-    order, and zero bits up to the next whole byte."""
+    order, and zero bits up to the next whole byte.  Raises ValueError
+    for a value outside [0, bound)."""
     width, n = _bits(bound), values.size
+    if n and not (0 <= values.min() and values.max() < bound):
+        raise ValueError(f"a value outside [0, {bound}) cannot be packed")
     # eight values fill `width` bytes: one row of `lanes` is one such run,
     # and one row of `words` its bytes, read as little-endian 64-bit words
     lanes = np.zeros(-(-n // 8) * 8, np.uint64)
@@ -649,8 +650,9 @@ def encode_corpus(
 
     Tokens outside the vocabulary are dropped and counted per document.
     Documents left empty are skipped (and recorded) by default, or
-    rejected when on_empty="error".  Duplicate document ids are
-    rejected; date-constraint violations are collected as warnings.
+    rejected when on_empty="error".  The rest are put in reading order.
+    Duplicate document ids are rejected; date-constraint violations are
+    collected as warnings.
     """
     if len(specs) != len(token_docs):
         raise ValueError("specs and token_docs are not aligned")
@@ -662,24 +664,20 @@ def encode_corpus(
             raise ValueError(f"duplicate document id {spec.id!r}")
         seen.add(spec.id)
 
-    documents = []
-    skipped = []
-    for spec, tokens in zip(specs, token_docs):
-        ids = vocabulary.encode(tokens)
-        dropped = len(tokens) - ids.size
-        if ids.size == 0:
-            if on_empty == "error":
-                raise ValueError(f"document {spec.id!r} has no in-vocabulary tokens")
-            skipped.append(spec.id)
-            continue
-        documents.append(EncodedDocument(spec=spec, token_ids=ids, dropped=dropped))
-
-    warnings = tuple(date_violations(specs))
+    encoded = [vocabulary.encode(tokens) for tokens in token_docs]
+    skipped = [spec.id for spec, ids in zip(specs, encoded) if ids.size == 0]
+    if skipped and on_empty == "error":
+        raise ValueError(f"document {skipped[0]!r} has no in-vocabulary tokens")
+    kept = sorted((i for i, ids in enumerate(encoded) if ids.size),
+                  key=lambda i: specs[i].order_index)  # stable: manifest order breaks ties
     return Corpus(
         vocabulary=vocabulary,
-        documents=tuple(documents),
+        specs=tuple(specs[i] for i in kept),
+        lengths=tuple(encoded[i].size for i in kept),
+        dropped=tuple(len(token_docs[i]) - encoded[i].size for i in kept),
+        tokens=np.concatenate([np.zeros(0, np.int32), *(encoded[i] for i in kept)]),
         skipped_empty=tuple(skipped),
-        warnings=warnings,
+        warnings=tuple(date_violations(specs)),
     )
 
 

@@ -226,11 +226,13 @@ class TopicModel:
     `tokens` holds the documents' term ids in reading order, one
     document after another, `lengths` each document's token count and
     `z` one topic per token; `doc_index` and every count matrix derive
-    from them.  Count matrices: n_wt (V, k) word-topic, n_td (k, D)
-    topic-document, n_t (k,) per-topic totals, n_d (D,) document
-    lengths.  The three sum identities (rows of n_td vs n_d, columns of
-    n_wt vs n_t, rows of n_td vs n_t) hold after every sweep;
-    `check_invariants` asserts them.
+    from them.  An int32 `tokens` is kept, not copied, so a model from
+    `initialize` shares its corpus's read-only array.  Count matrices:
+    n_wt (V, k) word-topic, n_td (k, D) topic-document, n_t (k,)
+    per-topic totals, n_d (D,) document lengths.  The three sum
+    identities (rows of n_td vs n_d, columns of n_wt vs n_t, rows of
+    n_td vs n_t) hold after every sweep; `check_invariants` asserts
+    them.
     """
 
     def __init__(
@@ -256,7 +258,7 @@ class TopicModel:
         self.config = config
         self.vocabulary = vocabulary
         self.doc_ids = tuple(doc_ids)
-        self.tokens = tokens.astype(np.int32)
+        self.tokens = tokens.astype(np.int32, copy=False)
         self.doc_index = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
         self.z = z.astype(np.int32, copy=False)
         self._rng = rng
@@ -271,14 +273,12 @@ class TopicModel:
     def initialize(cls, corpus: Corpus, config: TrainingConfig) -> "TopicModel":
         if corpus.n_documents == 0:
             raise ValueError("empty corpus")
-        docs = corpus.in_reading_order()
-        lengths = [d.token_ids.size for d in docs]
-        if min(lengths) == 0:
+        if min(corpus.lengths) == 0:
             raise ValueError("corpus contains an empty document")
         rng = rng_from(config.seed)
-        z = rng.integers(0, config.k, sum(lengths), dtype=np.int32)
-        return cls(config, corpus.vocabulary, [d.spec.id for d in docs], lengths,
-                   np.concatenate([d.token_ids for d in docs]), z, rng)
+        z = rng.integers(0, config.k, corpus.tokens.size, dtype=np.int32)
+        return cls(config, corpus.vocabulary, corpus.doc_ids, corpus.lengths, corpus.tokens,
+                   z, rng)
 
     @property
     def sweeps_done(self) -> int:

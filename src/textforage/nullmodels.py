@@ -121,17 +121,17 @@ class ReadingOrder:
 
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "ReadingOrder":
-        docs = corpus.in_reading_order()
-        missing = [d.spec.id for d in docs if d.spec.pub_date is None]
+        specs = corpus.specs
+        missing = [s.id for s in specs if s.pub_date is None]
         if missing:
             raise ValueError(f"documents without pub_date: {', '.join(missing[:5])}")
-        missing = [d.spec.id for d in docs if d.spec.read_date is None]
+        missing = [s.id for s in specs if s.read_date is None]
         if missing:
             raise ValueError(f"documents without read_date: {', '.join(missing[:5])}")
         return cls(
-            item_ids=tuple(d.spec.id for d in docs),
-            slot_dates=tuple(d.spec.read_date for d in docs),
-            pub_dates=tuple(d.spec.pub_date for d in docs),
+            item_ids=corpus.doc_ids,
+            slot_dates=tuple(s.read_date for s in specs),
+            pub_dates=tuple(s.pub_date for s in specs),
         )
 
     @cached_property

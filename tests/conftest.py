@@ -4,30 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from textforage.corpus import Corpus, DocumentSpec, EncodedDocument, Vocabulary
+from textforage.corpus import Corpus, DocumentSpec, Vocabulary
 from textforage import lda
 
 
 def build_corpus(doc_tokens, terms, dates=None):
     """Assemble an encoded corpus directly from token-id lists."""
-    counts = np.zeros(len(terms), dtype=np.int64)
-    for doc in doc_tokens:
-        for t in doc:
-            counts[t] += 1
-    vocab = Vocabulary(terms, counts)
-    docs = []
-    for i, ids in enumerate(doc_tokens):
-        read, pub = (dates[i] if dates else (None, None))
-        docs.append(
-            EncodedDocument(
-                spec=DocumentSpec(
-                    id=f"doc{i}", read_date=read, pub_date=pub, order_index=i
-                ),
-                token_ids=np.asarray(ids, dtype=np.int32),
-                dropped=0,
-            )
-        )
-    return Corpus(vocabulary=vocab, documents=tuple(docs))
+    tokens = np.concatenate([np.zeros(0, np.int32), *(np.asarray(d, np.int32) for d in doc_tokens)])
+    specs = tuple(DocumentSpec(id=f"doc{i}", read_date=read, pub_date=pub, order_index=i)
+                  for i, (read, pub) in enumerate(dates or [(None, None)] * len(doc_tokens)))
+    return Corpus(vocabulary=Vocabulary(terms, np.bincount(tokens, minlength=len(terms))),
+                  specs=specs, lengths=tuple(len(d) for d in doc_tokens),
+                  dropped=(0,) * len(doc_tokens), tokens=tokens)
 
 
 def packed(values, bound: int) -> str:

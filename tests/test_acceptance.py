@@ -19,7 +19,7 @@ import pytest
 import yaml
 
 from textforage import cli, epochs, lda, modelcompare, nullmodels
-from textforage.corpus import DocumentSpec, EncodedDocument, Corpus, Vocabulary
+from textforage.corpus import DocumentSpec, Corpus, Vocabulary
 from textforage.measures import js_distance, kl_divergence, surprise_values
 from textforage.nullmodels import ReadingOrder, constrained_permutation
 from textforage.synthetic import FixtureSpec, make_fixture
@@ -96,12 +96,10 @@ def test_gibbs_oracle():
     vocab = Vocabulary(["a", "b", "c"], [2, 2, 2])
     corpus = Corpus(
         vocabulary=vocab,
-        documents=(
-            EncodedDocument(DocumentSpec(id="d1", order_index=0),
-                            np.array([0, 0, 1], dtype=np.int32), 0),
-            EncodedDocument(DocumentSpec(id="d2", order_index=1),
-                            np.array([2, 2, 1], dtype=np.int32), 0),
-        ),
+        specs=(DocumentSpec(id="d1", order_index=0), DocumentSpec(id="d2", order_index=1)),
+        lengths=(3, 3),
+        dropped=(0, 0),
+        tokens=np.array(tokens, dtype=np.int32),
     )
     model = lda.train(
         corpus, lda.TrainingConfig(k=k, seed=2027, alpha=alpha, beta=beta, iterations=0)

@@ -145,7 +145,7 @@ def csv_run(fixture_dir):
     assert run_cli("pipeline", "--config", str(config), "--out", str(out)) == 0
     assert sorted(p.name for p in out.glob("*.csv")) == sorted(n for _, n in FIXTURE_CSVS)
     corpus = Corpus.load(out / "corpus.json")
-    return out, cli.load_config(config), [d.spec.id for d in corpus.in_reading_order()]
+    return out, cli.load_config(config), list(corpus.doc_ids)
 
 
 # the per-mode cumulative curves, no longer written but rebuilt from the
@@ -220,6 +220,26 @@ def small_pipeline(root, **sections):
     return str(root / "config.yaml")
 
 
+# SHA-256 of the files `prepare` and `train` write for `small_pipeline`.
+# They hashed the same with numpy's own CPU dispatch and with its AVX-512
+# and AVX2 loops switched off by NPY_DISABLE_CPU_FEATURES. The model file
+# holds the log joint trace, summed from the C library's `lgamma`; that
+# its bits are the same on other hosts and libraries is unverified.
+PREPARE_TRAIN_SHA256 = {
+    "corpus.json": "cfea23a057398605e493572bf24f15b63effabe00ed711c0683f8f284dce4536",
+    "prepare_summary.json": "3e0c2980e461b9d903970b7d62b29d83b4455539e3257f6a67bd3fb204d913e7",
+    "model_k2.json": "5b2c29358ff9f59cb0d20aa80079eb41d585d2cf86c6f9a67d4457661da5342a",
+}
+
+
+def test_prepare_and_train_bytes_are_pinned(tmp_path):
+    config = small_pipeline(tmp_path)
+    assert run_cli("prepare", "--config", config) == 0
+    assert run_cli("train", "--config", config) == 0
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in PREPARE_TRAIN_SHA256} == PREPARE_TRAIN_SHA256
+
+
 def csv_column(path, name):
     """One column of an artifact CSV, as the strings written."""
     with open(path, newline="") as fh:
@@ -252,7 +272,7 @@ class TestSeriesConsistency:
         assert run_cli("pipeline", "--config", config) == 0
         out = tmp_path / "out"
         corpus = Corpus.load(out / "corpus.json")
-        item_ids = [d.spec.id for d in corpus.in_reading_order()]
+        item_ids = list(corpus.doc_ids)
         assert "doc,005" in item_ids
         model = lda.TopicModel.load(out / "model_k2.json", corpus.vocabulary)
         theta, _ = lda.estimate_distributions(model, smoothing=True)
@@ -657,6 +677,24 @@ class TestStaleArtifacts:
             err = capsys.readouterr().err
             assert "corpus.json is stale or corrupt" in err and "rerun `prepare`" in err
             assert "field 'documents.id' entry 1 (doc000) repeats entry 0" in err
+
+    def test_documents_out_of_reading_order_are_stale(self, tmp_path, capsys):
+        """The corpus holds its documents in reading order; a file that
+        does not exits 2 at every stage that reads it."""
+        config = small_pipeline(tmp_path)
+        assert run_cli("prepare", "--config", config) == 0
+        assert run_cli("train", "--config", config) == 0
+        path = tmp_path / "out" / "corpus.json"
+        payload = json.loads(path.read_text())
+        payload["documents"]["order_index"][0] = 5
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        for stage in ("train", "measure", "null"):
+            assert run_cli(stage, "--config", config) == 2, stage
+            err = capsys.readouterr().err
+            assert "corpus.json is stale or corrupt" in err and "rerun `prepare`" in err
+            assert ("document 1 (doc001) has order_index 1, below the 5 before it: the "
+                    "documents are not in reading order") in err
 
     def test_lengths_within_the_padding_name_the_digest(self, tmp_path, capsys):
         """A two-term corpus saved with lengths [3, 1] and edited to
@@ -1313,6 +1351,11 @@ class TestBadInputs:
                                  "filter: vocabulary exhausted"),
         "missing-manifest": (lambda root: (root / "manifest.jsonl").unlink(), {},
                              "manifest.jsonl"),
+        **{f"{n}-document-manifest": (
+            lambda root, n=n: (root / "manifest.jsonl").write_text(
+                "".join((root / "manifest.jsonl").read_text().splitlines(keepends=True)[:n])),
+            {}, f"manifest.jsonl: a reading history needs at least 2 documents, this one has {n}")
+           for n in (0, 1)},
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from textforage import lda
 from textforage.corpus import (
     Corpus,
     DocumentSpec,
@@ -131,9 +132,8 @@ class TestEncodeCorpus:
         corpus = encode_corpus(
             [DocumentSpec(id="d0")], [["a", "x", "b"]], vocab
         )
-        doc = corpus.documents[0]
-        assert doc.token_ids.tolist() == [0, 1]
-        assert doc.dropped == 1
+        assert corpus.tokens.tolist() == [0, 1]
+        assert corpus.dropped == (1,)
 
     def test_empty_document_flagged_and_skipped(self):
         vocab = Vocabulary(["a"], [1])
@@ -176,13 +176,11 @@ class TestEncodeCorpus:
         path = tmp_path / "corpus.json"
         corpus.save(path)
         loaded = Corpus.load(path)
-        assert loaded.doc_ids == corpus.doc_ids
+        assert loaded.doc_ids == corpus.doc_ids == ("d1", "d0")
         assert loaded.vocabulary.id_to_term == vocab.id_to_term
         assert loaded.vocabulary.sha256() == vocab.sha256()
-        assert [d.token_ids.tolist() for d in loaded.documents] == [
-            d.token_ids.tolist() for d in corpus.documents
-        ]
-        assert loaded.in_reading_order()[0].spec.id == "d1"
+        assert loaded.lengths == corpus.lengths == (1, 3)
+        assert loaded.tokens.tolist() == corpus.tokens.tolist() == [0, 0, 0, 1]
 
     def test_format_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -195,8 +193,8 @@ class TestEncodeCorpus:
         """A two-document corpus saved at `tmp_path`: (corpus, path)."""
         vocab = Vocabulary(["a", "b"], [3, 1])
         corpus = encode_corpus(
-            [DocumentSpec(id='d, 0: "x"', read_date="1845-03", order_index=1),
-             DocumentSpec(id="d1", pub_date="1841-02-01", order_index=0)],
+            [DocumentSpec(id='d, 0: "x"', read_date="1845-03", order_index=0),
+             DocumentSpec(id="d1", pub_date="1841-02-01", order_index=1)],
             [["a", "a", "b", "zz"], ["a"]],
             vocab,
         )
@@ -216,15 +214,14 @@ class TestEncodeCorpus:
             "id": ['d, 0: "x"', "d1"],
             "read_date": ["1845-03", None],
             "pub_date": [None, "1841-02-01"],
-            "order_index": [1, 0],
+            "order_index": [0, 1],
             "length": [3, 1],
             "dropped": [1, 0],
             "token_ids": "BA==",  # ids 0 0 1 0 at one bit each (V = 2): byte 00000100
         }
         loaded = Corpus.load(path)
-        assert [(d.spec, d.token_ids.tolist(), d.dropped) for d in loaded.documents] == [
-            (d.spec, d.token_ids.tolist(), d.dropped) for d in corpus.documents
-        ]
+        assert (loaded.specs, loaded.lengths, loaded.dropped, loaded.tokens.tolist()) == (
+            corpus.specs, corpus.lengths, corpus.dropped, corpus.tokens.tolist())
 
     def test_repeated_id_rejected(self, tmp_path):
         """`tokens_sha256` covers the lengths and term ids only; the ids
@@ -376,13 +373,32 @@ class TestEncodeCorpus:
         corpus.save(path)
         payload = json.loads(path.read_text())
         assert payload["documents"]["token_ids"] == packed([299, 0, 5, 6], 300)
-        assert Corpus.load(path).documents[1].token_ids.tolist() == [5, 6]
+        assert Corpus.load(path).tokens.tolist() == [299, 0, 5, 6]
         payload["documents"]["token_ids"] = packed([299, 0, 5, 300], 300)
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(
                 "field 'documents.token_ids' is not base64 of term ids in [0, V): "
                 "document 1 (d1) holds 300, not below 300")):
             Corpus.load(path)
+
+    def test_documents_out_of_reading_order_are_rejected(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["documents"]["order_index"] = [1, 0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(
+                "document 1 (d1) has order_index 0, below the 1 before it: the documents "
+                "are not in reading order")):
+            Corpus.load(path)
+
+    @pytest.mark.parametrize("ids", [[0, -1], [2, 0]], ids=["negative", "at-v"])
+    def test_term_id_outside_the_vocabulary_is_not_constructed(self, ids):
+        """Both bounds are checked where a corpus is built, so `save`
+        never writes a file that `load` rejects."""
+        with pytest.raises(ValueError, match=re.escape(
+                "tokens: term id outside the vocabulary [0, 2)")):
+            Corpus(Vocabulary(["a", "b"], [1, 1]), specs=(DocumentSpec(id="d0"),),
+                   lengths=(2,), dropped=(0,), tokens=np.array(ids, dtype=np.int32))
 
     def test_documents_must_be_a_mapping(self, tmp_path):
         _, path = self._saved(tmp_path)
@@ -499,3 +515,50 @@ def test_pack_ids_round_trip_at_the_width_bounds(bound, data):
         above = values[:i] + [bound] + values[i + 1:]
         with pytest.raises(ValueError, match=f"^holds {bound}, not below {bound}$"):
             unpack_ids(packed(above, bound), bound, len(values))
+
+
+@pytest.mark.parametrize("values", [[0, -1], [4, 5]], ids=["negative", "at-bound"])
+def test_pack_ids_rejects_a_value_outside_its_bound(values):
+    with pytest.raises(ValueError, match=re.escape("a value outside [0, 5) cannot be packed")):
+        pack_ids(np.array(values), 5)
+
+
+@st.composite
+def manifests(draw):
+    """Specs and token lists: term ids 0-2 are in the vocabulary and 3
+    is not, so a document can be left empty; order_index values repeat,
+    and some documents are published after they are read."""
+    n = draw(st.integers(1, 8))
+    docs = draw(st.lists(st.lists(st.integers(0, 3), max_size=5), min_size=n, max_size=n))
+    order = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    late = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    specs = [DocumentSpec(id=f"m{i}", order_index=order[i], read_date="1850",
+                          pub_date="1851" if late[i] else "1849") for i in range(n)]
+    return specs, [["abcx"[t] for t in doc] for doc in docs]
+
+
+@given(case=manifests())
+def test_flat_corpus_keeps_reading_order_through_save_and_load(tmp_path_factory, case):
+    """Documents in stable order_index order with their own lengths,
+    dropped counts and term ids; skipped documents and warnings in
+    manifest order; a model shares the corpus's read-only tokens."""
+    specs, token_docs = case
+    vocab = Vocabulary(["a", "b", "c"], [1, 1, 1])
+    corpus = encode_corpus(specs, token_docs, vocab)
+    path = tmp_path_factory.mktemp("flat") / "corpus.json"
+    corpus.save(path)
+    loaded = Corpus.load(path)
+    ids = [["abc".index(t) for t in doc if t != "x"] for doc in token_docs]
+    kept = sorted((i for i in range(len(specs)) if ids[i]), key=lambda i: specs[i].order_index)
+    for got in (corpus, loaded):
+        assert got.specs == tuple(specs[i] for i in kept)
+        assert got.lengths == tuple(len(ids[i]) for i in kept)
+        assert got.dropped == tuple(len(token_docs[i]) - len(ids[i]) for i in kept)
+        assert got.tokens.tolist() == [t for i in kept for t in ids[i]]
+        assert got.skipped_empty == tuple(s.id for s, doc in zip(specs, ids) if not doc)
+        assert got.warnings == tuple(f"{s.id}: pub_date 1851 after read_date 1850"
+                                     for s in specs if s.pub_date.year == 1851)
+        assert got.tokens.dtype == np.int32 and not got.tokens.flags.writeable
+        if kept:
+            model = lda.TopicModel.initialize(got, lda.TrainingConfig(k=2, seed=0))
+            assert np.shares_memory(model.tokens, got.tokens)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from textforage import lda
-from textforage.corpus import Vocabulary
+from textforage.corpus import Corpus, DocumentSpec, Vocabulary
 from textforage.errors import NumericalDegeneracyError
 
 from conftest import build_corpus, packed, unpacked
@@ -151,6 +152,25 @@ class TestConstructor:
         179, name `lengths`."""
         with pytest.raises(ValueError, match="^lengths: "):
             self._rebuilt(small_model, lengths)
+
+    def test_initialize_memory_per_token(self):
+        """10**6 tokens at k = 80: the model shares the corpus's tokens
+        and keeps 4-byte z and doc_index (8.97 B/token with the counts),
+        and `_rebuild_counts` peaks with two 8-byte index arrays (24.97).
+        A copy of the tokens adds 4 B/token to each."""
+        d, n, v = 500, 2000, 1000
+        tokens = np.random.default_rng(0).integers(0, v, d * n).astype(np.int32)
+        corpus = Corpus(Vocabulary([f"w{i}" for i in range(v)], np.bincount(tokens, minlength=v)),
+                        specs=tuple(DocumentSpec(id=f"d{i}", order_index=i) for i in range(d)),
+                        lengths=(n,) * d, dropped=(0,) * d, tokens=tokens)
+        tracemalloc.start()
+        try:
+            model = lda.TopicModel.initialize(corpus, lda.TrainingConfig(k=80, seed=1))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(model.tokens, corpus.tokens)
+        assert retained / tokens.size < 10 and peak / tokens.size < 27
 
 
 class TestEstimates:
