@@ -308,6 +308,11 @@ def stage_prepare(run: _Run) -> None:
         raise ConfigError(f"filter: {exc}") from exc
     corpus = dataclasses.replace(encode_corpus(specs, token_docs, vocabulary),
                                  settings=_corpus_settings(cfg))
+    if corpus.n_documents < 2:
+        emptied = ", ".join(map(repr, corpus.skipped_empty))
+        raise ConfigError(f"manifest: {manifest}: a reading history needs at least 2 "
+                          f"documents, {corpus.n_documents} left after encoding; the "
+                          f"vocabulary emptied {emptied}")
     for warning in corpus.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for doc_id in corpus.skipped_empty:
@@ -545,6 +550,8 @@ def stage_fit(run: _Run) -> None:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"fit.documents: {path}: {exc}") from exc
         tokens = model.vocabulary.encode(tokenize(text, tok_cfg))
+        if tokens.size == 0:
+            raise ConfigError(f"fit.documents: {path}: no in-vocabulary tokens")
         name = path.stem
         ensemble = querysample.sample_ensemble(
             model,

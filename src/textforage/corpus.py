@@ -644,20 +644,17 @@ def encode_corpus(
     specs: Sequence[DocumentSpec],
     token_docs: Sequence[Sequence[str]],
     vocabulary: Vocabulary,
-    on_empty: str = "skip",
 ) -> Corpus:
     """Encode tokenized documents against `vocabulary`.
 
     Tokens outside the vocabulary are dropped and counted per document.
-    Documents left empty are skipped (and recorded) by default, or
-    rejected when on_empty="error".  The rest are put in reading order.
+    Documents left empty are skipped and recorded.  The rest are put in
+    reading order.
     Duplicate document ids are rejected; date-constraint violations are
     collected as warnings.
     """
     if len(specs) != len(token_docs):
         raise ValueError("specs and token_docs are not aligned")
-    if on_empty not in ("skip", "error"):
-        raise ValueError(f"on_empty must be 'skip' or 'error', got {on_empty!r}")
     seen = set()
     for spec in specs:
         if spec.id in seen:
@@ -666,8 +663,6 @@ def encode_corpus(
 
     encoded = [vocabulary.encode(tokens) for tokens in token_docs]
     skipped = [spec.id for spec, ids in zip(specs, encoded) if ids.size == 0]
-    if skipped and on_empty == "error":
-        raise ValueError(f"document {skipped[0]!r} has no in-vocabulary tokens")
     kept = sorted((i for i, ids in enumerate(encoded) if ids.size),
                   key=lambda i: specs[i].order_index)  # stable: manifest order breaks ties
     return Corpus(

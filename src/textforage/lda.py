@@ -19,7 +19,10 @@ Query sampling runs the same kernel on one document; its locked mode
 only freezes the word-topic counts.
 
 Each model trains on one thread and is bit-reproducible from (corpus,
-config); the sweep releases the GIL, so models of different k may train
+config): `train` makes one generator from the seed, draws z from it,
+then one row of uniforms per sweep.  A model holds no random stream, so
+a caller that sweeps a loaded model passes `gibbs_sweep` its own.  The
+sweep releases the GIL, so models of different k may train
 concurrently.
 A model file (format 4) stores only what cannot be derived: the
 documents' lengths, their tokens, the assignments z and the likelihood
@@ -42,7 +45,7 @@ from . import _gibbs
 from .corpus import (Corpus, Vocabulary, _count, _read_column, _read_packed, _string,
                      ids_sha256, pack_ids)
 from .errors import NumericalDegeneracyError
-from .seeds import derive_seed, rng_from
+from .seeds import rng_from
 
 __all__ = [
     "TrainingConfig",
@@ -227,12 +230,12 @@ class TopicModel:
     document after another, `lengths` each document's token count and
     `z` one topic per token; `doc_index` and every count matrix derive
     from them.  An int32 `tokens` is kept, not copied, so a model from
-    `initialize` shares its corpus's read-only array.  Count matrices:
+    `train` shares its corpus's read-only array.  Count matrices:
     n_wt (V, k) word-topic, n_td (k, D) topic-document, n_t (k,)
     per-topic totals, n_d (D,) document lengths.  The three sum
     identities (rows of n_td vs n_d, columns of n_wt vs n_t, rows of
     n_td vs n_t) hold after every sweep; `check_invariants` asserts
-    them.
+    them.  The model holds no random stream: `gibbs_sweep` takes one.
     """
 
     def __init__(
@@ -243,7 +246,6 @@ class TopicModel:
         lengths: Sequence[int],
         tokens: np.ndarray,
         z: np.ndarray,
-        rng: np.random.Generator,
     ):
         tokens, z = np.asarray(tokens), np.asarray(z)
         if len(lengths) != len(doc_ids) or sum(lengths) != tokens.size:
@@ -261,24 +263,10 @@ class TopicModel:
         self.tokens = tokens.astype(np.int32, copy=False)
         self.doc_index = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
         self.z = z.astype(np.int32, copy=False)
-        self._rng = rng
         self.n_docs = len(self.doc_ids)
         self.n_terms = len(vocabulary)
         self.log_likelihood_trace: list[float] = []  # one log joint per sweep
         self._rebuild_counts()
-
-    # -- construction helpers
-
-    @classmethod
-    def initialize(cls, corpus: Corpus, config: TrainingConfig) -> "TopicModel":
-        if corpus.n_documents == 0:
-            raise ValueError("empty corpus")
-        if min(corpus.lengths) == 0:
-            raise ValueError("corpus contains an empty document")
-        rng = rng_from(config.seed)
-        z = rng.integers(0, config.k, corpus.tokens.size, dtype=np.int32)
-        return cls(config, corpus.vocabulary, corpus.doc_ids, corpus.lengths, corpus.tokens,
-                   z, rng)
 
     @property
     def sweeps_done(self) -> int:
@@ -397,8 +385,7 @@ class TopicModel:
                          lengths, doc_ids)
         trace = _read_column("log_likelihood_trace", payload["log_likelihood_trace"],
                              _finite_number, "a number", payload["log_likelihood_trace"])
-        model = cls(config, vocabulary, doc_ids, lengths, tokens, z,
-                    rng_from(derive_seed(config.seed, sweeps_done, "resume")))
+        model = cls(config, vocabulary, doc_ids, lengths, tokens, z)
         if payload["assignments_sha256"] != model.assignments_sha256():
             raise ValueError(f"{path}: tokens or z do not match assignments_sha256")
         model.log_likelihood_trace = trace
@@ -432,12 +419,13 @@ def _field(name: str, value, reader):
 # Operations
 
 
-def gibbs_sweep(model: TopicModel) -> TopicModel:
+def gibbs_sweep(model: TopicModel, rng: np.random.Generator) -> TopicModel:
     """Run one full sweep over every token position, in document order.
 
     Mutates the model in place (and returns it); count invariants are
-    preserved exactly.  The sweep consumes one block of the model's
-    random stream, so a fixed stream gives a reproducible sweep.
+    preserved exactly.  The sweep draws one row of uniforms, one per
+    token, from `rng`, so a generator in a fixed state gives a
+    reproducible sweep.
     """
     sweep(
         model.tokens,
@@ -448,7 +436,7 @@ def gibbs_sweep(model: TopicModel) -> TopicModel:
         model.n_t,
         model.config.alpha,
         model.config.beta,
-        model._rng.random((1, model.tokens.size)),
+        rng.random((1, model.tokens.size)),
     )
     model.log_likelihood_trace.append(model.log_joint())
     return model
@@ -457,13 +445,21 @@ def gibbs_sweep(model: TopicModel) -> TopicModel:
 def train(corpus: Corpus, config: TrainingConfig) -> TopicModel:
     """Train a topic model on `corpus`.
 
-    Assignments are initialized uniformly at random from the seed and
-    `config.iterations` full sweeps are applied.  Identical (corpus,
-    config) produce bit-identical models.
+    One generator, made from `config.seed`, draws the assignments
+    uniformly at random and then the uniforms of `config.iterations`
+    full sweeps.  Identical (corpus, config) produce bit-identical
+    models.
     """
-    model = TopicModel.initialize(corpus, config)
+    if corpus.n_documents == 0:
+        raise ValueError("empty corpus")
+    if min(corpus.lengths) == 0:
+        raise ValueError("corpus contains an empty document")
+    rng = rng_from(config.seed)
+    z = rng.integers(0, config.k, corpus.tokens.size, dtype=np.int32)
+    model = TopicModel(config, corpus.vocabulary, corpus.doc_ids, corpus.lengths,
+                       corpus.tokens, z)
     for _ in range(config.iterations):
-        gibbs_sweep(model)
+        gibbs_sweep(model, rng)
     return model
 
 

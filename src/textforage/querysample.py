@@ -157,7 +157,6 @@ def _extend_model(
         lengths=[*base.n_d, tokens.size],
         tokens=np.concatenate([base.tokens, tokens]),
         z=np.concatenate([base.z, z]),
-        rng=rng_from(derive_seed(seed, 0, "extended")),
     )
 
 

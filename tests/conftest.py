@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from textforage.corpus import Corpus, DocumentSpec, Vocabulary
 from textforage import lda
+from textforage.seeds import rng_from
 
 
 def build_corpus(doc_tokens, terms, dates=None):
@@ -16,6 +17,15 @@ def build_corpus(doc_tokens, terms, dates=None):
     return Corpus(vocabulary=Vocabulary(terms, np.bincount(tokens, minlength=len(terms))),
                   specs=specs, lengths=tuple(len(d) for d in doc_tokens),
                   dropped=(0,) * len(doc_tokens), tokens=tokens)
+
+
+def seeded_model(corpus, config):
+    """The model `train` builds before its first sweep, and the generator
+    that drew its z, left where `train`'s sweeps start drawing."""
+    rng = rng_from(config.seed)
+    z = rng.integers(0, config.k, corpus.tokens.size, dtype=np.int32)
+    return lda.TopicModel(config, corpus.vocabulary, corpus.doc_ids, corpus.lengths,
+                          corpus.tokens, z), rng
 
 
 def packed(values, bound: int) -> str:

@@ -24,6 +24,8 @@ from textforage.measures import js_distance, kl_divergence, surprise_values
 from textforage.nullmodels import ReadingOrder, constrained_permutation
 from textforage.synthetic import FixtureSpec, make_fixture
 
+from conftest import seeded_model
+
 import datetime
 
 
@@ -101,15 +103,15 @@ def test_gibbs_oracle():
         dropped=(0, 0),
         tokens=np.array(tokens, dtype=np.int32),
     )
-    model = lda.train(
+    model, rng = seeded_model(
         corpus, lda.TrainingConfig(k=k, seed=2027, alpha=alpha, beta=beta, iterations=0)
     )
     for _ in range(2000):  # burn-in
-        lda.gibbs_sweep(model)
+        lda.gibbs_sweep(model, rng)
     n_samples = 40_000
     counts: dict[tuple, int] = {}
     for _ in range(n_samples):
-        lda.gibbs_sweep(model)
+        lda.gibbs_sweep(model, rng)
         key = tuple(int(t) for t in model.z)
         counts[key] = counts.get(key, 0) + 1
     tv = 0.5 * sum(

@@ -1061,6 +1061,17 @@ class TestFitConfig:
         assert err.splitlines()[-1].startswith(
             f"config error: fit.documents: {tmp_path / 'query_0.txt'}: ")
 
+    def test_query_with_no_in_vocabulary_token_names_the_file(self, tmp_path, capsys):
+        config = small_pipeline(tmp_path, fit={"documents": ["query_0.txt", "oov.txt"],
+                                               "samples": 4, "iterations": 5,
+                                               "cluster_range": [2, 3]})
+        (tmp_path / "oov.txt").write_text("zzzz qqqq xxxx\n")
+        assert run_cli("pipeline", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"config error: fit.documents: {tmp_path / 'oov.txt'}: no in-vocabulary tokens")
+
 
 class TestFitPayloads:
     # SHA-256 of each fit payload with its metadata removed, as the
@@ -1356,6 +1367,13 @@ class TestBadInputs:
                 "".join((root / "manifest.jsonl").read_text().splitlines(keepends=True)[:n])),
             {}, f"manifest.jsonl: a reading history needs at least 2 documents, this one has {n}")
            for n in (0, 1)},
+        "1-document-after-encoding": (
+            lambda root: (root / "manifest.jsonl").write_text("".join(
+                re.sub(r'"text_path": "[^"]*"', '"text": "zzzz qqqq"', line) if i else line
+                for i, line in enumerate(
+                    (root / "manifest.jsonl").read_text().splitlines(keepends=True)[:2]))),
+            {}, "manifest.jsonl: a reading history needs at least 2 documents, 1 left after "
+                "encoding; the vocabulary emptied 'doc001'"),
     }
 
     @pytest.mark.parametrize("case", CASES)

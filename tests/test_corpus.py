@@ -145,11 +145,6 @@ class TestEncodeCorpus:
         assert corpus.skipped_empty == ("d0",)
         assert corpus.doc_ids == ("d1",)
 
-    def test_empty_document_error_mode(self):
-        vocab = Vocabulary(["a"], [1])
-        with pytest.raises(ValueError, match="no in-vocabulary"):
-            encode_corpus([DocumentSpec(id="d0")], [["x"]], vocab, on_empty="error")
-
     def test_decode_restores_in_vocabulary_subsequence(self):
         vocab = Vocabulary(["a", "b"], [1, 1])
         tokens = ["a", "x", "b", "a"]
@@ -560,5 +555,5 @@ def test_flat_corpus_keeps_reading_order_through_save_and_load(tmp_path_factory,
                                      for s in specs if s.pub_date.year == 1851)
         assert got.tokens.dtype == np.int32 and not got.tokens.flags.writeable
         if kept:
-            model = lda.TopicModel.initialize(got, lda.TrainingConfig(k=2, seed=0))
+            model = lda.train(got, lda.TrainingConfig(k=2, seed=0, iterations=0))
             assert np.shares_memory(model.tokens, got.tokens)

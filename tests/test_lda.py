@@ -12,11 +12,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from textforage import lda
+from textforage import lda, querysample
 from textforage.corpus import Corpus, DocumentSpec, Vocabulary
 from textforage.errors import NumericalDegeneracyError
 
-from conftest import build_corpus, packed, unpacked
+from conftest import build_corpus, packed, seeded_model, unpacked
 
 
 def collapsed_log_joint(tokens, doc_of, z, n_docs, v, k, alpha, beta):
@@ -85,9 +85,9 @@ class TestTraining:
         assert not np.array_equal(m1.z, m2.z)
 
     def test_invariants_hold_after_every_sweep(self, tiny_corpus):
-        model = lda.train(tiny_corpus, lda.TrainingConfig(k=3, seed=3, iterations=0))
+        model, rng = seeded_model(tiny_corpus, lda.TrainingConfig(k=3, seed=3, iterations=0))
         for _ in range(10):
-            lda.gibbs_sweep(model)
+            lda.gibbs_sweep(model, rng)
             model.check_invariants()
 
     def test_k_below_two_rejected(self):
@@ -103,10 +103,10 @@ class TestTraining:
         # with every exclusive count at zero the proposal collapses to
         # symmetry across topics
         corpus = build_corpus([[0]], ["a"])
-        model = lda.train(corpus, lda.TrainingConfig(k=2, seed=11, iterations=0))
+        model, rng = seeded_model(corpus, lda.TrainingConfig(k=2, seed=11, iterations=0))
         draws = []
         for _ in range(4000):
-            lda.gibbs_sweep(model)
+            lda.gibbs_sweep(model, rng)
             draws.append(int(model.z[0]))
         assert abs(np.mean(draws) - 0.5) < 0.03
 
@@ -137,7 +137,7 @@ class TestConstructor:
     @staticmethod
     def _rebuilt(model, lengths):
         return lda.TopicModel(model.config, model.vocabulary, model.doc_ids, lengths,
-                              model.tokens, model.z, np.random.default_rng(0))
+                              model.tokens, model.z)
 
     def test_flat_arrays_rebuild_the_counts(self, small_model):
         model = self._rebuilt(small_model, small_model.n_d.tolist())
@@ -165,7 +165,7 @@ class TestConstructor:
                         lengths=(n,) * d, dropped=(0,) * d, tokens=tokens)
         tracemalloc.start()
         try:
-            model = lda.TopicModel.initialize(corpus, lda.TrainingConfig(k=80, seed=1))
+            model = lda.train(corpus, lda.TrainingConfig(k=80, seed=1, iterations=0))
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -423,12 +423,37 @@ def test_save_load_roundtrip_rebuilds_the_model(model, tmp_path):
     assert first.doc_ids == model.doc_ids
     assert first.sweeps_done == model.sweeps_done
     assert first.log_likelihood_trace == model.log_likelihood_trace
-    second = lda.TopicModel.load(path, model.vocabulary)
-    lda.gibbs_sweep(first)
-    lda.gibbs_sweep(second)
-    npt.assert_array_equal(first.z, second.z)
-    npt.assert_array_equal(first.n_wt, second.n_wt)
-    assert first.log_likelihood_trace == second.log_likelihood_trace
+    # the file holds all the sampler state: a loaded model sweeps as the saved one
+    lda.gibbs_sweep(model, np.random.default_rng(model.config.seed))
+    lda.gibbs_sweep(first, np.random.default_rng(model.config.seed))
+    for name in ("z", "n_wt", "n_td", "n_t", "n_d"):
+        npt.assert_array_equal(getattr(first, name), getattr(model, name), err_msg=name)
+    assert first.log_likelihood_trace == model.log_likelihood_trace
+
+
+def test_train_draws_z_then_one_row_per_sweep_from_the_seed(tiny_corpus):
+    """`train` is z from `rng_from(seed)`, then sweeps that draw from the
+    same generator; a change to the training stream shows here."""
+    config = lda.TrainingConfig(k=3, seed=5, iterations=7)
+    want, rng = seeded_model(tiny_corpus, config)
+    for _ in range(7):
+        lda.gibbs_sweep(want, rng)
+    got = lda.train(tiny_corpus, config)
+    npt.assert_array_equal(got.z, want.z)
+    npt.assert_array_equal(got.n_wt, want.n_wt)
+    assert got.log_likelihood_trace == want.log_likelihood_trace
+
+
+def test_a_model_holds_no_random_stream(small_model, tmp_path):
+    """Trained, loaded or extended by a query fit, a model keeps no
+    generator: whoever sweeps it passes one."""
+    small_model.save(tmp_path / "model.json")
+    loaded = lda.TopicModel.load(tmp_path / "model.json", small_model.vocabulary)
+    extended = querysample.fit_document(small_model, [0, 1, 2], iterations=2,
+                                        phi_mode="extended").extended_model
+    for model in (small_model, loaded, extended):
+        assert not [name for name, value in vars(model).items()
+                    if isinstance(value, np.random.Generator)]
 
 
 # zeros and small repeated counts, as in n_wt, and a few up to 10^6, as in n_t
